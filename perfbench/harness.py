@@ -6,6 +6,11 @@ median reported. Operations then run back to back from a single caller for
 the given number of seconds, after one untimed warm-up operation. Every
 operation's output is checked against an oracle once the timed loop is over.
 
+A reference computation (``machine.reference``) runs before the first
+set-up or operation and after each one; the bounded times are reported at
+reference speed, so that the machine's own speed changes cancel. Wall times
+are kept in the full report.
+
 With tracing on, the seconds are split: the first half runs untraced, the
 second half runs with every public callable of the program wrapped, and the
 difference of the two ``op_p50_s`` values is reported as tracing overhead.
@@ -14,7 +19,6 @@ difference of the two ``op_p50_s`` values is reported as tracing overhead.
 from __future__ import annotations
 
 import importlib
-import math
 import os
 import platform
 import resource
@@ -27,7 +31,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .tracing import CHI_BUCKETS, Tracer, layer_metrics
+from .machine import normalized, reference
+from .tracing import CHI_BUCKETS, Tracer, layer_metrics, span_cost_s
 from .workloads import ROOT
 
 SRC = ROOT / "src"
@@ -65,6 +70,11 @@ PER_LAYER = {
     "mps.expect_ms_per_term": "ms",
     "mps.sample_s": "s",
     "mps.sample_us_per_shot": "us",
+    "trace.span_cost_us": "us",
+    "trace.sample_nested_spans": "count",
+    "trace.sample_wrapper_share": "ratio",
+    "trace.two_site_nested_spans": "count",
+    "trace.two_site_wrapper_share": "ratio",
     "vqe.energy_s": "s",
     "vqe.state_preps": "count",
     "parser.parse_s": "s",
@@ -129,13 +139,15 @@ def environment(seed: int) -> dict:
 
 def tail(times: list[float]) -> tuple[float, int, int]:
     """(value, percentile, ops beyond it) at the highest whole percentile
-    with at least 10 operations beyond it; the maximum if there are <= 10."""
-    n = len(times)
-    if n <= 10:
-        return max(times), 100, 0
-    pct = math.floor(100 * (1 - 10 / n))
-    value = float(np.percentile(times, pct))
-    return value, pct, sum(t > value for t in times)
+    (numpy's linear interpolation) with at least 10 operations beyond it; the
+    maximum if no percentile has 10 beyond it."""
+    ordered = np.sort(times)
+    for pct in range(99, -1, -1):
+        value = float(np.percentile(ordered, pct))
+        beyond = len(ordered) - int(np.searchsorted(ordered, value, side="right"))
+        if beyond >= 10:
+            return value, pct, beyond
+    return float(ordered[-1]), 100, 0
 
 
 def timed_setup(workload, seed: int):
@@ -148,10 +160,13 @@ def timed_setup(workload, seed: int):
 def timed_loop(workload, prog, inputs, seconds: float, tracer: Tracer | None = None):
     """Run operations for ``seconds`` (at least ``FINGERPRINT_OPS`` of them).
 
-    Returns one ``(item, seconds, record, error)`` per operation; ``record``
-    is the summarized output and ``error`` a traceback if the operation raised.
+    Returns one ``(item, seconds, record, error)`` per operation, where
+    ``record`` is the summarized output and ``error`` a traceback if the
+    operation raised, and the reference times before the first and after
+    each operation.
     """
     results = []
+    refs = [reference(workload.reference_svds)]
     start = time.perf_counter()
     while len(results) < FINGERPRINT_OPS or time.perf_counter() - start < seconds:
         i = len(results)
@@ -163,12 +178,13 @@ def timed_loop(workload, prog, inputs, seconds: float, tracer: Tracer | None = N
             output = workload.op(prog, inputs, item)
         except Exception:  # counted in error_rate, reported below
             results.append((item, time.perf_counter() - t0, None, traceback.format_exc()))
-            continue
+        else:
+            results.append((item, time.perf_counter() - t0, workload.summarize(output), None))
         finally:
             if tracer is not None:
                 tracer.end()
-        results.append((item, time.perf_counter() - t0, workload.summarize(output), None))
-    return results
+        refs.append(reference(workload.reference_svds))
+    return results, refs
 
 
 def check_all(workload, prog, inputs, results) -> list[str]:
@@ -192,17 +208,20 @@ def warm_up(workload, prog, inputs) -> None:
 
 def end_to_end(workload, seed: int, seconds: float, report: dict) -> tuple[int, list[str]]:
     """Untraced run: fills ``report`` and returns (attempted, failures)."""
-    setups = []
+    svds = workload.reference_svds
+    setups, setup_refs = [], [reference(svds)]
     for _ in range(SETUP_REPEATS):
         seconds_taken, prog, inputs = timed_setup(workload, seed)
         setups.append(seconds_taken)
+        setup_refs.append(reference(svds))
     warm_up(workload, prog, inputs)
-    results = timed_loop(workload, prog, inputs, seconds)
+    results, refs = timed_loop(workload, prog, inputs, seconds)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    times = [t for _, t, _, _ in results]
+    wall = [t for _, t, _, _ in results]
+    times = normalized(wall, refs, svds)
     tail_value, pct, beyond = tail(times)
     values = {
-        "setup_s": statistics.median(setups),
+        "setup_s": statistics.median(normalized(setups, setup_refs, svds)),
         "op_p50_s": statistics.median(times),
         "op_tail_s": tail_value,
         "ops_per_s": len(times) / sum(times),
@@ -210,8 +229,15 @@ def end_to_end(workload, seed: int, seconds: float, report: dict) -> tuple[int, 
     }
     report["metrics"] = {k: {"value": values[k], "unit": u} for k, u in END_TO_END.items()}
     report["tail"] = {"percentile": pct, "beyond": beyond, "ops": len(times)}
+    report["wall"] = {
+        "setup_s": statistics.median(setups),
+        "op_p50_s": statistics.median(wall),
+        "reference_p50_s": statistics.median(refs),
+    }
     report["setup_runs_s"] = setups
-    report["op_times_s"] = times
+    report["setup_reference_s"] = setup_refs
+    report["op_times_s"] = wall
+    report["reference_s"] = refs
     return len(results), check_all(workload, prog, inputs, results)
 
 
@@ -219,7 +245,7 @@ def per_layer(workload, seed: int, seconds: float, report: dict) -> tuple[int, l
     """Half untraced, half traced: fills ``report``, returns (attempted, failures)."""
     _, prog, inputs = timed_setup(workload, seed)
     warm_up(workload, prog, inputs)
-    untraced = timed_loop(workload, prog, inputs, seconds / 2)
+    untraced, _ = timed_loop(workload, prog, inputs, seconds / 2)
     tracer = Tracer()
     modules = {name: getattr(prog, name) for name in TRACED_MODULES}
     hosts = [m for name, m in sys.modules.items() if name.split(".")[0] == "mpsqvm"]
@@ -228,10 +254,11 @@ def per_layer(workload, seed: int, seconds: float, report: dict) -> tuple[int, l
         tracer.begin(-1)
         traced_inputs = workload.setup(prog, np.random.default_rng(seed))
         tracer.end()
-        traced = timed_loop(workload, prog, traced_inputs, seconds / 2, tracer)
+        traced, _ = timed_loop(workload, prog, traced_inputs, seconds / 2, tracer)
     finally:
         tracer.remove()
-    layers = layer_metrics(tracer, len(traced), FINGERPRINT_OPS)
+    layers = layer_metrics(tracer, len(traced), FINGERPRINT_OPS, span_cost_s())
+    # Wall seconds, like the spans they are compared with.
     untraced_p50 = statistics.median(t for _, t, _, _ in untraced)
     traced_p50 = statistics.median(t for _, t, _, _ in traced)
     layers.update({

@@ -12,7 +12,8 @@ The full report goes to ``perfbench/results/<workload>-seed<n>-trace<t>.json``
 and, when tracing, the spans to the matching ``.spans.npz`` file.
 
 BLAS runs single-threaded (pinned before numpy loads); the thread count is
-recorded in the report. Exit status is 2, with no result line, when the
+recorded in the report. Bounded times are given at reference speed (see
+``perfbench/machine.py``); wall-clock medians are printed beside them. Exit status is 2, with no result line, when the
 program under test cannot be imported.
 """
 
@@ -34,6 +35,7 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[var] = BLAS_THREADS
     sys.path.insert(0, str(HERE.parent))
     from perfbench import harness  # numpy loads here, after the pin
+    from perfbench.machine import reference_s
     from perfbench.workloads import WORKLOADS
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -64,6 +66,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{workload.name}: {workload.size()}; {report['attempted']} operations")
     for name, metric in report["metrics"].items():
         print(f"{workload.name} {name} {metric['value']!r} {metric['unit']}")
+    if "wall" in report:
+        nominal = reference_s(workload.reference_svds)
+        print(f"{workload.name} wall clock: " + " ".join(
+            f"{k} {v!r} s" for k, v in report["wall"].items()
+        ) + f" (times above are at reference speed, where the reference takes {nominal} s)")
     if "tail" in report:
         t = report["tail"]
         print(f"{workload.name} op_tail_s is p{t['percentile']}, "

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from perfbench import harness, tracing, workloads
+from perfbench import harness, machine, tracing, workloads
 from perfbench.workloads import Grid, Run, Vqe, VqeSampled
 
 SPEC = json.loads((workloads.ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -22,7 +22,7 @@ ORIGINAL_SVD = np.linalg.svd
 TINY = {
     "grid": Grid(n=6, rounds=4, check_n=6),
     "vqe": Vqe(n=4, layers=2),
-    "run": Run(n=5, shots=50),
+    "run": Run(n=5, shots=50, check_n=4),
     "vqe_sampled": VqeSampled(shots=100),
 }
 
@@ -142,6 +142,7 @@ class Flaky:
     """Raises on odd operations and returns a wrong answer on every third."""
 
     name = "flaky"
+    reference_svds = 0
 
     def size(self):
         return "tiny"
@@ -179,16 +180,38 @@ def test_benchmark_json_lists_the_workloads():
 
 
 def test_fingerprint_repeats_exactly():
-    first = harness.run(TINY["run"], seed=4, seconds=0.05, trace=True)["fingerprint"]
+    report = harness.run(TINY["run"], seed=4, seconds=0.05, trace=True)
+    first = report["fingerprint"]
     second = harness.run(TINY["run"], seed=4, seconds=0.2, trace=True)["fingerprint"]
     assert first == second
     assert first["mps.swaps_inserted"] > 0
+    metrics = {k: v["value"] for k, v in report["metrics"].items()}
+    assert metrics["trace.sample_nested_spans"] > 0
+    assert 0 < metrics["trace.sample_wrapper_share"] < 1
+
+
+def test_run_check_catches_a_routing_bug(monkeypatch):
+    workload = TINY["run"]
+    prog = harness.import_program()
+    inputs = workload.setup(prog, np.random.default_rng(0))
+    item = workload.item(inputs, 0)
+    counts = workload.summarize(workload.op(prog, inputs, item))
+    assert workload.check(prog, inputs, item, counts, {}) is None
+    monkeypatch.setattr(prog.mps.MpsState, "apply_two_qubit_routed", lambda *args: None)
+    assert "fidelity" in workload.check(prog, inputs, item, counts, {})
+
+
+def test_times_are_normalized_by_the_reference_around_them():
+    nominal = machine.reference_s(2)
+    refs = [nominal, 2 * nominal, nominal]
+    assert machine.normalized([0.3, 0.6], refs, 2) == pytest.approx([0.2, 0.4])
 
 
 def test_tail_is_highest_percentile_with_ten_beyond():
     times = [float(t) for t in range(1, 41)]
     value, pct, beyond = harness.tail(times)
-    assert (pct, beyond) == (75, 10)
+    assert (value, pct, beyond) == (pytest.approx(30.64), 76, 10)
+    assert harness.tail([float(t) for t in range(1, 61)])[1:] == (84, 10)
     assert harness.tail([1.0, 2.0, 3.0]) == (3.0, 100, 0)
 
 

@@ -35,6 +35,28 @@ GRID_POOL = ("RX", "RY", "RZ")
 #: Length of the per-run stream of grid circuit seeds (cycled if exceeded).
 SEED_STREAM = 4096
 
+#: Singular-value cutoff of the grid circuits: the bench default.
+GRID_CUTOFF = 1e-4
+
+#: Drops only numerically zero singular values, so the ``vqe`` state is exact
+#: and the 1e-8 check holds; the default 1e-4 discards weight worth up to
+#: ~3e-5 in energy on some thetas, at the same chi=8 and cost.
+VQE_CUTOFF = 1e-12
+VQE_TOLERANCE = 1e-8
+
+#: Seeded inputs (theta, or theta and sampling seed) that ``vqe``, ``run`` and
+#: ``vqe_sampled`` cycle through, so oracle values are computed once per input.
+INPUT_POOL = 4
+
+#: Qubits whose sampled <Z> the ``run`` check compares with the exact value.
+RUN_PROBES = 3
+
+#: Minimum fidelity of a reduced instance against the dense oracle.
+MIN_FIDELITY = 1 - 1e-10
+
+H2_ANSATZ = ROOT / "data/h2_vqe.qk"
+H2_HAMILTONIAN = ROOT / "data/h2_2q.ham"
+
 
 # -- input generators (no mpsqvm needed) ------------------------------------
 
@@ -127,6 +149,20 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return float(overlap / (np.vdot(a, a).real * np.vdot(b, b).real))
 
 
+def exact_fidelity(prog, program: list, oracle_program: list, n: int) -> float:
+    """Fidelity of the cutoff-0 MPS state of ``program`` against the dense
+    oracle's state of ``oracle_program``.
+
+    Compares amplitudes, so diagonal gates such as CZ, which leave Z-basis
+    counts unchanged, are checked through their phases.
+    """
+    state = prog.backends.run_program(program, n, "mps", prog.mps.TruncationPolicy(0.0))
+    mps_vec = np.array([
+        state.amplitude("".join(bits)) for bits in itertools.product("01", repeat=n)
+    ])
+    return fidelity(mps_vec, prog.dense.dense_run(oracle_program, n).amps)
+
+
 # -- workloads ----------------------------------------------------------------
 
 
@@ -139,17 +175,18 @@ class Grid:
         "nearest-neighbour round circuits reaching chi=128: flop-bound in the "
         "two-site contraction and SVD, no routing, sampling or expectation"
     )
+    #: LAPACK-bound: the reference adds two SVDs (see ``machine``)
+    reference_svds: ClassVar[int] = 2
     n: int = 40
     rounds: int = 13
-    cutoff: float = 1e-4
     check_n: int = 8
 
     def size(self) -> str:
-        return f"{self.n} qubits, {self.rounds} rounds, cutoff {self.cutoff}"
+        return f"{self.n} qubits, {self.rounds} rounds, cutoff {GRID_CUTOFF}"
 
     def setup(self, prog, rng):
         seeds = [int(s) for s in rng.integers(0, 2**31, SEED_STREAM)]
-        return SimpleNamespace(seeds=seeds, policy=prog.mps.TruncationPolicy(self.cutoff))
+        return SimpleNamespace(seeds=seeds, policy=prog.mps.TruncationPolicy(GRID_CUTOFF))
 
     def item(self, inputs, i: int) -> int:
         return inputs.seeds[i % len(inputs.seeds)]
@@ -169,7 +206,7 @@ class Grid:
             return f"storage law broken: {peak} B at chi={chi}"
         if seed not in cache:
             cache[seed] = self._reduced_fidelity(prog, seed)
-        if cache[seed] < 1 - 1e-10:
+        if cache[seed] < MIN_FIDELITY:
             return f"reduced instance fidelity {cache[seed]!r} < 1-1e-10"
         return None
 
@@ -177,13 +214,7 @@ class Grid:
         """Same seed and rounds at ``check_n`` qubits, cutoff 0, against dense."""
         spec = prog.bench.RoundCircuitSpec(self.check_n, self.rounds, seed, GRID_POOL)
         circuit = prog.bench.generate_round_circuit(spec)
-        exact = prog.mps.TruncationPolicy(0.0)
-        state = prog.backends.run_program(circuit, self.check_n, "mps", exact)
-        mps_vec = np.array([
-            state.amplitude("".join(bits))
-            for bits in itertools.product("01", repeat=self.check_n)
-        ])
-        return fidelity(mps_vec, prog.dense.dense_run(circuit, self.check_n).amps)
+        return exact_fidelity(prog, circuit, circuit, self.check_n)
 
 
 @dataclass(frozen=True)
@@ -195,14 +226,9 @@ class Vqe:
         "analytic energy of a 16-qubit brickwork ansatz against a 61-term "
         "Heisenberg Hamiltonian: expectation-bound at chi=8"
     )
+    reference_svds: ClassVar[int] = 0
     n: int = 16
     layers: int = 6
-    pool: int = 4
-    tolerance: float = 1e-8
-    #: Drops only numerically zero singular values, so the state is exact and
-    #: the 1e-8 check holds; the default 1e-4 discards weight worth up to
-    #: ~3e-5 in energy on some thetas, at the same chi=8 and cost.
-    cutoff: float = 1e-12
 
     def size(self) -> str:
         return f"{self.n} qubits, {self.layers} layers, {4 * self.n - 3} terms"
@@ -212,14 +238,14 @@ class Vqe:
         terms = heisenberg_terms(rng, self.n)
         ansatz = prog.parser.parse(kernel_text("ansatz", gates)).kernels["ansatz"]
         hamiltonian = prog.hamiltonian.parse_hamiltonian(hamiltonian_text(terms))
-        thetas = [float(t) for t in rng.uniform(-pi, pi, self.pool)]
+        thetas = [float(t) for t in rng.uniform(-pi, pi, INPUT_POOL)]
         return SimpleNamespace(
             gates=gates, terms=terms, ansatz=ansatz, hamiltonian=hamiltonian, thetas=thetas,
-            policy=prog.mps.TruncationPolicy(self.cutoff),
+            policy=prog.mps.TruncationPolicy(VQE_CUTOFF),
         )
 
     def item(self, inputs, i: int) -> float:
-        return inputs.thetas[i % self.pool]
+        return inputs.thetas[i % INPUT_POOL]
 
     def op(self, prog, inputs, theta: float) -> float:
         return prog.vqe.energy(inputs.ansatz, theta, inputs.hamiltonian, policy=inputs.policy)
@@ -233,7 +259,7 @@ class Vqe:
             paulis = [p for _, p in inputs.terms]
             values = dense_expectations(prog, program, self.n, paulis)
             cache[theta] = sum(c * v for (c, _), v in zip(inputs.terms, values))
-        if not abs(value - cache[theta]) <= self.tolerance:
+        if not abs(value - cache[theta]) <= VQE_TOLERANCE:
             return f"energy {value!r} differs from dense {cache[theta]!r}"
         return None
 
@@ -247,10 +273,10 @@ class Run:
         "parse, bind and execute a kernel whose CZ 0 k gates need SWAP routing "
         "at chi<=16, then sample: routing- and per-call-overhead-bound"
     )
+    reference_svds: ClassVar[int] = 0
     n: int = 28
     shots: int = 400
-    pool: int = 4
-    probes: int = 3
+    check_n: int = 10
 
     def size(self) -> str:
         return f"{self.n} qubits, {self.shots} shots"
@@ -258,12 +284,15 @@ class Run:
     def setup(self, prog, rng):
         gates = long_range_gates(rng, self.n)
         text = kernel_text("main", gates, range(self.n))
-        items = angles_and_seeds(rng, self.pool)
-        probes = [int(q) for q in rng.choice(self.n, self.probes, replace=False)]
-        return SimpleNamespace(gates=gates, text=text, items=items, probes=probes)
+        items = angles_and_seeds(rng, INPUT_POOL)
+        probes = [int(q) for q in rng.choice(self.n, RUN_PROBES, replace=False)]
+        check_seed = int(rng.integers(0, 2**31))
+        return SimpleNamespace(
+            gates=gates, text=text, items=items, probes=probes, check_seed=check_seed
+        )
 
     def item(self, inputs, i: int) -> tuple[float, int]:
-        return inputs.items[i % self.pool]
+        return inputs.items[i % INPUT_POOL]
 
     def op(self, prog, inputs, item):
         t0, seed = item
@@ -282,16 +311,29 @@ class Run:
         if t0 not in cache:
             program = bound_instructions(prog, inputs.gates, t0)
             state = prog.backends.run_program(program, self.n, "mps")
-            cache[t0] = [
+            probes = [
                 state.expectation_pauli("".join("Z" if k == q else "I" for k in range(self.n)))
                 for q in inputs.probes
             ]
-        for q, exact in zip(inputs.probes, cache[t0]):
+            cache[t0] = probes, self._reduced_fidelity(prog, inputs, t0)
+        probes, reduced = cache[t0]
+        if reduced < MIN_FIDELITY:
+            return f"reduced instance fidelity {reduced!r} < 1-1e-10"
+        for q, exact in zip(inputs.probes, probes):
             sampled = sum(c if key[q] == "0" else -c for key, c in counts.items()) / total
             sigma = prog.vqe.binomial_sigma(exact, self.shots)
             if not abs(sampled - exact) <= 5 * sigma:
                 return f"<Z_{q}> sampled {sampled!r}, exact {exact!r}, sigma {sigma!r}"
         return None
+
+    def _reduced_fidelity(self, prog, inputs, t0: float) -> float:
+        """The same gate family at ``check_n`` qubits, parsed and run at cutoff
+        0, against the dense oracle of the generated gates."""
+        n = min(self.n, self.check_n)
+        gates = long_range_gates(np.random.default_rng(inputs.check_seed), n)
+        kernel = prog.parser.parse(kernel_text("main", gates)).kernels["main"]
+        program = prog.ir.flatten(prog.ir.bind_parameters(kernel, [t0]))
+        return exact_fidelity(prog, program, bound_instructions(prog, gates, t0), n)
 
 
 @dataclass(frozen=True)
@@ -303,23 +345,21 @@ class VqeSampled:
         "shipped 2-qubit H2 VQE through the sampled estimator: one state "
         "preparation per term and many shots on few qubits"
     )
+    reference_svds: ClassVar[int] = 0
     shots: int = 2500
-    pool: int = 4
-    ansatz_path: str = "data/h2_vqe.qk"
-    hamiltonian_path: str = "data/h2_2q.ham"
 
     def size(self) -> str:
         return f"2 qubits, 5 sampled terms, {self.shots} shots per term"
 
     def setup(self, prog, rng):
-        text = (ROOT / self.ansatz_path).read_text(encoding="utf-8")
+        text = H2_ANSATZ.read_text(encoding="utf-8")
         ansatz = prog.parser.parse(text).kernels["ansatz"]
-        hamiltonian = prog.hamiltonian.load_hamiltonian(ROOT / self.hamiltonian_path)
-        items = angles_and_seeds(rng, self.pool)
+        hamiltonian = prog.hamiltonian.load_hamiltonian(H2_HAMILTONIAN)
+        items = angles_and_seeds(rng, INPUT_POOL)
         return SimpleNamespace(ansatz=ansatz, hamiltonian=hamiltonian, items=items)
 
     def item(self, inputs, i: int) -> tuple[float, int]:
-        return inputs.items[i % self.pool]
+        return inputs.items[i % INPUT_POOL]
 
     def op(self, prog, inputs, item) -> float:
         theta, seed = item
