@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -39,12 +40,24 @@ class _Parser(argparse.ArgumentParser):
         return 1
 
 
-def _env_float(name: str, default: float) -> float:
-    return float(os.environ[name]) if name in os.environ else default
+def _env_number(name: str, kind: type[int] | type[float]) -> int | float | None:
+    if name not in os.environ:
+        return None
+    text = os.environ[name]
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{name}={text!r} is not a valid {kind.__name__}") from None
 
 
-def _env_opt_int(name: str) -> int | None:
-    return int(os.environ[name]) if name in os.environ else None
+def _finite(text: str, what: str) -> float:
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise UsageError(f"{what} value {text.strip()!r} is not a finite number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,10 +116,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
-    cutoff = args.cutoff if args.cutoff is not None else _env_float("MPSQVM_CUTOFF", 1e-4)
-    max_bond = args.max_bond if args.max_bond is not None else _env_opt_int("MPSQVM_MAX_BOND")
-    return TruncationPolicy(cutoff=cutoff, max_bond=max_bond,
-                            relative=args.cutoff_mode == "relative")
+    cutoff = args.cutoff if args.cutoff is not None else _env_number("MPSQVM_CUTOFF", float)
+    max_bond = args.max_bond if args.max_bond is not None else _env_number("MPSQVM_MAX_BOND", int)
+    try:
+        return TruncationPolicy(cutoff=1e-4 if cutoff is None else cutoff, max_bond=max_bond,
+                                relative=args.cutoff_mode == "relative")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _read_source(path: str) -> str:
@@ -131,7 +147,12 @@ def _get_kernel(source_text: str, name: str):
 
 def _cmd_run(args: argparse.Namespace) -> None:
     kernel = _get_kernel(_read_source(args.source), args.kernel)
-    values = [float(v) for v in args.args.split(",") if v.strip()] if args.args else []
+    values = [_finite(v, "--args") for v in args.args.split(",") if v.strip()]
+    if len(values) != len(kernel.formal_params):
+        raise UsageError(
+            f"kernel '{kernel.name}' takes {len(kernel.formal_params)} parameter(s), "
+            f"--args gives {len(values)}"
+        )
     program = flatten(bind_parameters(kernel, values))
     n = args.qubits
     if n is not None and program and n < num_qubits(program):
@@ -155,10 +176,12 @@ def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
     if len(fields) != 3:
         raise UsageError(f"bad {what} range {text!r}, expected start:stop:count")
     try:
-        start, stop, count = float(fields[0]), float(fields[1]), int(fields[2])
+        count = int(fields[2])
     except ValueError:
         raise UsageError(f"bad {what} range {text!r}") from None
-    return start, stop, count
+    if count < 2:
+        raise UsageError(f"bad {what} range {text!r}, need a count of at least 2")
+    return _finite(fields[0], what), _finite(fields[1], what), count
 
 
 def _parse_steps(text: str, what: str) -> list[int]:

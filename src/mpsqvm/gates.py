@@ -64,5 +64,5 @@ def check_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
     if matrix.shape != (d, d) or d not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {matrix.shape}")
     dev = np.abs(matrix.conj().T @ matrix - np.eye(d)).max()
-    if dev > tol:
+    if not dev <= tol:  # also rejects NaN, which compares false with everything
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")

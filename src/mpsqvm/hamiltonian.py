@@ -1,12 +1,13 @@
 """Weighted sums of Pauli strings and the on-disk Hamiltonian format.
 
 File format, one term per line: ``<coefficient> <pauli-string>``, e.g.
-``0.5716 ZZ``. Blank lines and ``#`` comments are ignored. All strings in a
-file must have the same length.
+``0.5716 ZZ``. Blank lines and ``#`` comments are ignored. Coefficients must
+be finite, and all strings in a file must have the same length.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,9 +85,11 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
             )
         try:
             coeff = float(fields[0])
+            if not math.isfinite(coeff):
+                raise ValueError
         except ValueError:
             raise HamiltonianFormatError(
-                f"line {lineno}: bad coefficient {fields[0]!r}"
+                f"line {lineno}: bad coefficient {fields[0]!r}, need a finite number"
             ) from None
         pauli = fields[1].upper()
         if any(c not in _PAULI for c in pauli):

@@ -9,6 +9,7 @@ safe to share; parameter binding returns new trees.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 
@@ -150,8 +151,8 @@ def _substitute(node: Instruction | CompositeInstruction,
 def bind_parameters(root: CompositeInstruction, values: list[float]) -> CompositeInstruction:
     """Return a deep copy of ``root`` with formal parameters replaced by ``values``.
 
-    ``values`` is matched positionally against ``root.formal_params``. The
-    input tree is never mutated.
+    ``values`` is matched positionally against ``root.formal_params`` and
+    must be finite. The input tree is never mutated.
     """
     if len(values) != len(root.formal_params):
         raise IrError(
@@ -159,6 +160,9 @@ def bind_parameters(root: CompositeInstruction, values: list[float]) -> Composit
             f"got {len(values)}"
         )
     mapping = {name: float(v) for name, v in zip(root.formal_params, values)}
+    for name, v in mapping.items():
+        if not math.isfinite(v):
+            raise IrError(f"parameter '{name}' of kernel '{root.name}' is {v!r}, not finite")
     bound = _substitute(root, mapping)
     assert isinstance(bound, CompositeInstruction)
     return bound

@@ -1,11 +1,26 @@
-"""Matrix-product-state simulator in Vidal canonical form.
+"""Matrix-product-state simulator in right-canonical (Hastings) form.
 
-The state of ``n`` qubits is stored as ``n`` rank-3 site tensors (Gamma, shape
-``(left_bond, 2, right_bond)``) and ``n-1`` singular-value vectors (Lambda) on
-the bonds between them. One-qubit gates are purely local; two-qubit gates on
-adjacent sites contract the affected pair into a rank-4 tensor and split it
-again by SVD, truncating singular values per the active policy. Non-adjacent
-pairs are routed together with SWAP chains and routed back afterwards.
+The state of ``n`` qubits is stored as ``n`` rank-3 site tensors
+``B_k = Gamma_k * Lambda_k`` (shape ``(left_bond, 2, right_bond)``, the
+Vidal tensor with its right singular values absorbed) and ``n-1``
+singular-value vectors ``Lambda_k`` on the bonds between them. Every ``B_k``
+is right-canonical, ``sum_s B^s B^s+ = I`` (exactly at cutoff 0), so the
+amplitude of a bitstring is the plain matrix product of the ``B`` slices, and
+the state to the right of any bond needs no contraction.
+
+One-qubit gates act on the physical index of one ``B``. A two-qubit gate on
+adjacent sites ``(q, q+1)`` forms ``theta = B_q B_{q+1}``, applies the 4x4
+gate, and takes the SVD of ``diag(Lambda_{q-1}) theta``: its singular values
+are the new ``Lambda_q`` (after truncation per the active policy), ``V+``
+becomes ``B_{q+1}`` and ``theta V / |s|`` becomes ``B_q``, so nothing is
+divided by a singular value (Hastings, J. Math. Phys. 50, 095207 (2009)).
+Where the left bond is the smaller one (and not 1), ``theta`` is first split
+as ``L Q+`` by a QR factorization and the SVD taken of
+``diag(Lambda_{q-1}) L``, which keeps ``B_q`` right-canonical even in rows
+whose ``Lambda_{q-1}`` is exactly zero. Non-adjacent pairs are routed together with SWAP chains and
+routed back afterwards. Every contraction is a reshape plus a matrix product;
+a Pauli expectation costs O(|support| chi^3) and touches only the string's
+support.
 """
 
 from __future__ import annotations
@@ -15,10 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import SWAP_MATRIX, check_unitary
-
-#: Lambda entries below this are treated as removed dimensions when the
-#: environment is divided back out (pseudo-inverse instead of 1/x blow-up).
-_PINV_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,10 +46,10 @@ class TruncationPolicy:
     relative: bool = True
 
     def __post_init__(self) -> None:
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
+        if not 0 <= self.cutoff < np.inf:
+            raise ValueError(f"cutoff must be a finite number >= 0, got {self.cutoff!r}")
         if self.max_bond is not None and self.max_bond < 1:
-            raise ValueError("max_bond must be >= 1")
+            raise ValueError(f"max_bond must be >= 1, got {self.max_bond!r}")
 
     def keep_count(self, singular_values: np.ndarray) -> int:
         threshold = self.cutoff * (singular_values[0] if self.relative else 1.0)
@@ -49,8 +60,22 @@ class TruncationPolicy:
         return keep
 
 
+def _transfer(env: np.ndarray, b: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
+    """Carry a left environment ``env[a, a']`` over one site:
+    ``sum conj(b[a, s, r]) env[a, a'] (op b)[a', s, r']`` as two matmuls."""
+    dim_l, _, dim_r = b.shape
+    ket = b if op is None else np.matmul(op, b)
+    half = (env @ ket.reshape(dim_l, 2 * dim_r)).reshape(2 * dim_l, dim_r)
+    return b.reshape(2 * dim_l, dim_r).conj().T @ half
+
+
 class MpsState:
-    """Vidal-form factorized wavefunction over ``n`` qubits, initially |0...0>."""
+    """Right-canonical factorized wavefunction over ``n`` qubits, initially |0...0>.
+
+    ``site_tensors[k]`` holds ``B_k = Gamma_k * Lambda_k`` and
+    ``bond_vectors[k]`` the singular values ``Lambda_k`` between sites ``k``
+    and ``k+1``.
+    """
 
     def __init__(self, n: int, policy: TruncationPolicy | None = None):
         if n < 1:
@@ -89,7 +114,7 @@ class MpsState:
         """Contract a 2x2 unitary into site ``q``; bonds are untouched."""
         self._check_site(q)
         check_unitary(gate)
-        self.site_tensors[q] = np.einsum("st,ltr->lsr", gate, self.site_tensors[q])
+        self.site_tensors[q] = np.matmul(gate, self.site_tensors[q])
 
     def apply_two_qubit_adjacent(self, gate: np.ndarray, q: int) -> None:
         """Apply a 4x4 unitary to sites ``(q, q+1)`` via contract + SVD."""
@@ -98,41 +123,44 @@ class MpsState:
             raise ValueError(f"site {q} has no right neighbour (n={self.n})")
         check_unitary(gate)
 
+        b_l, b_r = self.site_tensors[q], self.site_tensors[q + 1]
+        dim_l, dim_r = b_l.shape[0], b_r.shape[2]
+        # theta[(l s1), (s2 r)] = gate . B_q B_{q+1}; nothing right of it
+        # enters, because B_{q+1} is right-canonical
+        theta = b_l.reshape(2 * dim_l, -1) @ b_r.reshape(-1, 2 * dim_r)
+        theta = np.matmul(gate, theta.reshape(dim_l, 4, dim_r)).reshape(2 * dim_l, 2 * dim_r)
+        basis = None
+        if 1 < dim_l < dim_r:
+            # Split theta = L Q+ first. The right basis (Q V) then spans every
+            # row of theta, so B_q stays right-canonical in the rows where
+            # Lambda_{q-1} is zero, which diag(Lambda_{q-1}) theta cannot see.
+            # (A left bond of dimension 1 carries Lambda = 1; if the right bond
+            # is the smaller one, V is square and spans everything anyway.)
+            basis, tri = np.linalg.qr(theta.conj().T)
+            theta = tri.conj().T
         lam_l = self.bond_vectors[q - 1] if q > 0 else np.ones(1)
-        lam_r = self.bond_vectors[q + 1] if q + 1 < self.n - 1 else np.ones(1)
-
-        # theta[l, s1, s2, r]: both sites with full environment absorbed
-        theta = np.einsum(
-            "l,lsm,m,mtr,r->lstr",
-            lam_l, self.site_tensors[q], self.bond_vectors[q],
-            self.site_tensors[q + 1], lam_r,
-        )
-        g = gate.reshape(2, 2, 2, 2)
-        theta = np.einsum("abst,lstr->labr", g, theta)
-
-        dim_l, dim_r = theta.shape[0], theta.shape[3]
-        matrix = theta.reshape(dim_l * 2, 2 * dim_r)
         try:
-            u, s, vh = np.linalg.svd(matrix, full_matrices=False)
+            _, s, vh = np.linalg.svd(
+                np.repeat(lam_l, 2)[:, np.newaxis] * theta, full_matrices=False
+            )
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"SVD failed on bond {q}") from exc
 
         keep = self.policy.keep_count(s)
-        discarded = s[keep:]
-        self.trunc_error_sq += float(np.sum(discarded**2))
+        self.trunc_error_sq += float(np.sum(s[keep:] ** 2))
         s = s[:keep]
         norm = np.linalg.norm(s)
         if norm == 0.0:
             raise RuntimeError(f"all singular values truncated on bond {q}")
-        s = s / norm
+        vh = vh[:keep]
 
-        inv_l = np.where(lam_l > _PINV_FLOOR, 1.0 / np.maximum(lam_l, _PINV_FLOOR), 0.0)
-        inv_r = np.where(lam_r > _PINV_FLOOR, 1.0 / np.maximum(lam_r, _PINV_FLOOR), 0.0)
-        left = u[:, :keep].reshape(dim_l, 2, keep)
-        right = vh[:keep, :].reshape(keep, 2, dim_r)
-        self.site_tensors[q] = np.einsum("l,lsr->lsr", inv_l, left)
-        self.site_tensors[q + 1] = np.einsum("lsr,r->lsr", right, inv_r)
-        self.bond_vectors[q] = s
+        # B_q = theta V / |s| and B_{q+1} = V+: no division by Lambda
+        b_l = theta @ vh.conj().T
+        b_l /= norm
+        b_r = vh.copy() if basis is None else vh @ basis.conj().T
+        self.site_tensors[q] = b_l.reshape(dim_l, 2, keep)
+        self.site_tensors[q + 1] = b_r.reshape(keep, 2, dim_r)
+        self.bond_vectors[q] = s / norm
         self._note_sizes()
 
     def apply_two_qubit_routed(self, gate: np.ndarray, q1: int, q2: int) -> None:
@@ -162,50 +190,58 @@ class MpsState:
         if not 0 <= q < self.n:
             raise ValueError(f"site {q} out of range for {self.n} qubits")
 
-    def _site_matrices(self, k: int) -> np.ndarray:
-        """Site tensor with its right bond vector absorbed (right-canonical)."""
-        t = self.site_tensors[k]
-        if k < self.n - 1:
-            t = t * self.bond_vectors[k][np.newaxis, np.newaxis, :]
-        return t
-
     def amplitude(self, bits: str) -> complex:
         """<bits|psi>, with string position k addressing qubit k."""
         if len(bits) != self.n or any(b not in "01" for b in bits):
             raise ValueError(f"need a bitstring of length {self.n}, got {bits!r}")
         vec = np.ones(1, dtype=complex)
-        for k, b in enumerate(bits):
-            vec = vec @ self._site_matrices(k)[:, int(b), :]
+        for b, t in zip(bits, self.site_tensors):
+            vec = vec @ t[:, int(b), :]
         return complex(vec[0])
 
     def norm_sq(self) -> float:
+        """<psi|psi> by contracting every stored tensor from the left edge."""
         env = np.ones((1, 1), dtype=complex)
-        for k in range(self.n):
-            t = self._site_matrices(k)
-            env = np.einsum("ab,asr,bsq->rq", env, t.conj(), t)
+        for t in self.site_tensors:
+            env = _transfer(env, t)
         return float(env[0, 0].real)
 
     def expectation_pauli(self, pauli: str) -> float:
-        """<psi|P|psi> for a Pauli string (one of IXYZ per qubit)."""
+        """<psi|P|psi> for a Pauli string (one of IXYZ per qubit).
+
+        Only sites ``first..last`` of the string's support are contracted,
+        starting from ``diag(Lambda_{first-1}^2)`` on the left and closing
+        with a trace, because the canonical form makes the rest of the chain
+        an identity: O(|support| chi^3) instead of O(n chi^4). That assumes
+        the stored tensors are canonical, which holds exactly at cutoff 0.
+        After truncation both ends miss the discarded part, so the value
+        deviates from the full normalised contraction of the stored tensors
+        by up to about twice the discarded weight ``trunc_error_sq``
+        (``2w / (1 - w)`` for a single truncation of weight ``w``).
+        """
         from .hamiltonian import pauli_matrix  # local import avoids a cycle
 
         if len(pauli) != self.n:
             raise ValueError(
                 f"Pauli string length {len(pauli)} != qubit count {self.n}"
             )
-        env = np.ones((1, 1), dtype=complex)
-        for k, label in enumerate(pauli):
-            t = self._site_matrices(k)
-            op = pauli_matrix(label)
-            env = np.einsum("ab,asr,st,btq->rq", env, t.conj(), op, t)
-        value = complex(env[0, 0])
+        support = [k for k, label in enumerate(pauli) if label != "I"]
+        if not support:
+            return 1.0
+        first, last = support[0], support[-1]
+        lam = self.bond_vectors[first - 1] if first > 0 else np.ones(1)
+        env = np.diag(lam**2)
+        for k in range(first, last + 1):
+            op = None if pauli[k] == "I" else pauli_matrix(pauli[k])
+            env = _transfer(env, self.site_tensors[k], op)
+        value = complex(np.trace(env))
         if abs(value.imag) > 1e-10:
             raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
         return value.real
 
     def conditional_prob_zero(self, prefix_vec: np.ndarray, k: int) -> tuple[float, np.ndarray, np.ndarray]:
         """P(qubit k = 0 | fixed prefix) and the two successor prefix vectors."""
-        t = self._site_matrices(k)
+        t = self.site_tensors[k]
         w0 = prefix_vec @ t[:, 0, :]
         w1 = prefix_vec @ t[:, 1, :]
         p0 = float(np.vdot(w0, w0).real)

@@ -18,6 +18,7 @@ raise :class:`ParseError` carrying the source position.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -229,8 +230,11 @@ class _Parser:
     def parse_expr(self, formals: list[str]) -> ParamSlot:
         tok = self.cur
         if tok.kind == "number":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"angle literal {tok.text} is not finite", tok.line, tok.col)
             self._advance()
-            return float(tok.text)
+            return value
         if tok.kind == "ident":
             if tok.text not in formals:
                 raise ParseError(f"unknown parameter '{tok.text}'", tok.line, tok.col)

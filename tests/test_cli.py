@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -16,10 +17,11 @@ __qpu__ bell(AcceleratorBuffer b) {
 """
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "mpsqvm", *args],
         input=stdin, capture_output=True, text=True,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -78,14 +80,59 @@ class TestRunCommand:
         )
         assert proc.returncode != 0
 
-    def test_env_var_cutoff(self, bell_file, tmp_path, monkeypatch):
-        proc = subprocess.run(
-            [sys.executable, "-m", "mpsqvm", "run", "--source", str(bell_file),
-             "--kernel", "bell", "--shots", "10", "--seed", "0"],
-            capture_output=True, text=True,
-            env={"MPSQVM_CUTOFF": "not-a-number", "PATH": "/usr/bin:/bin"},
+    def test_env_var_cutoff(self, bell_file):
+        proc = run_cli(
+            "run", "--source", str(bell_file), "--kernel", "bell",
+            "--shots", "10", "--seed", "0", env={"MPSQVM_CUTOFF": "not-a-number"},
         )
-        assert proc.returncode != 0  # env var is consulted
+        assert proc.returncode == 1  # env var is consulted; a bad value is a usage error
+        assert "MPSQVM_CUTOFF='not-a-number'" in proc.stderr
+
+
+class TestUsageErrors:
+    """Bad flags, environment values and input files exit 1, not 2."""
+
+    @pytest.mark.parametrize("backend", ["dense", "mps"])
+    def test_non_finite_arg(self, backend):
+        proc = run_cli(
+            "run", "--source", str(ANSATZ_PATH), "--kernel", "term0",
+            "--args", "1e400", "--backend", backend, "--shots", "10",
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "'1e400' is not a finite number" in proc.stderr
+
+    def test_arg_count_mismatch(self):
+        proc = run_cli("run", "--source", str(ANSATZ_PATH), "--kernel", "term0",
+                       "--args", "0.5,1")
+        assert proc.returncode == 1, proc.stderr
+        assert "takes 1 parameter(s), --args gives 2" in proc.stderr
+
+    def test_non_finite_grid(self):
+        proc = run_cli("vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH),
+                       "--grid", "nan:1:3")
+        assert proc.returncode == 1, proc.stderr
+        assert "'nan' is not a finite number" in proc.stderr
+
+    def test_max_bond_zero(self, bell_file):
+        proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell",
+                       "--max-bond", "0")
+        assert proc.returncode == 1, proc.stderr
+        assert "max_bond must be >= 1" in proc.stderr
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_env_var_max_bond(self, bell_file, value):
+        proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell",
+                       "--shots", "10", env={"MPSQVM_MAX_BOND": value})
+        assert proc.returncode == 1, proc.stderr
+        assert value in proc.stderr
+
+    def test_nan_coefficient(self, tmp_path):
+        ham = tmp_path / "nan.ham"
+        ham.write_text("-1.05 II\nnan ZI\n")
+        proc = run_cli("vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(ham),
+                       "--grid", "-1:1:3")
+        assert proc.returncode == 1, proc.stderr
+        assert "line 2: bad coefficient 'nan'" in proc.stderr
 
 
 class TestVqeCommand:

@@ -84,6 +84,12 @@ class TestBindParameters:
         with pytest.raises(IrError):
             bind_parameters(kernel, [0.1, 0.2])
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, float("1e400")])
+    def test_non_finite_value_rejected(self, value):
+        kernel = parse(ANSATZ_SRC).kernels["ansatz"]
+        with pytest.raises(IrError, match="t0.*not finite"):
+            bind_parameters(kernel, [value])
+
     def test_input_never_mutated(self):
         kernel = parse(ANSATZ_SRC).kernels["term0"]
         before = kernel

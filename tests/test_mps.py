@@ -1,15 +1,45 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpsqvm import GateKind, Instruction, MpsState, TruncationPolicy, mps_run, run_program
+from mpsqvm import (
+    GateKind,
+    Instruction,
+    MpsState,
+    RoundCircuitSpec,
+    TruncationPolicy,
+    dense_run,
+    generate_round_circuit,
+    mps_run,
+    run_program,
+)
 from mpsqvm.gates import gate_matrix
-from tests.conftest import bell_program, ghz3_program, mps_statevector, random_program
+from mpsqvm.hamiltonian import pauli_matrix
+from tests.conftest import (
+    ONE_QUBIT_KINDS,
+    TWO_QUBIT_KINDS,
+    bell_program,
+    ghz3_program,
+    mps_statevector,
+    random_program,
+)
 
 EXACT = TruncationPolicy(cutoff=0.0)
 
 H = gate_matrix(Instruction(GateKind.H, (0,)))
 X = gate_matrix(Instruction(GateKind.X, (0,)))
 CNOT = gate_matrix(Instruction(GateKind.CNOT, (0, 1)))
+
+
+def _apply(state, instr):
+    matrix = gate_matrix(instr)
+    if instr.kind.num_qubits == 1:
+        state.apply_one_qubit(matrix, instr.qubits[0])
+    else:
+        state.apply_two_qubit_routed(matrix, *instr.qubits)
 
 
 class TestInitProductState:
@@ -61,6 +91,14 @@ class TestOneQubitGates:
         state = MpsState(2)
         with pytest.raises(ValueError, match="unitary"):
             state.apply_one_qubit(np.array([[1.0, 0.0], [0.0, 2.0]]), 0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, fill):
+        with pytest.raises(ValueError, match="unitary"):
+            MpsState(2).apply_one_qubit(np.full((2, 2), fill, dtype=complex), 0)
+        with pytest.raises(ValueError, match="unitary"):
+            MpsState(2).apply_two_qubit_adjacent(np.full((4, 4), fill, dtype=complex), 0)
 
     def test_out_of_range_site(self):
         with pytest.raises(ValueError):
@@ -236,11 +274,7 @@ class TestInvariants:
         program = random_program(6, 40, rng)
         state = MpsState(6, EXACT)
         for instr in program:
-            matrix = gate_matrix(instr)
-            if instr.kind.num_qubits == 1:
-                state.apply_one_qubit(matrix, instr.qubits[0])
-            else:
-                state.apply_two_qubit_routed(matrix, *instr.qubits)
+            _apply(state, instr)
             assert abs(state.norm_sq() - 1) < 1e-10
 
     def test_truncation_error_bounds_infidelity(self, rng):
@@ -275,9 +309,145 @@ class TestInvariants:
         assert state.max_bond() == 1
         assert state.trunc_error_sq == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("cutoff", [np.nan, np.inf, -1.0])
+    def test_cutoff_must_be_finite_and_non_negative(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff"):
+            TruncationPolicy(cutoff=cutoff)
+
     def test_cutoff_cap_composition(self):
         # cutoff applied first, then the hard cap
         policy = TruncationPolicy(cutoff=1e-4, max_bond=2)
         s = np.array([1.0, 0.5, 0.3, 1e-9])
         assert policy.keep_count(s) == 2
         assert TruncationPolicy(cutoff=1e-4).keep_count(s) == 3
+
+
+# -- properties of the right-canonical core ------------------------------------
+
+
+def _max_right_canonical_deviation(state) -> float:
+    """max over sites of |sum_s B^s B^s+ - I|."""
+    worst = 0.0
+    for b in state.site_tensors:
+        rows = b.reshape(b.shape[0], -1)
+        worst = max(worst, np.abs(rows @ rows.conj().T - np.eye(len(rows))).max())
+    return worst
+
+
+def _full_expectation(state, pauli: str) -> float:
+    """<P> from every stored tensor, contracted from the left edge and divided
+    by the norm: the reference that does not assume canonical form."""
+    env = np.ones((1, 1), dtype=complex)
+    norm = np.ones((1, 1), dtype=complex)
+    for t, label in zip(state.site_tensors, pauli):
+        ket = np.einsum("st,ltr->lsr", pauli_matrix(label), t)
+        env = np.einsum("ab,asr,bsq->rq", env, t.conj(), ket)
+        norm = np.einsum("ab,asr,bsq->rq", norm, t.conj(), t)
+    return float((env[0, 0] / norm[0, 0]).real)
+
+
+@st.composite
+def circuits(draw, max_qubits: int = 6, max_gates: int = 30):
+    """Random gate lists over the full set, with reversed and non-adjacent pairs."""
+    n = draw(st.integers(2, max_qubits))
+    program = []
+    for _ in range(draw(st.integers(1, max_gates))):
+        if draw(st.booleans()):
+            kind = draw(st.sampled_from(TWO_QUBIT_KINDS))
+            q1, q2 = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            program.append(Instruction(kind, (q1, q2)))
+        else:
+            kind = draw(st.sampled_from(ONE_QUBIT_KINDS))
+            params = (draw(st.floats(0, 2 * np.pi)),) if kind.num_params else ()
+            program.append(Instruction(kind, (draw(st.integers(0, n - 1)),), params))
+    return n, program
+
+
+@st.composite
+def pauli_strings(draw, n: int):
+    """Pauli strings of weight 1..n; support anywhere, with or without gaps."""
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    labels = ["I"] * n
+    for q in support:
+        labels[q] = draw(st.sampled_from("XYZ"))
+    return "".join(labels)
+
+
+class TestCanonicalProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(circuits(), st.data())
+    def test_matches_dense_oracle(self, circuit, data):
+        n, program = circuit
+        state = mps_run(program, n, EXACT)
+        dense = dense_run(program, n)
+        assert abs(np.vdot(dense.amps, mps_statevector(state))) ** 2 >= 1 - 1e-10
+        ends = ["I" * n, "X" + "I" * (n - 1), "I" * (n - 1) + "Y", "Z" + "I" * (n - 2) + "X"]
+        drawn = [data.draw(pauli_strings(n)) for _ in range(4)]
+        for pauli in ends + drawn:
+            assert state.expectation_pauli(pauli) == pytest.approx(
+                dense.expectation_pauli(pauli), abs=1e-9
+            ), pauli
+
+    @settings(max_examples=60, deadline=None)
+    @given(circuits())
+    def test_right_canonical_after_every_gate(self, circuit):
+        n, program = circuit
+        state = MpsState(n, EXACT)
+        for instr in program:
+            _apply(state, instr)
+            assert _max_right_canonical_deviation(state) <= 1e-12
+
+    def test_right_canonical_next_to_exactly_zero_singular_values(self):
+        # SWAPs and CNOTs on product states leave Schmidt values of exactly 0
+        # on bonds of dimension 2; later gates meet them on their left bond
+        program = random_program(5, 8, np.random.default_rng(2))
+        state = MpsState(5, EXACT)
+        for instr in program:
+            _apply(state, instr)
+            assert _max_right_canonical_deviation(state) <= 1e-12
+        assert any((v == 0.0).any() for v in state.bond_vectors)
+        dense = dense_run(program, 5)
+        assert abs(np.vdot(dense.amps, mps_statevector(state))) ** 2 >= 1 - 1e-12
+
+    def test_expectation_reads_only_the_support(self, rng):
+        n = 200
+        program = generate_round_circuit(RoundCircuitSpec(n, 4, 7, ("RX", "RY", "RZ")))
+        state = mps_run(program, n, EXACT)
+        for support in ([0], [n - 1], [99, 100], [40, 43, 47], [0, n - 1]):
+            labels = ["I"] * n
+            for q in support:
+                labels[q] = "XYZ"[int(rng.integers(3))]
+            pauli = "".join(labels)
+            blinded = copy.deepcopy(state)
+            for k in range(n):
+                if not support[0] <= k <= support[-1]:
+                    blinded.site_tensors[k] = np.full_like(state.site_tensors[k], np.nan)
+            value = blinded.expectation_pauli(pauli)
+            assert np.isfinite(value)
+            assert value == state.expectation_pauli(pauli)
+
+    @pytest.mark.parametrize("policy", [
+        TruncationPolicy(cutoff=1e-2),
+        TruncationPolicy(cutoff=1e-2, max_bond=4),
+        TruncationPolicy(cutoff=1e-2, max_bond=2),
+    ])
+    def test_support_only_within_discarded_weight(self, policy):
+        # one truncation of weight w leaves the support-only value within
+        # 2w / (1 - w) of the full normalised contraction, since both the
+        # left environment diag(Lambda^2) and the norm miss the discarded part;
+        # seed 1 at cutoff 1e-2 reaches 1.03 w on the last site's Y
+        n = 14
+        terms = [
+            "I" * q + label + "I" * (n - q - 1) for q in range(n) for label in "XYZ"
+        ] + [
+            "I" * q + label * 2 + "I" * (n - q - 2) for q in range(n - 1) for label in "XZ"
+        ] + ["Z" + "I" * (n - 2) + "Z", "IIXIIIYIIIZIII"]
+        truncated = 0
+        for seed in range(3):
+            program = generate_round_circuit(RoundCircuitSpec(n, 8, seed, ("RX", "RY", "RZ")))
+            state = mps_run(program, n, policy)
+            truncated += state.trunc_error_sq > 0
+            for pauli in terms:
+                gap = abs(state.expectation_pauli(pauli) - _full_expectation(state, pauli))
+                assert gap <= 2 * state.trunc_error_sq, pauli
+        assert truncated == 3

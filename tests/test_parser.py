@@ -82,6 +82,8 @@ class TestParseErrors:
             wrap("CNOT 1 1"),
             wrap("MEASURE 0"),
             wrap("RZ(nope) 0"),
+            wrap("RZ(1e400) 0"),
+            wrap("RZ(-1e400) 0"),
             wrap("other(b)"),
             "__qpu__ k(int x) { }",
             "__qpu__ k(AcceleratorBuffer b) { H 0",
@@ -91,6 +93,10 @@ class TestParseErrors:
     def test_rejected_with_parse_error(self, src):
         with pytest.raises(ParseError):
             parse(src)
+
+    def test_non_finite_literal_named(self):
+        with pytest.raises(ParseError, match="1e400 is not finite"):
+            parse(wrap("RX(1e400) 0"))
 
     def test_duplicate_kernel_name(self):
         src = wrap("H 0") + "\n" + wrap("X 0")

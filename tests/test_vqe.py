@@ -43,6 +43,11 @@ class TestLoadHamiltonian:
         with pytest.raises(HamiltonianFormatError, match="line 2"):
             parse_hamiltonian("1 Z\n1 ZZ")
 
+    @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_coefficient_reports_line(self, coeff):
+        with pytest.raises(HamiltonianFormatError, match=f"line 2: bad coefficient '{coeff}'"):
+            parse_hamiltonian(f"1 ZZ\n{coeff} XX")
+
     def test_comments_ignored(self):
         h = parse_hamiltonian("# top\n0.5 ZI  # inline\n\n0.25 IX")
         assert len(h.terms) == 2
