@@ -1,18 +1,10 @@
 """MPS quantum virtual machine: kernel language, gate IR, and two simulators."""
 
-from .backends import RunRecord, execute, mps_run, run_program
+from .backends import RunRecord, execute, run_program
 from .bench import BenchRecord, RoundCircuitSpec, generate_round_circuit, run_grid
-from .dense import DenseState, dense_distribution, dense_expectation, dense_run
+from .dense import DenseState, dense_run
 from .hamiltonian import PauliHamiltonian, load_hamiltonian, parse_hamiltonian
-from .ir import (
-    CompositeInstruction,
-    GateKind,
-    GateVisitor,
-    Instruction,
-    QubitBuffer,
-    bind_parameters,
-    flatten,
-)
+from .ir import CompositeInstruction, GateKind, Instruction, bind_parameters, flatten
 from .mps import MpsState, TruncationPolicy
 from .parser import ParseError, SourceUnit, parse, unparse
 from .vqe import SweepResult, energy, sweep
@@ -22,27 +14,22 @@ __all__ = [
     "CompositeInstruction",
     "DenseState",
     "GateKind",
-    "GateVisitor",
     "Instruction",
     "MpsState",
     "ParseError",
     "PauliHamiltonian",
-    "QubitBuffer",
     "RoundCircuitSpec",
     "RunRecord",
     "SourceUnit",
     "SweepResult",
     "TruncationPolicy",
     "bind_parameters",
-    "dense_distribution",
-    "dense_expectation",
     "dense_run",
     "energy",
     "execute",
     "flatten",
     "generate_round_circuit",
     "load_hamiltonian",
-    "mps_run",
     "parse",
     "parse_hamiltonian",
     "run_grid",

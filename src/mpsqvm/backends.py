@@ -1,7 +1,8 @@
 """Common execution contract over the two interchangeable backends.
 
-``run_program`` applies every unitary of a flattened program on either the
-MPS simulator or the dense oracle; ``execute`` additionally samples the
+``run_program`` builds a fresh state on either the MPS simulator or the dense
+oracle and applies a flattened program to it with
+:func:`~mpsqvm.gates.apply_program`; ``execute`` additionally samples the
 measured qubits and assembles a :class:`RunRecord`. Both backends share the
 same sequential sampling path (one uniform variate per qubit per shot), so a
 fixed seed yields identical counts across backends when truncation is off.
@@ -14,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import DenseState, dense_run
-from .gates import gate_matrix
+from .dense import DenseState
+from .gates import apply_program
 from .ir import GateKind, Instruction, num_qubits
 from .mps import MpsState, TruncationPolicy
 
@@ -44,22 +45,6 @@ class RunRecord:
         return out
 
 
-def mps_run(
-    program: list[Instruction], n: int, policy: TruncationPolicy | None = None
-) -> MpsState:
-    """Apply every unitary gate in order on a fresh MPS; MEASUREs are skipped."""
-    state = MpsState(n, policy)
-    for instr in program:
-        if instr.kind is GateKind.MEASURE:
-            continue
-        matrix = gate_matrix(instr)
-        if instr.kind.num_qubits == 1:
-            state.apply_one_qubit(matrix, instr.qubits[0])
-        else:
-            state.apply_two_qubit_routed(matrix, instr.qubits[0], instr.qubits[1])
-    return state
-
-
 def run_program(
     program: list[Instruction],
     n: int | None = None,
@@ -72,11 +57,14 @@ def run_program(
         raise ValueError(
             f"program touches qubit {num_qubits(program) - 1}, register has {n}"
         )
+    state: MpsState | DenseState
     if backend == "mps":
-        return mps_run(program, n, policy)
-    if backend == "dense":
-        return dense_run(program, n)
-    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+        state = MpsState(n, policy)
+    elif backend == "dense":
+        state = DenseState(n)
+    else:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    return apply_program(state, program)
 
 
 def measured_qubits(program: list[Instruction]) -> list[int]:
@@ -103,7 +91,7 @@ def execute(
     else:
         record.memory_estimate_bytes = 16 * state.amps.size
     targets = measured_qubits(program)
-    if targets and shots > 0:
+    if targets:
         rng = np.random.default_rng(seed)
         full_counts = state.sample(shots, rng)
         for bits, count in sorted(full_counts.items()):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import gate_matrix
+from .gates import apply_program
 from .ir import GateKind, Instruction
 from .mps import MpsState, TruncationPolicy
 
@@ -88,6 +88,10 @@ class BenchRecord:
         return int(max(self.max_bonds))
 
 
+class _OverBudget(Exception):
+    """Raised between gates to abandon a run that blew its budget."""
+
+
 def _run_budgeted(
     program: list[Instruction],
     n: int,
@@ -96,21 +100,18 @@ def _run_budgeted(
     time_budget: float | None,
 ) -> MpsState | None:
     """Simulate, returning None if the chi or wall-clock budget is exceeded."""
-    state = MpsState(n, policy)
     start = time.perf_counter()
-    for instr in program:
-        if instr.kind is GateKind.MEASURE:
-            continue
-        matrix = gate_matrix(instr)
-        if instr.kind.num_qubits == 1:
-            state.apply_one_qubit(matrix, instr.qubits[0])
-        else:
-            state.apply_two_qubit_routed(matrix, instr.qubits[0], instr.qubits[1])
+
+    def check_budgets(state: MpsState) -> None:
         if chi_budget is not None and state.max_bond_seen > chi_budget:
-            return None
+            raise _OverBudget
         if time_budget is not None and time.perf_counter() - start > time_budget:
-            return None
-    return state
+            raise _OverBudget
+
+    try:
+        return apply_program(MpsState(n, policy), program, check_budgets)
+    except _OverBudget:
+        return None
 
 
 def run_grid(

@@ -60,6 +60,17 @@ def _finite(text: str, what: str) -> float:
     raise UsageError(f"{what} value {text.strip()!r} is not a finite number")
 
 
+def _count(text: str) -> int:
+    """argparse type for a count of at least 1 (shots, seeds)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="mpsqvm", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -85,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated values for the kernel's parameters")
     run.add_argument("--qubits", type=int, default=None,
                      help="register size (default: smallest covering the program)")
-    run.add_argument("--shots", type=int, default=1024)
+    run.add_argument("--shots", type=_count, default=1024)
     add_backend_flags(run)
 
     vqe = sub.add_parser("vqe", help="sweep <H>(theta) over a parameter grid")
@@ -94,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     vqe.add_argument("--ham", required=True, help="Pauli Hamiltonian file")
     vqe.add_argument("--grid", default="-3.141592653589793:3.141592653589793:100",
                      help="theta grid start:stop:count")
-    vqe.add_argument("--shots", type=int, default=None,
+    vqe.add_argument("--shots", type=_count, default=None,
                      help="estimate terms by basis rotation + sampling")
     add_backend_flags(vqe)
     # let "--grid -3.14:3.14:100" pass a leading-minus value without "="
@@ -103,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="random-circuit memory-scaling grid")
     bench.add_argument("--qubits", default="5:85:5", help="qubit range start:stop:step")
     bench.add_argument("--rounds", default="2:10:2", help="round range start:stop:step")
-    bench.add_argument("--seeds", type=int, default=10, help="random circuits per cell")
+    bench.add_argument("--seeds", type=_count, default=10, help="random circuits per cell")
     bench.add_argument("--chi-cap", type=int, default=4096,
                        help="skip a cell once its bond dimension exceeds this")
     bench.add_argument("--time-budget", type=float, default=60.0,
@@ -235,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return int(code) if code is not None else 0
     try:
+        if getattr(args, "backend", None) == "dense":
+            # read here so a malformed cap is a usage error, not an execution error
+            _env_number("MPSQVM_ORACLE_QUBIT_CAP", int)
         if args.command == "run":
             _cmd_run(args)
         elif args.command == "vqe":

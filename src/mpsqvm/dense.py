@@ -2,6 +2,8 @@
 
 Optimized for obviousness, not speed. The qubit count is capped (default 24,
 override with ``MPSQVM_ORACLE_QUBIT_CAP``) so the oracle stays desk-scale.
+:class:`DenseState` names its gate methods like :class:`~mpsqvm.mps.MpsState`,
+so :func:`~mpsqvm.gates.apply_program` drives both backends alike.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ import os
 
 import numpy as np
 
-from .gates import check_unitary, gate_matrix
-from .ir import GateKind, Instruction
+from .gates import apply_program, check_unitary
+from .ir import Instruction
 
 DEFAULT_QUBIT_CAP = 24
 
@@ -43,7 +45,8 @@ class DenseState:
         psi = np.tensordot(gate, psi, axes=([1], [q]))
         self.amps = np.moveaxis(psi, 0, q).reshape(-1)
 
-    def apply_two_qubit(self, gate: np.ndarray, q1: int, q2: int) -> None:
+    def apply_two_qubit_routed(self, gate: np.ndarray, q1: int, q2: int) -> None:
+        """Apply a two-qubit gate to any pair; a statevector needs no routing."""
         self._check_qubits((q1, q2))
         if q1 == q2:
             raise ValueError("two-qubit gate needs two distinct qubits")
@@ -110,22 +113,5 @@ class DenseState:
 
 
 def dense_run(program: list[Instruction], n: int) -> DenseState:
-    """Apply every unitary gate of the program in order; MEASUREs are skipped."""
-    state = DenseState(n)
-    for instr in program:
-        if instr.kind is GateKind.MEASURE:
-            continue
-        matrix = gate_matrix(instr)
-        if instr.kind.num_qubits == 1:
-            state.apply_one_qubit(matrix, instr.qubits[0])
-        else:
-            state.apply_two_qubit(matrix, instr.qubits[0], instr.qubits[1])
-    return state
-
-
-def dense_expectation(state: DenseState, pauli: str) -> float:
-    return state.expectation_pauli(pauli)
-
-
-def dense_distribution(state: DenseState) -> dict[str, float]:
-    return state.distribution()
+    """Apply every unitary gate of the program in order on a fresh state."""
+    return apply_program(DenseState(n), program)

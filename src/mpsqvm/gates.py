@@ -1,16 +1,23 @@
-"""Unitary matrices for the supported gate set.
+"""Unitary matrices for the supported gate set, and the one loop that applies
+a program's gates to a simulator state.
 
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
-qubit as the most significant bit (index = 2*s1 + s2).
+qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
+drives either backend through the same two methods, ``apply_one_qubit`` and
+``apply_two_qubit_routed``, so it never branches on which backend it runs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from math import cos, sin, sqrt
+from typing import TypeVar
 
 import numpy as np
 
-from .ir import GateKind, Instruction
+from .ir import GateKind, Instruction, IrError
+
+_State = TypeVar("_State")
 
 _SQ2 = 1.0 / sqrt(2.0)
 
@@ -66,3 +73,36 @@ def check_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
     dev = np.abs(matrix.conj().T @ matrix - np.eye(d)).max()
     if not dev <= tol:  # also rejects NaN, which compares false with everything
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+
+
+def apply_program(
+    state: _State,
+    program: Iterable[Instruction],
+    on_step: Callable[[_State], None] | None = None,
+) -> _State:
+    """Apply the program's gates to ``state`` in order and return it.
+
+    MEASUREs apply nothing: measurement is deferred to sampling at the end of
+    the run, so a gate on a qubit that an earlier MEASURE read is rejected
+    with :class:`IrError` rather than silently acting before the readout.
+    ``on_step(state)`` runs after every gate and may raise to abort the run.
+    """
+    measured: set[int] = set()
+    for instr in program:
+        if instr.kind is GateKind.MEASURE:
+            measured.add(instr.qubits[0])
+            continue
+        for q in instr.qubits:
+            if q in measured:
+                raise IrError(
+                    f"{instr.kind.value} {instr.qubits} acts on qubit {q} after it was "
+                    f"measured; mid-circuit measurement is not supported"
+                )
+        matrix = gate_matrix(instr)
+        if instr.kind.num_qubits == 1:
+            state.apply_one_qubit(matrix, instr.qubits[0])
+        else:
+            state.apply_two_qubit_routed(matrix, instr.qubits[0], instr.qubits[1])
+        if on_step is not None:
+            on_step(state)
+    return state

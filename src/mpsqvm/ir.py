@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GateKind(enum.Enum):
@@ -78,10 +78,6 @@ class Instruction:
     def is_bound(self) -> bool:
         return all(not isinstance(p, str) for p in self.params)
 
-    def accept(self, visitor: "GateVisitor") -> None:
-        """Double-dispatch to the visitor handler matching this gate kind."""
-        getattr(visitor, f"visit_{self.kind.value.lower()}")(self)
-
 
 @dataclass(frozen=True)
 class CompositeInstruction:
@@ -102,33 +98,6 @@ class CompositeInstruction:
         object.__setattr__(self, "children", tuple(self.children))
         if self.call_args is not None:
             object.__setattr__(self, "call_args", tuple(self.call_args))
-
-
-class GateVisitor:
-    """Base visitor with one handler per gate kind; all default to no-op."""
-
-    def visit_h(self, instr: Instruction) -> None: ...
-    def visit_x(self, instr: Instruction) -> None: ...
-    def visit_y(self, instr: Instruction) -> None: ...
-    def visit_z(self, instr: Instruction) -> None: ...
-    def visit_rx(self, instr: Instruction) -> None: ...
-    def visit_ry(self, instr: Instruction) -> None: ...
-    def visit_rz(self, instr: Instruction) -> None: ...
-    def visit_cnot(self, instr: Instruction) -> None: ...
-    def visit_cz(self, instr: Instruction) -> None: ...
-    def visit_swap(self, instr: Instruction) -> None: ...
-    def visit_measure(self, instr: Instruction) -> None: ...
-    def visit_i(self, instr: Instruction) -> None: ...
-
-
-@dataclass
-class QubitBuffer:
-    """Execution-time qubit register plus its recorded results."""
-
-    name: str
-    size: int
-    measurement_counts: dict[str, int] = field(default_factory=dict)
-    metadata: dict[str, float] = field(default_factory=dict)
 
 
 def _substitute(node: Instruction | CompositeInstruction,

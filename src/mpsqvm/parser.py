@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 
 from .ir import CompositeInstruction, GateKind, Instruction, ParamSlot, _substitute
 
-FILE_EXTENSION = ".qk"
-
 _GATE_NAMES = {k.value: k for k in GateKind}
 
 _TOKEN_RE = re.compile(

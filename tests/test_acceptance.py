@@ -22,12 +22,12 @@ from mpsqvm import (
     energy,
     generate_round_circuit,
     load_hamiltonian,
-    mps_run,
     parse,
+    run_program,
     sweep,
     unparse,
 )
-from mpsqvm.gates import gate_matrix
+from mpsqvm.gates import apply_program
 from mpsqvm.ir import GateKind
 from mpsqvm.parser import ParseError
 from mpsqvm.vqe import _basis_rotations, _sampled_term, _unitary_program, binomial_sigma
@@ -60,17 +60,12 @@ def report(name: str, detail: str) -> None:
 
 def _stepwise_run(program, n, policy):
     """Run while asserting the O(n chi^2) storage law after every gate."""
-    state = MpsState(n, policy)
-    for instr in program:
-        matrix = gate_matrix(instr)
-        if instr.kind.num_qubits == 1:
-            state.apply_one_qubit(matrix, instr.qubits[0])
-        else:
-            state.apply_two_qubit_routed(matrix, *instr.qubits)
+
+    def check_storage(state):
         chi = state.max_bond_seen
-        bound = 16 * (2 * n * chi**2 + (n - 1) * chi)
-        assert state.memory_estimate_bytes() <= bound
-    return state
+        assert state.memory_estimate_bytes() <= 16 * (2 * n * chi**2 + (n - 1) * chi)
+
+    return apply_program(MpsState(n, policy), program, check_storage)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -82,7 +77,7 @@ def test_criterion_1_oracle_equivalence():
         n = int(rng.integers(2, 9))
         program = random_program(n, int(rng.integers(5, 31)), rng)
         policy = TruncationPolicy(cutoff=0.0, max_bond=2 ** ((n + 1) // 2))
-        mps = mps_run(program, n, policy)
+        mps = run_program(program, n, "mps", policy)
         dense = dense_run(program, n)
         fidelity = abs(np.vdot(dense.amps, mps_statevector(mps))) ** 2
         worst_fidelity = min(worst_fidelity, fidelity)
@@ -133,7 +128,7 @@ def test_criterion_4_storage_law_linearity():
     means = []
     for n in ns:
         peaks = [
-            mps_run(generate_round_circuit(RoundCircuitSpec(n, 2, seed)), n, EXACT)
+            run_program(generate_round_circuit(RoundCircuitSpec(n, 2, seed)), n, "mps", EXACT)
             .memory_estimate_bytes()
             for seed in range(10)
         ]
@@ -151,7 +146,7 @@ def test_criterion_4_storage_law_linearity():
 def test_criterion_5_large_shallow_run():
     start = time.perf_counter()
     program = generate_round_circuit(RoundCircuitSpec(85, 2, 0))
-    state = mps_run(program, 85, TruncationPolicy(cutoff=1e-4))
+    state = run_program(program, 85, "mps", TruncationPolicy(cutoff=1e-4))
     elapsed = time.perf_counter() - start
     assert elapsed < 10
     assert state.memory_estimate_bytes() < 10**5

@@ -5,8 +5,8 @@ from mpsqvm import (
     RoundCircuitSpec,
     TruncationPolicy,
     generate_round_circuit,
-    mps_run,
     run_grid,
+    run_program,
 )
 from mpsqvm.bench import emit_report
 
@@ -49,7 +49,7 @@ class TestGenerateRoundCircuit:
     def test_two_round_bond_law(self):
         for seed in range(5):
             program = generate_round_circuit(RoundCircuitSpec(8, 2, seed))
-            state = mps_run(program, 8, EXACT)
+            state = run_program(program, 8, "mps", EXACT)
             assert state.max_bond_seen == 4
 
     def test_invalid_spec(self):
@@ -70,7 +70,7 @@ class TestRunGrid:
         chis = []
         for rounds in (2, 4, 6):
             program = generate_round_circuit(RoundCircuitSpec(6, rounds, 7))
-            chis.append(mps_run(program, 6, EXACT).max_bond_seen)
+            chis.append(run_program(program, 6, "mps", EXACT).max_bond_seen)
         assert chis == sorted(chis)
 
     def test_statistics_consistent(self):
@@ -80,6 +80,10 @@ class TestRunGrid:
 
     def test_chi_budget_marks_skipped(self):
         [record] = run_grid([8], [16], seeds_per_cell=1, policy=EXACT, chi_budget=4)
+        assert record.skipped
+
+    def test_time_budget_marks_skipped(self):
+        [record] = run_grid([5], [2], seeds_per_cell=2, policy=EXACT, time_budget=0)
         assert record.skipped
 
     def test_determinism(self):

@@ -80,6 +80,13 @@ class TestRunCommand:
         )
         assert proc.returncode != 0
 
+    def test_gate_after_measure_exit_2(self, tmp_path):
+        src = tmp_path / "mid.qk"
+        src.write_text("__qpu__ k(AcceleratorBuffer b) {\n H 0\n MEASURE 0 [0]\n H 0\n}\n")
+        proc = run_cli("run", "--source", str(src), "--kernel", "k")
+        assert proc.returncode == 2, proc.stderr
+        assert "H (0,) acts on qubit 0 after it was measured" in proc.stderr
+
     def test_env_var_cutoff(self, bell_file):
         proc = run_cli(
             "run", "--source", str(bell_file), "--kernel", "bell",
@@ -125,6 +132,29 @@ class TestUsageErrors:
                        "--shots", "10", env={"MPSQVM_MAX_BOND": value})
         assert proc.returncode == 1, proc.stderr
         assert value in proc.stderr
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--shots", "-5"),
+        ("run", "--shots", "0"),
+        ("vqe", "--shots", "0"),
+        ("bench", "--seeds", "0"),
+    ])
+    def test_non_positive_count(self, command, flag, value):
+        inputs = {
+            "run": ["--source", str(ANSATZ_PATH), "--kernel", "term0", "--args", "0.5"],
+            "vqe": ["--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH), "--grid", "-1:1:3"],
+            "bench": ["--qubits", "5:5:5", "--rounds", "2:2:2"],
+        }[command]
+        proc = run_cli(command, *inputs, flag, value)
+        assert proc.returncode == 1, proc.stderr
+        assert f"argument {flag}: expected an integer >= 1, got '{value}'" in proc.stderr
+
+    def test_env_var_oracle_qubit_cap(self, bell_file):
+        proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell",
+                       "--backend", "dense", "--shots", "10",
+                       env={"MPSQVM_ORACLE_QUBIT_CAP": "abc"})
+        assert proc.returncode == 1, proc.stderr
+        assert "MPSQVM_ORACLE_QUBIT_CAP='abc'" in proc.stderr
 
     def test_nan_coefficient(self, tmp_path):
         ham = tmp_path / "nan.ham"

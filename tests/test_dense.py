@@ -5,11 +5,10 @@ from mpsqvm import (
     DenseState,
     GateKind,
     Instruction,
-    dense_distribution,
-    dense_expectation,
     dense_run,
 )
-from mpsqvm.gates import gate_matrix, rz
+from mpsqvm.gates import apply_program, gate_matrix, rz
+from mpsqvm.ir import IrError
 from tests.conftest import bell_program, ghz3_program, random_program
 
 
@@ -41,23 +40,32 @@ class TestDenseRun:
         state = dense_run(program, 2)
         assert state.norm_sq() == pytest.approx(1.0)
 
+    def test_gate_after_measure_rejected(self):
+        program = [
+            Instruction(GateKind.H, (0,)),
+            Instruction(GateKind.MEASURE, (0,), (), classical_target=0),
+            Instruction(GateKind.H, (0,)),
+        ]
+        with pytest.raises(IrError, match=r"H \(0,\) acts on qubit 0 after it was measured"):
+            dense_run(program, 1)
+
 
 class TestExpectationAndDistribution:
     def test_bell_zz(self):
-        assert dense_expectation(dense_run(bell_program(), 2), "ZZ") == pytest.approx(1.0)
+        assert dense_run(bell_program(), 2).expectation_pauli("ZZ") == pytest.approx(1.0)
 
     def test_zero_state_x(self):
-        assert dense_expectation(dense_run([], 2), "XI") == pytest.approx(0.0, abs=1e-12)
+        assert dense_run([], 2).expectation_pauli("XI") == pytest.approx(0.0, abs=1e-12)
 
     def test_ghz_distribution(self):
-        dist = dense_distribution(dense_run(ghz3_program(), 3))
+        dist = dense_run(ghz3_program(), 3).distribution()
         assert dist["000"] == pytest.approx(0.5)
         assert dist["111"] == pytest.approx(0.5)
         assert sum(dist.values()) == pytest.approx(1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            dense_expectation(dense_run([], 2), "Z")
+            dense_run([], 2).expectation_pauli("Z")
 
 
 class TestGateAlgebra:
@@ -77,8 +85,8 @@ class TestGateAlgebra:
         state = self._random_state(3, rng)
         before = state.amps.copy()
         cnot = gate_matrix(Instruction(GateKind.CNOT, (0, 1)))
-        state.apply_two_qubit(cnot, 0, 2)
-        state.apply_two_qubit(cnot, 0, 2)
+        state.apply_two_qubit_routed(cnot, 0, 2)
+        state.apply_two_qubit_routed(cnot, 0, 2)
         np.testing.assert_allclose(state.amps, before, atol=1e-12)
 
     def test_rz_composition_up_to_phase(self, rng):
@@ -93,11 +101,8 @@ class TestGateAlgebra:
 
     def test_norm_preserved_per_gate(self, rng):
         program = random_program(5, 30, rng)
-        state = DenseState(5)
-        for instr in program:
-            matrix = gate_matrix(instr)
-            if instr.kind.num_qubits == 1:
-                state.apply_one_qubit(matrix, instr.qubits[0])
-            else:
-                state.apply_two_qubit(matrix, *instr.qubits)
+
+        def check_norm(state):
             assert abs(state.norm_sq() - 1) < 1e-10
+
+        apply_program(DenseState(5), program, check_norm)

@@ -5,7 +5,6 @@ import pytest
 from mpsqvm import (
     CompositeInstruction,
     GateKind,
-    GateVisitor,
     Instruction,
     bind_parameters,
     flatten,
@@ -29,16 +28,6 @@ __qpu__ term0(AcceleratorBuffer b, double t0) {
   MEASURE 0 [0]
 }
 """
-
-
-class RecordingVisitor(GateVisitor):
-    def __init__(self):
-        self.seen: list[Instruction] = []
-
-    def __getattribute__(self, name):
-        if name.startswith("visit_"):
-            return lambda instr: self.seen.append(instr)
-        return object.__getattribute__(self, name)
 
 
 class TestInstructionInvariants:
@@ -139,36 +128,3 @@ class TestFlatten:
         a = flatten(bind_parameters(kernel, [0.7]))
         b = flatten(bind_parameters(kernel, [0.7]))
         assert a == b
-
-
-class TestVisitorDispatch:
-    def test_cnot_dispatches_two_qubit_handler(self):
-        hits = []
-
-        class V(GateVisitor):
-            def visit_cnot(self, instr):
-                hits.append(instr.qubits)
-
-        Instruction(GateKind.CNOT, (1, 0)).accept(V())
-        assert hits == [(1, 0)]
-
-    def test_measure_does_not_hit_unitary_handlers(self):
-        calls = []
-
-        class V(GateVisitor):
-            def visit_measure(self, instr):
-                calls.append("measure")
-
-            def visit_x(self, instr):
-                calls.append("x")
-
-        Instruction(GateKind.MEASURE, (0,), (), classical_target=0).accept(V())
-        assert calls == ["measure"]
-
-    def test_counting_visitor_over_ansatz(self):
-        program = flatten(bind_parameters(parse(ANSATZ_SRC).kernels["ansatz"], [0.5]))
-        visitor = RecordingVisitor()
-        for instr in program:
-            instr.accept(visitor)
-        assert len(visitor.seen) == 8
-        assert visitor.seen == program  # every leaf once, in list order

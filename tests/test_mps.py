@@ -12,11 +12,12 @@ from mpsqvm import (
     RoundCircuitSpec,
     TruncationPolicy,
     dense_run,
+    execute,
     generate_round_circuit,
-    mps_run,
     run_program,
 )
-from mpsqvm.gates import gate_matrix
+from mpsqvm.gates import apply_program, gate_matrix
+from mpsqvm.ir import IrError
 from mpsqvm.hamiltonian import pauli_matrix
 from tests.conftest import (
     ONE_QUBIT_KINDS,
@@ -32,14 +33,6 @@ EXACT = TruncationPolicy(cutoff=0.0)
 H = gate_matrix(Instruction(GateKind.H, (0,)))
 X = gate_matrix(Instruction(GateKind.X, (0,)))
 CNOT = gate_matrix(Instruction(GateKind.CNOT, (0, 1)))
-
-
-def _apply(state, instr):
-    matrix = gate_matrix(instr)
-    if instr.kind.num_qubits == 1:
-        state.apply_one_qubit(matrix, instr.qubits[0])
-    else:
-        state.apply_two_qubit_routed(matrix, *instr.qubits)
 
 
 class TestInitProductState:
@@ -82,7 +75,7 @@ class TestOneQubitGates:
 
     def test_bonds_untouched(self, rng):
         program = random_program(5, 20, rng)
-        state = mps_run(program, 5, EXACT)
+        state = run_program(program, 5, "mps", EXACT)
         bonds_before = [len(v) for v in state.bond_vectors]
         state.apply_one_qubit(H, 2)
         assert [len(v) for v in state.bond_vectors] == bonds_before
@@ -142,7 +135,7 @@ class TestRouting:
             Instruction(GateKind.X, (0,)),
             Instruction(GateKind.CNOT, (0, 2)),
         ]
-        state = mps_run(program, 3, EXACT)
+        state = run_program(program, 3, "mps", EXACT)
         assert state.amplitude("101") == pytest.approx(1.0)
 
     def test_distant_cnot_superposed_control(self):
@@ -150,7 +143,7 @@ class TestRouting:
             Instruction(GateKind.H, (0,)),
             Instruction(GateKind.CNOT, (0, 2)),
         ]
-        state = mps_run(program, 3, EXACT)
+        state = run_program(program, 3, "mps", EXACT)
         assert state.amplitude("000") == pytest.approx(1 / np.sqrt(2))
         assert state.amplitude("101") == pytest.approx(1 / np.sqrt(2))
 
@@ -159,7 +152,7 @@ class TestRouting:
             Instruction(GateKind.X, (2,)),
             Instruction(GateKind.CNOT, (2, 0)),
         ]
-        state = mps_run(program, 3, EXACT)
+        state = run_program(program, 3, "mps", EXACT)
         assert state.amplitude("101") == pytest.approx(1.0)
 
     def test_fidelity_vs_oracle_distance3(self, rng):
@@ -168,7 +161,7 @@ class TestRouting:
         for _ in range(5):
             program = random_program(5, 25, rng)
             program.append(Instruction(GateKind.CNOT, (0, 3)))
-            mps = mps_run(program, 5, EXACT)
+            mps = run_program(program, 5, "mps", EXACT)
             dense = dense_run(program, 5)
             fidelity = abs(np.vdot(dense.amps, mps_statevector(mps))) ** 2
             assert fidelity >= 1 - 1e-10
@@ -183,7 +176,7 @@ class TestRouting:
             Instruction(GateKind.CNOT, (5, 1)),
             Instruction(GateKind.CZ, (0, 4)),
         ]
-        mps = mps_run(program, 6, EXACT)
+        mps = run_program(program, 6, "mps", EXACT)
         dense = dense_run(program, 6)
         for bits in product("01", repeat=6):
             key = "".join(bits)
@@ -196,7 +189,7 @@ class TestRouting:
 
 class TestQueries:
     def test_ghz_amplitudes(self):
-        state = mps_run(ghz3_program(), 3, EXACT)
+        state = run_program(ghz3_program(), 3, "mps", EXACT)
         assert state.amplitude("000") == pytest.approx(1 / np.sqrt(2))
         assert state.amplitude("010") == pytest.approx(0.0)
 
@@ -205,17 +198,17 @@ class TestQueries:
             MpsState(3).amplitude("01")
 
     def test_bell_expectations(self):
-        state = mps_run(bell_program(), 2, EXACT)
+        state = run_program(bell_program(), 2, "mps", EXACT)
         assert state.expectation_pauli("ZZ") == pytest.approx(1.0)
         assert state.expectation_pauli("ZI") == pytest.approx(0.0, abs=1e-12)
         assert state.expectation_pauli("XX") == pytest.approx(1.0)
 
     def test_expectation_length_mismatch(self):
         with pytest.raises(ValueError):
-            mps_run(bell_program(), 2, EXACT).expectation_pauli("Z")
+            run_program(bell_program(), 2, "mps", EXACT).expectation_pauli("Z")
 
     def test_expectation_does_not_modify_state(self):
-        state = mps_run(bell_program(), 2, EXACT)
+        state = run_program(bell_program(), 2, "mps", EXACT)
         before = [t.copy() for t in state.site_tensors]
         state.expectation_pauli("XY")
         for old, new in zip(before, state.site_tensors):
@@ -223,32 +216,45 @@ class TestQueries:
 
 
 class TestSampling:
+    def test_gate_after_measure_rejected(self):
+        measure = Instruction(GateKind.MEASURE, (0,), (), classical_target=0)
+        program = [Instruction(GateKind.H, (0,)), measure, Instruction(GateKind.CNOT, (1, 0))]
+        with pytest.raises(IrError, match=r"CNOT \(1, 0\) acts on qubit 0 after it was measured"):
+            run_program(program, 2, "mps")
+        # gates on qubits not yet measured are still applied
+        state = run_program([measure, Instruction(GateKind.X, (1,))], 2)
+        assert state.amplitude("01") == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_execute_rejects_non_positive_shots(self, shots):
+        program = bell_program() + [Instruction(GateKind.MEASURE, (0,), (), classical_target=0)]
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            execute(program, shots=shots)
+
     def test_computational_basis_state(self):
-        state = mps_run([Instruction(GateKind.X, (0,)), Instruction(GateKind.X, (1,))], 2)
+        state = run_program([Instruction(GateKind.X, (0,)), Instruction(GateKind.X, (1,))], 2)
         counts = state.sample(100, np.random.default_rng(0))
         assert counts == {"11": 100}
 
     def test_bell_within_5_sigma(self):
-        state = mps_run(bell_program(), 2, EXACT)
+        state = run_program(bell_program(), 2, "mps", EXACT)
         counts = state.sample(100_000, np.random.default_rng(1))
         assert set(counts) <= {"00", "11"}
         sigma = np.sqrt(100_000 * 0.25)
         assert abs(counts["00"] - 50_000) < 5 * sigma
 
     def test_tvd_vs_oracle_distribution(self, rng):
-        from mpsqvm import dense_distribution, dense_run
-
         program = random_program(4, 20, rng)
-        state = mps_run(program, 4, EXACT)
+        state = run_program(program, 4, "mps", EXACT)
         counts = state.sample(100_000, np.random.default_rng(3))
-        oracle = dense_distribution(dense_run(program, 4))
+        oracle = dense_run(program, 4).distribution()
         tvd = 0.5 * sum(
             abs(counts.get(b, 0) / 100_000 - p) for b, p in oracle.items()
         )
         assert tvd < 0.02
 
     def test_deterministic_given_seed(self):
-        state = mps_run(bell_program(), 2, EXACT)
+        state = run_program(bell_program(), 2, "mps", EXACT)
         a = state.sample(500, np.random.default_rng(9))
         b = state.sample(500, np.random.default_rng(9))
         assert a == b
@@ -261,21 +267,22 @@ class TestBondStats:
         assert state.memory_estimate_bytes() == 320
 
     def test_bell_bond(self):
-        assert mps_run(bell_program(), 2, EXACT).max_bond() == 2
+        assert run_program(bell_program(), 2, "mps", EXACT).max_bond() == 2
 
     def test_saturation_at_half_register(self, rng):
         program = random_program(10, 400, rng)
-        state = mps_run(program, 10, EXACT)
+        state = run_program(program, 10, "mps", EXACT)
         assert state.max_bond_seen == 32  # 2^(10/2)
 
 
 class TestInvariants:
     def test_norm_preserved_per_gate(self, rng):
         program = random_program(6, 40, rng)
-        state = MpsState(6, EXACT)
-        for instr in program:
-            _apply(state, instr)
+
+        def check_norm(state):
             assert abs(state.norm_sq() - 1) < 1e-10
+
+        apply_program(MpsState(6, EXACT), program, check_norm)
 
     def test_truncation_error_bounds_infidelity(self, rng):
         from mpsqvm import dense_run
@@ -284,7 +291,7 @@ class TestInvariants:
         for _ in range(20):
             n = int(rng.integers(4, 9))
             program = random_program(n, 30, rng)
-            state = mps_run(program, n, TruncationPolicy(cutoff=0.05))
+            state = run_program(program, n, "mps", TruncationPolicy(cutoff=0.05))
             if state.trunc_error_sq < 1e-12:
                 continue
             dense = dense_run(program, n)
@@ -297,7 +304,7 @@ class TestInvariants:
     def test_storage_law(self, rng):
         for n in (6, 10):
             program = random_program(n, 60, rng)
-            state = mps_run(program, n, EXACT)
+            state = run_program(program, n, "mps", EXACT)
             chi = state.max_bond_seen
             assert state.total_entries() <= n * 2 * chi**2 + (n - 1) * chi
 
@@ -332,6 +339,10 @@ def _max_right_canonical_deviation(state) -> float:
         rows = b.reshape(b.shape[0], -1)
         worst = max(worst, np.abs(rows @ rows.conj().T - np.eye(len(rows))).max())
     return worst
+
+
+def _assert_right_canonical(state) -> None:
+    assert _max_right_canonical_deviation(state) <= 1e-12
 
 
 def _full_expectation(state, pauli: str) -> float:
@@ -378,7 +389,7 @@ class TestCanonicalProperties:
     @given(circuits(), st.data())
     def test_matches_dense_oracle(self, circuit, data):
         n, program = circuit
-        state = mps_run(program, n, EXACT)
+        state = run_program(program, n, "mps", EXACT)
         dense = dense_run(program, n)
         assert abs(np.vdot(dense.amps, mps_statevector(state))) ** 2 >= 1 - 1e-10
         ends = ["I" * n, "X" + "I" * (n - 1), "I" * (n - 1) + "Y", "Z" + "I" * (n - 2) + "X"]
@@ -392,19 +403,13 @@ class TestCanonicalProperties:
     @given(circuits())
     def test_right_canonical_after_every_gate(self, circuit):
         n, program = circuit
-        state = MpsState(n, EXACT)
-        for instr in program:
-            _apply(state, instr)
-            assert _max_right_canonical_deviation(state) <= 1e-12
+        apply_program(MpsState(n, EXACT), program, _assert_right_canonical)
 
     def test_right_canonical_next_to_exactly_zero_singular_values(self):
         # SWAPs and CNOTs on product states leave Schmidt values of exactly 0
         # on bonds of dimension 2; later gates meet them on their left bond
         program = random_program(5, 8, np.random.default_rng(2))
-        state = MpsState(5, EXACT)
-        for instr in program:
-            _apply(state, instr)
-            assert _max_right_canonical_deviation(state) <= 1e-12
+        state = apply_program(MpsState(5, EXACT), program, _assert_right_canonical)
         assert any((v == 0.0).any() for v in state.bond_vectors)
         dense = dense_run(program, 5)
         assert abs(np.vdot(dense.amps, mps_statevector(state))) ** 2 >= 1 - 1e-12
@@ -412,7 +417,7 @@ class TestCanonicalProperties:
     def test_expectation_reads_only_the_support(self, rng):
         n = 200
         program = generate_round_circuit(RoundCircuitSpec(n, 4, 7, ("RX", "RY", "RZ")))
-        state = mps_run(program, n, EXACT)
+        state = run_program(program, n, "mps", EXACT)
         for support in ([0], [n - 1], [99, 100], [40, 43, 47], [0, n - 1]):
             labels = ["I"] * n
             for q in support:
@@ -445,7 +450,7 @@ class TestCanonicalProperties:
         truncated = 0
         for seed in range(3):
             program = generate_round_circuit(RoundCircuitSpec(n, 8, seed, ("RX", "RY", "RZ")))
-            state = mps_run(program, n, policy)
+            state = run_program(program, n, "mps", policy)
             truncated += state.trunc_error_sq > 0
             for pauli in terms:
                 gap = abs(state.expectation_pauli(pauli) - _full_expectation(state, pauli))
