@@ -3,9 +3,10 @@
 ``run_program`` builds a fresh state on either the MPS simulator or the dense
 oracle and applies a flattened program to it with
 :func:`~mpsqvm.gates.apply_program`; ``execute`` additionally samples the
-measured qubits and assembles a :class:`RunRecord`. Both backends share the
-same sequential sampling path (one uniform variate per qubit per shot), so a
-fixed seed yields identical counts across backends when truncation is off.
+measured qubits and assembles a :class:`RunRecord`. Both backends sample
+through the one function :func:`~mpsqvm.mps.sample_sequential` (one uniform
+variate per qubit per shot), so a fixed seed yields identical counts across
+backends when truncation is off.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Optimized for obviousness, not speed. The qubit count is capped (default 24,
 override with ``MPSQVM_ORACLE_QUBIT_CAP``) so the oracle stays desk-scale.
 :class:`DenseState` names its gate methods like :class:`~mpsqvm.mps.MpsState`,
-so :func:`~mpsqvm.gates.apply_program` drives both backends alike.
+so :func:`~mpsqvm.gates.apply_program` drives both backends alike, and samples
+through the same :func:`~mpsqvm.mps.sample_sequential` with prefix marginals of
+``|amps|^2`` as weights.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from .gates import apply_program, check_unitary
 from .ir import Instruction
+from .mps import sample_sequential
 
 DEFAULT_QUBIT_CAP = 24
 
@@ -88,28 +91,20 @@ class DenseState:
         probs = np.abs(self.amps) ** 2
         return {format(i, f"0{self.n}b"): float(p) for i, p in enumerate(probs)}
 
-    def conditional_prob_zero(self, prefix_bits: str, k: int) -> float:
-        """P(qubit k = 0 | qubits 0..k-1 fixed to prefix_bits)."""
-        psi = self.amps.reshape([2] * self.n)
-        sel: list[int | slice] = [int(b) for b in prefix_bits]
-        block = psi[tuple(sel)]
-        p0 = float(np.sum(np.abs(block[0]) ** 2))
-        p1 = float(np.sum(np.abs(block[1]) ** 2))
-        total = p0 + p1
-        return p0 / total if total > 0 else 0.5
-
     def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
-        """Sequential conditional sampling, RNG-compatible with the MPS path."""
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        counts: dict[str, int] = {}
-        for _ in range(shots):
-            bits = ""
-            for k in range(self.n):
-                p0 = self.conditional_prob_zero(bits, k)
-                bits += "0" if rng.random() < p0 else "1"
-            counts[bits] = counts.get(bits, 0) + 1
-        return counts
+        """Draw full-register bitstrings with :func:`~mpsqvm.mps.sample_sequential`.
+
+        The carry of a shot is its prefix read as an integer (qubit 0 the high
+        bit); the weights of the two outcomes at qubit ``k`` are prefix
+        marginals of ``|amps|^2`` over qubits ``0..k``.
+        """
+        probs = np.abs(self.amps) ** 2
+
+        def split(k: int, prefix):
+            marginal = probs.reshape(2 ** (k + 1), -1).sum(1)
+            return marginal[2 * prefix], marginal[2 * prefix + 1], 2 * prefix, 2 * prefix + 1
+
+        return sample_sequential(self.n, shots, rng, 0, split)
 
 
 def dense_run(program: list[Instruction], n: int) -> DenseState:

@@ -21,11 +21,19 @@ whose ``Lambda_{q-1}`` is exactly zero. Non-adjacent pairs are routed together w
 routed back afterwards. Every contraction is a reshape plus a matrix product;
 a Pauli expectation costs O(|support| chi^3) and touches only the string's
 support.
+
+:func:`sample_sequential` is the one sampling routine of both backends: it
+draws one uniform variate per qubit per shot and walks the qubits once for a
+whole block of shots. Here each shot carries its prefix row of ``B`` products,
+so sampling costs O(shots n chi^2) and holds ``SHOT_BLOCK x chi`` prefix
+entries at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -239,35 +247,66 @@ class MpsState:
             raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
         return value.real
 
-    def conditional_prob_zero(self, prefix_vec: np.ndarray, k: int) -> tuple[float, np.ndarray, np.ndarray]:
-        """P(qubit k = 0 | fixed prefix) and the two successor prefix vectors."""
-        t = self.site_tensors[k]
-        w0 = prefix_vec @ t[:, 0, :]
-        w1 = prefix_vec @ t[:, 1, :]
-        p0 = float(np.vdot(w0, w0).real)
-        p1 = float(np.vdot(w1, w1).real)
-        total = p0 + p1
-        return (p0 / total if total > 0 else 0.5), w0, w1
-
     def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
-        """Draw full-register bitstrings via sequential conditional sampling.
+        """Draw full-register bitstrings with :func:`sample_sequential`.
 
-        One uniform variate is consumed per qubit per shot, in qubit order.
+        The carry of a shot is its prefix row ``W = B_0[s_0] ... B_{k-1}[s_{k-1}]``;
+        the weight of outcome ``s`` at qubit ``k`` is ``|W B_k[s]|^2``, exact
+        because ``B_k`` is right-canonical.
         """
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        counts: dict[str, int] = {}
-        for _ in range(shots):
-            vec = np.ones(1, dtype=complex)
-            bits = []
-            for k in range(self.n):
-                p0, w0, w1 = self.conditional_prob_zero(vec, k)
-                if rng.random() < p0:
-                    bits.append("0")
-                    vec = w0
-                else:
-                    bits.append("1")
-                    vec = w1
-            key = "".join(bits)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+
+        def split(k: int, prefix: np.ndarray):
+            site = self.site_tensors[k]
+            w0, w1 = prefix @ site[:, 0, :], prefix @ site[:, 1, :]
+            return _row_norm_sq(w0), _row_norm_sq(w1), w0, w1
+
+        return sample_sequential(self.n, shots, rng, np.ones((1, 1), dtype=complex), split)
+
+
+def _row_norm_sq(rows: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", rows.conj(), rows).real
+
+
+#: Shots walked through the chain together; bounds the prefix arrays at
+#: ``SHOT_BLOCK x chi`` entries however many shots are drawn.
+SHOT_BLOCK = 4096
+
+
+def sample_sequential(
+    n: int,
+    shots: int,
+    rng: np.random.Generator,
+    start: Any,
+    split: Callable[[int, Any], tuple[np.ndarray, np.ndarray, Any, Any]],
+) -> dict[str, int]:
+    """Sequential conditional sampling of ``shots`` bitstrings over ``n`` qubits.
+
+    ``split(k, carry)`` returns, per shot, the weights ``w0, w1`` of outcome 0
+    and 1 at qubit ``k`` given the shot's prefix, and the carry of the prefix
+    extended by each outcome; ``start`` is the carry of the empty prefix,
+    broadcast against every shot. Qubit ``k`` reads 1 when its uniform variate
+    is at least ``w0 / (w0 + w1)`` (0.5 when both weights are 0). Variates are
+    drawn as ``rng.random((block, n))`` for consecutive blocks of at most
+    ``SHOT_BLOCK`` shots: one per qubit per shot, shot-major, the same stream
+    as one ``rng.random()`` call per qubit per shot. Keys of the returned
+    counts are bitstrings with position ``k`` for qubit ``k``.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    counts: dict[str, int] = {}
+    for done in range(0, shots, SHOT_BLOCK):
+        draws = rng.random((min(SHOT_BLOCK, shots - done), n))
+        bits = np.empty(draws.shape, dtype=np.uint8)
+        carry = start
+        for k in range(n):
+            w0, w1, carry0, carry1 = split(k, carry)
+            total = w0 + w1
+            p0 = np.divide(w0, total, out=np.full(np.shape(total), 0.5), where=total > 0)
+            one = draws[:, k] >= p0
+            bits[:, k] = one
+            # the carry holds one row per shot (or one shared row before qubit 0)
+            carry = np.where(one.reshape(-1, *[1] * (np.ndim(carry0) - 1)), carry1, carry0)
+        keys, tallies = np.unique((bits + ord("0")).view(f"S{n}"), return_counts=True)
+        for key, tally in zip(keys.astype(str).tolist(), tallies.tolist()):
+            counts[key] = counts.get(key, 0) + tally
+    return counts

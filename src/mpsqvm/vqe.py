@@ -1,22 +1,26 @@
 """Variational sweep driver: evaluate <H>(theta) for a one-parameter ansatz.
 
-Expectation values are computed analytically by default. With ``shots`` set,
-each Hamiltonian term is instead estimated by rotating the measurement basis
-per qubit (X -> H, Y -> RZ(-pi/2) then H, Z -> nothing) and sampling the
-parity of the involved qubits.
+The ansatz state is prepared once per theta. Expectation values are computed
+analytically by default. With ``shots`` set, each Hamiltonian term is instead
+estimated on a copy of that state: the measurement basis is rotated per qubit
+(X -> H, Y -> RZ(-pi/2) then H, Z -> nothing) and the parity of the involved
+qubits is sampled.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import pi, sqrt
 
 import numpy as np
 
 from .backends import run_program
+from .dense import DenseState
+from .gates import apply_program
 from .hamiltonian import PauliHamiltonian
 from .ir import CompositeInstruction, GateKind, Instruction, bind_parameters, flatten, num_qubits
-from .mps import TruncationPolicy
+from .mps import MpsState, TruncationPolicy
 
 
 @dataclass(frozen=True)
@@ -27,14 +31,13 @@ class SweepResult:
     min_energy: float
 
 
-def _unitary_program(ansatz: CompositeInstruction, theta: float) -> list[Instruction]:
+def _bound_program(ansatz: CompositeInstruction, theta: float) -> list[Instruction]:
     if len(ansatz.formal_params) != 1:
         raise ValueError(
             f"driver supports exactly one formal parameter, "
             f"kernel '{ansatz.name}' has {len(ansatz.formal_params)}"
         )
-    program = flatten(bind_parameters(ansatz, [theta]))
-    return [i for i in program if i.kind is not GateKind.MEASURE]
+    return flatten(bind_parameters(ansatz, [theta]))
 
 
 def _basis_rotations(pauli: str) -> list[Instruction]:
@@ -49,17 +52,11 @@ def _basis_rotations(pauli: str) -> list[Instruction]:
 
 
 def _sampled_term(
-    program: list[Instruction],
-    pauli: str,
-    n: int,
-    backend: str,
-    policy: TruncationPolicy | None,
-    shots: int,
-    rng: np.random.Generator,
+    state: MpsState | DenseState, pauli: str, shots: int, rng: np.random.Generator
 ) -> float:
-    state = run_program(program + _basis_rotations(pauli), n, backend, policy)
+    rotated = apply_program(copy.deepcopy(state), _basis_rotations(pauli))
     support = [q for q, label in enumerate(pauli) if label != "I"]
-    counts = state.sample(shots, rng)
+    counts = rotated.sample(shots, rng)
     total = 0
     for bits, count in counts.items():
         parity = sum(int(bits[q]) for q in support) % 2
@@ -77,15 +74,15 @@ def energy(
     seed: int | None = None,
 ) -> float:
     """<psi(theta)|H|psi(theta)> with the state prepared by the bound ansatz."""
-    program = _unitary_program(ansatz, theta)
+    program = _bound_program(ansatz, theta)
     n = hamiltonian.n
     if num_qubits(program) > n:
         raise ValueError(
             f"ansatz touches qubit {num_qubits(program) - 1}, "
             f"Hamiltonian has {n} qubit(s)"
         )
+    state = run_program(program, n, backend, policy)
     if shots is None:
-        state = run_program(program, n, backend, policy)
         return sum(c * state.expectation_pauli(p) for c, p in hamiltonian.terms)
     value = 0.0
     for idx, (coeff, pauli) in enumerate(hamiltonian.terms):
@@ -93,7 +90,7 @@ def energy(
             value += coeff
             continue
         rng = np.random.default_rng([0 if seed is None else seed, idx])
-        value += coeff * _sampled_term(program, pauli, n, backend, policy, shots, rng)
+        value += coeff * _sampled_term(state, pauli, shots, rng)
     return value
 
 

@@ -30,7 +30,7 @@ from mpsqvm import (
 from mpsqvm.gates import apply_program
 from mpsqvm.ir import GateKind
 from mpsqvm.parser import ParseError
-from mpsqvm.vqe import _basis_rotations, _sampled_term, _unitary_program, binomial_sigma
+from mpsqvm.vqe import _basis_rotations, _bound_program, _sampled_term, binomial_sigma
 from tests.conftest import ANSATZ_PATH, HAM_PATH, mps_statevector, random_program
 
 EXACT = TruncationPolicy(cutoff=0.0)
@@ -179,7 +179,7 @@ def test_criterion_7_sampled_mode_consistency():
     hamiltonian = load_hamiltonian(HAM_PATH)
     ansatz = parse(ANSATZ_PATH.read_text()).kernels["ansatz"]
     theta = 0.8
-    program = _unitary_program(ansatz, theta)
+    program = _bound_program(ansatz, theta)
     n = hamiltonian.n
     details = []
     for idx, (coeff, pauli) in enumerate(hamiltonian.terms):
@@ -188,7 +188,7 @@ def test_criterion_7_sampled_mode_consistency():
         z_string = "".join("Z" if c != "I" else "I" for c in pauli)
         exact = dense_run(program + _basis_rotations(pauli), n).expectation_pauli(z_string)
         rng = np.random.default_rng([42, idx])
-        estimate = _sampled_term(program, pauli, n, "dense", None, shots, rng)
+        estimate = _sampled_term(dense_run(program, n), pauli, shots, rng)
         sigma = binomial_sigma(exact, shots)
         assert abs(estimate - exact) <= 4 * sigma + 1e-12
         details.append(f"{pauli}:{abs(estimate - exact):.4f}<=4x{sigma:.4f}")

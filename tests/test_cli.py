@@ -184,6 +184,49 @@ class TestVqeCommand:
         assert "usage" in proc.stderr.lower()
 
 
+    def test_gate_after_measure_exit_2(self, tmp_path):
+        source = tmp_path / "m.qk"
+        source.write_text(
+            "__qpu__ m(AcceleratorBuffer b, double t0) {\n"
+            "  H 0\n  MEASURE 0 [0]\n  RY(t0) 0\n}\n"
+        )
+        ham = tmp_path / "z.ham"
+        ham.write_text("1.0 Z\n")
+        for extra in ([], ["--shots", "100"]):
+            proc = run_cli("vqe", "--ansatz", str(source), "--kernel", "m",
+                           "--ham", str(ham), "--grid", "0:1:3", *extra)
+            assert proc.returncode == 2, proc.stderr
+            assert "after it was measured" in proc.stderr
+
+
+class TestSamplingStream:
+    """Fixed-seed outputs of the sampled paths. They pin the RNG contract:
+    one uniform variate per qubit per shot, drawn shot by shot, with each
+    Hamiltonian term seeded by ``[seed, term index]``."""
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_run_counts(self, backend):
+        proc = run_cli(
+            "run", "--source", str(ANSATZ_PATH), "--kernel", "term0", "--args", "0.5",
+            "--shots", "1000", "--seed", "7", "--backend", backend,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["counts"] == {"0": 937, "1": 63}
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_sampled_vqe_rows(self, backend):
+        proc = run_cli(
+            "vqe", "--ansatz", str(ANSATZ_PATH), "--kernel", "ansatz", "--ham", str(HAM_PATH),
+            "--shots", "500", "--seed", "3", "--grid", "0:1:5", "--backend", backend,
+        )
+        assert proc.returncode == 0, proc.stderr
+        energies = [line.split(",")[1] for line in proc.stdout.strip().split("\n")[1:]]
+        assert energies == [
+            "-0.27926", "-0.360856", "-0.5005556", "-0.6349099999999999",
+            "-0.8057643999999999",
+        ]
+
+
 class TestBenchCommand:
     def test_two_cell_grid(self, tmp_path):
         out = tmp_path / "bench.csv"

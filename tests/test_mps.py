@@ -18,6 +18,7 @@ from mpsqvm import (
 )
 from mpsqvm.gates import apply_program, gate_matrix
 from mpsqvm.ir import IrError
+from mpsqvm.mps import SHOT_BLOCK
 from mpsqvm.hamiltonian import pauli_matrix
 from tests.conftest import (
     ONE_QUBIT_KINDS,
@@ -225,11 +226,12 @@ class TestSampling:
         state = run_program([measure, Instruction(GateKind.X, (1,))], 2)
         assert state.amplitude("01") == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
     @pytest.mark.parametrize("shots", [0, -5])
-    def test_execute_rejects_non_positive_shots(self, shots):
+    def test_execute_rejects_non_positive_shots(self, shots, backend):
         program = bell_program() + [Instruction(GateKind.MEASURE, (0,), (), classical_target=0)]
         with pytest.raises(ValueError, match="shots must be >= 1"):
-            execute(program, shots=shots)
+            execute(program, backend=backend, shots=shots)
 
     def test_computational_basis_state(self):
         state = run_program([Instruction(GateKind.X, (0,)), Instruction(GateKind.X, (1,))], 2)
@@ -258,6 +260,68 @@ class TestSampling:
         a = state.sample(500, np.random.default_rng(9))
         b = state.sample(500, np.random.default_rng(9))
         assert a == b
+
+
+def _per_shot_counts(state, shots: int, rng: np.random.Generator) -> dict[str, int]:
+    """Reference sampler: one ``rng.random()`` per qubit per shot, in a Python
+    loop, with the conditional probabilities of each backend's prefix."""
+    counts: dict[str, int] = {}
+    for _ in range(shots):
+        bits, vec = "", np.ones(1, dtype=complex)
+        for k in range(state.n):
+            if isinstance(state, MpsState):
+                t = state.site_tensors[k]
+                w0, w1 = vec @ t[:, 0, :], vec @ t[:, 1, :]
+                p0, p1 = float(np.vdot(w0, w0).real), float(np.vdot(w1, w1).real)
+            else:
+                block = state.amps.reshape([2] * state.n)[tuple(int(b) for b in bits)]
+                p0 = float(np.sum(np.abs(block[0]) ** 2))
+                p1 = float(np.sum(np.abs(block[1]) ** 2))
+            total = p0 + p1
+            bit = "0" if rng.random() < (p0 / total if total > 0 else 0.5) else "1"
+            bits += bit
+            if isinstance(state, MpsState):
+                vec = w0 if bit == "0" else w1
+        counts[bits] = counts.get(bits, 0) + 1
+    return counts
+
+
+class TestVectorizedSampler:
+    """``sample`` draws the same stream as the per-shot loop it replaced, so
+    its counts are equal to that loop's, not only close in distribution."""
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_per_shot_loop(self, n, backend):
+        program = random_program(n, 5 * n, np.random.default_rng(n))
+        state = run_program(program, n, backend, EXACT)
+        expected = _per_shot_counts(state, 400, np.random.default_rng(100 + n))
+        assert state.sample(400, np.random.default_rng(100 + n)) == expected
+
+    def test_matches_per_shot_loop_truncated(self):
+        program = random_program(8, 60, np.random.default_rng(7))
+        state = run_program(program, 8, "mps", TruncationPolicy(cutoff=1e-2, max_bond=2))
+        assert state.trunc_error_sq > 0
+        expected = _per_shot_counts(state, 1000, np.random.default_rng(8))
+        assert state.sample(1000, np.random.default_rng(8)) == expected
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("shots", [1, SHOT_BLOCK, SHOT_BLOCK + 1])
+    def test_shot_blocks_continue_the_stream(self, shots, backend):
+        state = run_program(random_program(3, 12, np.random.default_rng(3)), 3, backend, EXACT)
+        loop_rng, rng = np.random.default_rng(shots), np.random.default_rng(shots)
+        expected = _per_shot_counts(state, shots, loop_rng)
+        counts = state.sample(shots, rng)
+        assert counts == expected
+        assert sum(counts.values()) == shots
+        assert rng.random() == loop_rng.random()  # exactly shots * n variates consumed
+
+    def test_backends_give_equal_counts(self):
+        program = random_program(6, 40, np.random.default_rng(6))
+        mps = run_program(program, 6, "mps", EXACT).sample(3000, np.random.default_rng(1))
+        dense = run_program(program, 6, "dense").sample(3000, np.random.default_rng(1))
+        assert len(mps) > 1
+        assert mps == dense
 
 
 class TestBondStats:

@@ -12,9 +12,12 @@ from mpsqvm import (
     load_hamiltonian,
     parse,
     parse_hamiltonian,
+    run_program,
     sweep,
 )
+from mpsqvm import vqe
 from mpsqvm.hamiltonian import HamiltonianFormatError
+from mpsqvm.ir import IrError
 from tests.conftest import ANSATZ_PATH, HAM_PATH
 
 EXACT = TruncationPolicy(cutoff=0.0)
@@ -23,6 +26,13 @@ RX_ANSATZ = CompositeInstruction(
     "rx", ("t0",), (Instruction(GateKind.RX, (0,), ("t0",)),)
 )
 ZI = parse_hamiltonian("1.0 ZI")
+MEASURE_THEN_RY = CompositeInstruction(
+    "m", ("t0",), (
+        Instruction(GateKind.H, (0,)),
+        Instruction(GateKind.MEASURE, (0,), (), classical_target=0),
+        Instruction(GateKind.RY, (0,), ("t0",)),
+    ),
+)
 
 
 def fig_ansatz():
@@ -135,3 +145,53 @@ class TestSampledMode:
         a = energy(RX_ANSATZ, 0.4, ZI, backend="mps", shots=2000, seed=5)
         b = energy(RX_ANSATZ, 0.4, ZI, backend="mps", shots=2000, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_gate_after_measure_rejected(self, shots, backend):
+        with pytest.raises(IrError, match=r"RY \(0,\) acts on qubit 0 after it was measured"):
+            energy(MEASURE_THEN_RY, 0.3, parse_hamiltonian("1.0 Z"), backend, shots=shots)
+
+    @pytest.mark.parametrize("shots", [None, 300])
+    def test_trailing_measure_kernel_accepted(self, shots):
+        unit = parse(ANSATZ_PATH.read_text())
+        h = load_hamiltonian(HAM_PATH)
+        with_measure = energy(unit.kernels["term0"], 0.8, h, shots=shots, seed=2)
+        assert with_measure == energy(unit.kernels["ansatz"], 0.8, h, shots=shots, seed=2)
+
+
+class TestOnePreparationPerTheta:
+    @pytest.mark.parametrize("shots", [None, 200])
+    def test_run_program_called_once(self, monkeypatch, shots):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return run_program(*args, **kwargs)
+
+        monkeypatch.setattr(vqe, "run_program", spy)
+        energy(fig_ansatz(), 0.5, load_hamiltonian(HAM_PATH), shots=shots, seed=4)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_equals_resimulation_per_term(self, backend):
+        """The estimate on a rotated copy equals running ``program + rotations``
+        from scratch for every term, with the same per-term seeding."""
+        h = load_hamiltonian(HAM_PATH)
+        shots, seed = 700, 9
+        for theta in (-2.0, 0.3, 1.1):
+            program = vqe._bound_program(fig_ansatz(), theta)
+            expected = 0.0
+            for idx, (coeff, pauli) in enumerate(h.terms):
+                if set(pauli) == {"I"}:
+                    expected += coeff
+                    continue
+                state = run_program(program + vqe._basis_rotations(pauli), h.n, backend)
+                counts = state.sample(shots, np.random.default_rng([seed, idx]))
+                support = [q for q, label in enumerate(pauli) if label != "I"]
+                parity = sum(
+                    c if sum(int(bits[q]) for q in support) % 2 == 0 else -c
+                    for bits, c in counts.items()
+                )
+                expected += coeff * (parity / shots)
+            assert energy(fig_ansatz(), theta, h, backend, shots=shots, seed=seed) == expected
