@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -60,14 +61,33 @@ def _finite(text: str, what: str) -> float:
     raise UsageError(f"{what} value {text.strip()!r} is not a finite number")
 
 
-def _count(text: str) -> int:
-    """argparse type for a count of at least 1 (shots, seeds)."""
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type for an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
+_count = _int_at_least(1)  # shots, seeds per cell, chi cap
+_seed = _int_at_least(0)
+
+
+def _seconds(text: str) -> float:
+    """argparse type for a positive duration; ``inf`` means no limit."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = math.nan
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a number of seconds > 0, got {text!r}")
     return value
 
 
@@ -76,15 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_backend_flags(p: argparse.ArgumentParser, backends: bool = True) -> None:
-        if backends:
+        if backends:  # bench runs neither the dense oracle nor a sampler
             p.add_argument("--backend", choices=BACKENDS, default="mps")
+            p.add_argument("--seed", type=_seed, default=None,
+                           help="seed of the shot sampler (default: fresh entropy)")
         p.add_argument("--cutoff", type=float, default=None,
                        help="singular-value truncation threshold (default 1e-4)")
         p.add_argument("--max-bond", type=int, default=None,
                        help="hard bond-dimension cap (default unlimited)")
         p.add_argument("--cutoff-mode", choices=("relative", "absolute"),
                        default="relative")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", type=Path, default=None,
                        help="write result file here instead of stdout")
 
@@ -111,14 +132,16 @@ def build_parser() -> argparse.ArgumentParser:
     # let "--grid -3.14:3.14:100" pass a leading-minus value without "="
     vqe._negative_number_matcher = re.compile(r"^-\d")
 
-    bench = sub.add_parser("bench", help="random-circuit memory-scaling grid")
+    # no abbreviations, so "--seed" is rejected rather than read as "--seeds"
+    bench = sub.add_parser("bench", help="random-circuit memory-scaling grid",
+                           allow_abbrev=False)
     bench.add_argument("--qubits", default="5:85:5", help="qubit range start:stop:step")
     bench.add_argument("--rounds", default="2:10:2", help="round range start:stop:step")
     bench.add_argument("--seeds", type=_count, default=10, help="random circuits per cell")
-    bench.add_argument("--chi-cap", type=int, default=4096,
+    bench.add_argument("--chi-cap", type=_count, default=4096,
                        help="skip a cell once its bond dimension exceeds this")
-    bench.add_argument("--time-budget", type=float, default=60.0,
-                       help="per-seed wall-clock budget in seconds")
+    bench.add_argument("--time-budget", type=_seconds, default=60.0,
+                       help="per-seed wall-clock budget in seconds (inf: no limit)")
     bench.add_argument("--plot-out", type=Path, default=None,
                        help="also write a gnuplot-style surface data file")
     add_backend_flags(bench, backends=False)
@@ -195,7 +218,7 @@ def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
     return _finite(fields[0], what), _finite(fields[1], what), count
 
 
-def _parse_steps(text: str, what: str) -> list[int]:
+def _parse_steps(text: str, what: str, minimum: int) -> list[int]:
     fields = text.split(":")
     if len(fields) != 3:
         raise UsageError(f"bad {what} range {text!r}, expected start:stop:step")
@@ -205,6 +228,8 @@ def _parse_steps(text: str, what: str) -> list[int]:
         raise UsageError(f"bad {what} range {text!r}") from None
     if step < 1 or stop < start:
         raise UsageError(f"bad {what} range {text!r}")
+    if start < minimum:
+        raise UsageError(f"bad {what} range {text!r}, need a start of at least {minimum}")
     return list(range(start, stop + 1, step))
 
 
@@ -225,8 +250,8 @@ def _cmd_vqe(args: argparse.Namespace) -> None:
 
 def _cmd_bench(args: argparse.Namespace) -> None:
     records = bench_mod.run_grid(
-        qubits=_parse_steps(args.qubits, "--qubits"),
-        rounds=_parse_steps(args.rounds, "--rounds"),
+        qubits=_parse_steps(args.qubits, "--qubits", 2),
+        rounds=_parse_steps(args.rounds, "--rounds", 1),
         seeds_per_cell=args.seeds,
         policy=_policy_from(args),
         chi_budget=args.chi_cap,

@@ -94,9 +94,10 @@ class DenseState:
     def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
         """Draw full-register bitstrings with :func:`~mpsqvm.mps.sample_sequential`.
 
-        The carry of a shot is its prefix read as an integer (qubit 0 the high
-        bit); the weights of the two outcomes at qubit ``k`` are prefix
-        marginals of ``|amps|^2`` over qubits ``0..k``.
+        The carry holds each distinct prefix read as an integer (qubit 0 the
+        high bit), starting from the one-row array of the empty prefix; the
+        weights of the two outcomes at qubit ``k`` are prefix marginals of
+        ``|amps|^2`` over qubits ``0..k``.
         """
         probs = np.abs(self.amps) ** 2
 
@@ -104,7 +105,7 @@ class DenseState:
             marginal = probs.reshape(2 ** (k + 1), -1).sum(1)
             return marginal[2 * prefix], marginal[2 * prefix + 1], 2 * prefix, 2 * prefix + 1
 
-        return sample_sequential(self.n, shots, rng, 0, split)
+        return sample_sequential(self.n, shots, rng, np.zeros(1, dtype=np.intp), split)
 
 
 def dense_run(program: list[Instruction], n: int) -> DenseState:

@@ -24,9 +24,11 @@ support.
 
 :func:`sample_sequential` is the one sampling routine of both backends: it
 draws one uniform variate per qubit per shot and walks the qubits once for a
-whole block of shots. Here each shot carries its prefix row of ``B`` products,
-so sampling costs O(shots n chi^2) and holds ``SHOT_BLOCK x chi`` prefix
-entries at a time.
+whole block of shots. Shots that drew the same prefix share one prefix row of
+``B`` products, so the matrix work at qubit ``k`` is O(G_k chi^2) for the G_k
+distinct prefixes drawn so far (at most ``min(SHOT_BLOCK, 2^k)``), on top of
+O(shots n) integer work; a block holds ``G x chi`` prefix entries and
+``SHOT_BLOCK x n`` drawn bits at a time.
 """
 
 from __future__ import annotations
@@ -250,9 +252,10 @@ class MpsState:
     def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
         """Draw full-register bitstrings with :func:`sample_sequential`.
 
-        The carry of a shot is its prefix row ``W = B_0[s_0] ... B_{k-1}[s_{k-1}]``;
+        The carry of a distinct prefix is its row ``W = B_0[s_0] ... B_{k-1}[s_{k-1}]``;
         the weight of outcome ``s`` at qubit ``k`` is ``|W B_k[s]|^2``, exact
-        because ``B_k`` is right-canonical.
+        because ``B_k`` is right-canonical. The carry at qubit ``k`` is a
+        ``(G, chi)`` block with one row per distinct prefix drawn so far.
         """
 
         def split(k: int, prefix: np.ndarray):
@@ -267,8 +270,8 @@ def _row_norm_sq(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows.conj(), rows).real
 
 
-#: Shots walked through the chain together; bounds the prefix arrays at
-#: ``SHOT_BLOCK x chi`` entries however many shots are drawn.
+#: Shots walked through the chain together; bounds the per-shot arrays at
+#: ``SHOT_BLOCK x n`` entries however many shots are drawn.
 SHOT_BLOCK = 4096
 
 
@@ -281,15 +284,20 @@ def sample_sequential(
 ) -> dict[str, int]:
     """Sequential conditional sampling of ``shots`` bitstrings over ``n`` qubits.
 
-    ``split(k, carry)`` returns, per shot, the weights ``w0, w1`` of outcome 0
-    and 1 at qubit ``k`` given the shot's prefix, and the carry of the prefix
-    extended by each outcome; ``start`` is the carry of the empty prefix,
-    broadcast against every shot. Qubit ``k`` reads 1 when its uniform variate
-    is at least ``w0 / (w0 + w1)`` (0.5 when both weights are 0). Variates are
-    drawn as ``rng.random((block, n))`` for consecutive blocks of at most
-    ``SHOT_BLOCK`` shots: one per qubit per shot, shot-major, the same stream
-    as one ``rng.random()`` call per qubit per shot. Keys of the returned
-    counts are bitstrings with position ``k`` for qubit ``k``.
+    Shots that have drawn the same prefix share a *group*, and the carry holds
+    one row per group, in lexicographic order of the prefixes; ``start`` is
+    the one-row carry of the empty prefix. ``split(k, carry)`` returns, per
+    group, the weights ``w0, w1`` of outcome 0 and 1 at qubit ``k`` given the
+    prefix, and the carry rows of the prefix extended by each outcome. So
+    ``split`` sees at most ``min(block, 2^k)`` rows at qubit ``k`` (one sampling
+    step per distinct prefix, Ferris and Vidal, PRB 85, 165146 (2012)), and
+    per shot only integer work is done. Qubit ``k`` reads 1 when its uniform
+    variate is at least ``w0 / (w0 + w1)`` (0.5 when both weights are 0).
+    Variates are drawn as ``rng.random((block, n))`` for consecutive blocks of
+    at most ``SHOT_BLOCK`` shots: one per qubit per shot, shot-major, the same
+    stream as one ``rng.random()`` call per qubit per shot. Keys of the
+    returned counts are bitstrings with position ``k`` for qubit ``k``; each
+    block adds its keys in sorted order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -297,16 +305,27 @@ def sample_sequential(
     for done in range(0, shots, SHOT_BLOCK):
         draws = rng.random((min(SHOT_BLOCK, shots - done), n))
         bits = np.empty(draws.shape, dtype=np.uint8)
+        group = np.zeros(len(draws), dtype=np.intp)
         carry = start
         for k in range(n):
             w0, w1, carry0, carry1 = split(k, carry)
             total = w0 + w1
-            p0 = np.divide(w0, total, out=np.full(np.shape(total), 0.5), where=total > 0)
-            one = draws[:, k] >= p0
+            p0 = np.divide(w0, total, out=np.full(total.shape, 0.5), where=total > 0)
+            one = draws[:, k] >= p0[group]
             bits[:, k] = one
-            # the carry holds one row per shot (or one shared row before qubit 0)
-            carry = np.where(one.reshape(-1, *[1] * (np.ndim(carry0) - 1)), carry1, carry0)
-        keys, tallies = np.unique((bits + ord("0")).view(f"S{n}"), return_counts=True)
+            # prefix s + b becomes code 2 * group + b; numbering the codes that
+            # occur in ascending order keeps the groups in lexicographic order
+            code = 2 * group + one
+            seen = np.zeros(2 * len(total), dtype=bool)
+            seen[code] = True
+            group = (np.cumsum(seen) - 1)[code]
+            both = np.stack((carry0, carry1), axis=1)
+            carry = both.reshape(-1, *both.shape[2:])[seen]
+        # every shot of a group has the same bits: read one representative
+        first = np.empty(len(carry), dtype=np.intp)
+        first[group] = np.arange(len(group))
+        keys = (bits[first] + ord("0")).view(f"S{n}").ravel()
+        tallies = np.bincount(group)
         for key, tally in zip(keys.astype(str).tolist(), tallies.tolist()):
             counts[key] = counts.get(key, 0) + tally
     return counts

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -138,6 +139,8 @@ class TestUsageErrors:
         ("run", "--shots", "0"),
         ("vqe", "--shots", "0"),
         ("bench", "--seeds", "0"),
+        ("bench", "--chi-cap", "0"),
+        ("bench", "--chi-cap", "-5"),
     ])
     def test_non_positive_count(self, command, flag, value):
         inputs = {
@@ -148,6 +151,34 @@ class TestUsageErrors:
         proc = run_cli(command, *inputs, flag, value)
         assert proc.returncode == 1, proc.stderr
         assert f"argument {flag}: expected an integer >= 1, got '{value}'" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "vqe"])
+    def test_negative_seed(self, command):
+        inputs = {
+            "run": ["--source", str(ANSATZ_PATH), "--kernel", "term0", "--args", "0.5"],
+            "vqe": ["--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH), "--shots", "10"],
+        }[command]
+        proc = run_cli(command, *inputs, "--seed", "-1")
+        assert proc.returncode == 1, proc.stderr
+        assert "argument --seed: expected an integer >= 0, got '-1'" in proc.stderr
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--qubits", "1:2:1"], "bad --qubits range '1:2:1', need a start of at least 2"),
+        (["--rounds", "0:2:2"], "bad --rounds range '0:2:2', need a start of at least 1"),
+        (["--time-budget", "-1"],
+         "argument --time-budget: expected a number of seconds > 0, got '-1'"),
+        (["--time-budget", "nan"],
+         "argument --time-budget: expected a number of seconds > 0, got 'nan'"),
+        # bench circuits always use seeds 0..--seeds-1; the flag is not taken,
+        # nor read as an abbreviation of --seeds
+        (["--seed", "-1"], "unrecognized arguments: --seed -1"),
+        (["--seed", "3"], "unrecognized arguments: --seed 3"),
+    ])
+    def test_bad_bench_flag(self, flags, message):
+        proc = run_cli("bench", "--qubits", "5:5:5", "--rounds", "2:2:2", "--seeds", "1",
+                       *flags)
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
 
     def test_env_var_oracle_qubit_cap(self, bell_file):
         proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell",
@@ -243,8 +274,38 @@ class TestBenchCommand:
         proc = run_cli("bench", "--qubits", "oops")
         assert proc.returncode == 1
 
+    def test_infinite_time_budget_means_no_limit(self):
+        proc = run_cli("bench", "--qubits", "5:5:5", "--rounds", "2:2:2", "--seeds", "1",
+                       "--time-budget", "inf")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[1].endswith(",false")
+
 
 class TestDeterminism:
+    @pytest.mark.parametrize("command, expected", [
+        (["run", "--source", str(ANSATZ_PATH), "--kernel", "term0", "--args", "0.5",
+          "--shots", "1000", "--seed", "7", "--backend", "mps"],
+         {"out": "fa4eac7d97fee668d3f03d1949146711"}),
+        (["run", "--source", str(ANSATZ_PATH), "--kernel", "term0", "--args", "0.5",
+          "--shots", "1000", "--seed", "7", "--backend", "dense"],
+         {"out": "c550b44a3ef3954c784b5772f9cda17a"}),
+        (["vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH), "--shots", "500",
+          "--seed", "3", "--grid", "0:1:5"],
+         {"out": "06dc74456422f7fda21b6d05b8370a1f"}),
+        (["bench", "--qubits", "5:45:10", "--rounds", "2:10:2", "--seeds", "3",
+          "--cutoff", "1e-4"],
+         {"out": "18ab2ffb3b70ae0c4c0d1ea8b5aaeced",
+          "plot-out": "642a0f20163c03310fb511e082ad323f"}),
+    ], ids=["run-mps", "run-dense", "vqe-sampled", "bench"])
+    def test_out_files_pinned(self, tmp_path, command, expected):
+        """The --out files are byte-identical to those of earlier releases."""
+        paths = {flag: tmp_path / flag for flag in expected}
+        outputs = [arg for flag, path in paths.items() for arg in (f"--{flag}", str(path))]
+        proc = run_cli(*command, *outputs)
+        assert proc.returncode == 0, proc.stderr
+        digests = {flag: hashlib.md5(path.read_bytes()).hexdigest() for flag, path in paths.items()}
+        assert digests == expected
+
     def test_run_outputs_byte_identical(self, bell_file, tmp_path):
         outs = []
         for name in ("a.json", "b.json"):

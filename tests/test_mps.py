@@ -16,9 +16,10 @@ from mpsqvm import (
     generate_round_circuit,
     run_program,
 )
+from mpsqvm import mps as mps_module
 from mpsqvm.gates import apply_program, gate_matrix
 from mpsqvm.ir import IrError
-from mpsqvm.mps import SHOT_BLOCK
+from mpsqvm.mps import SHOT_BLOCK, sample_sequential
 from mpsqvm.hamiltonian import pauli_matrix
 from tests.conftest import (
     ONE_QUBIT_KINDS,
@@ -322,6 +323,45 @@ class TestVectorizedSampler:
         dense = run_program(program, 6, "dense").sample(3000, np.random.default_rng(1))
         assert len(mps) > 1
         assert mps == dense
+
+
+class TestPrefixGroups:
+    """``sample_sequential`` calls ``split`` once per distinct prefix, not once
+    per shot, and still gives the counts, in the same key order, as the
+    sampler that carried one prefix row per shot."""
+
+    def test_ghz_splits_at_most_two_prefixes(self, monkeypatch):
+        rows: list[int] = []
+
+        def spying(n, shots, rng, start, split):
+            def spy(k, carry):
+                rows.append(len(carry))
+                return split(k, carry)
+
+            return sample_sequential(n, shots, rng, start, spy)
+
+        monkeypatch.setattr(mps_module, "sample_sequential", spying)
+        ghz = [Instruction(GateKind.H, (0,))] + [
+            Instruction(GateKind.CNOT, (q, q + 1)) for q in range(29)
+        ]
+        state = run_program(ghz, 30, "mps", EXACT)
+        counts = state.sample(20_000, np.random.default_rng(30))
+        assert counts == {"0" * 30: 9928, "1" * 30: 10072}
+        assert len(rows) == 5 * 30  # 5 blocks of at most SHOT_BLOCK shots
+        assert max(rows) == 2
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_key_order_across_blocks(self, backend):
+        # each block adds its new keys in sorted order: the last two keys
+        # first occur after the first block
+        state = run_program(random_program(8, 16, np.random.default_rng(5)), 8, backend, EXACT)
+        counts = state.sample(2 * SHOT_BLOCK + 1, np.random.default_rng(8193))
+        assert list(counts.items()) == [
+            ("10010010", 1907), ("10010110", 65), ("10011010", 1915), ("10011110", 65),
+            ("10110010", 47), ("10111010", 62), ("11010010", 41), ("11010110", 4),
+            ("11011010", 58), ("11011110", 1), ("11110010", 1891), ("11110110", 83),
+            ("11111010", 1983), ("11111110", 67), ("10110110", 1), ("10111110", 3),
+        ]
 
 
 class TestBondStats:
