@@ -292,11 +292,15 @@ class TestDeterminism:
         (["vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH), "--shots", "500",
           "--seed", "3", "--grid", "0:1:5"],
          {"out": "06dc74456422f7fda21b6d05b8370a1f"}),
+        (["vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH), "--backend", "mps"],
+         {"out": "55733a33f396fb783b239861202c2683"}),
+        (["vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH), "--backend", "dense"],
+         {"out": "0d2bd49f6368e905135725a5afe06860"}),
         (["bench", "--qubits", "5:45:10", "--rounds", "2:10:2", "--seeds", "3",
           "--cutoff", "1e-4"],
          {"out": "18ab2ffb3b70ae0c4c0d1ea8b5aaeced",
           "plot-out": "642a0f20163c03310fb511e082ad323f"}),
-    ], ids=["run-mps", "run-dense", "vqe-sampled", "bench"])
+    ], ids=["run-mps", "run-dense", "vqe-sampled", "vqe-mps", "vqe-dense", "bench"])
     def test_out_files_pinned(self, tmp_path, command, expected):
         """The --out files are byte-identical to those of earlier releases."""
         paths = {flag: tmp_path / flag for flag in expected}
