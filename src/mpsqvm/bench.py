@@ -19,10 +19,6 @@ from .ir import GateKind, Instruction
 from .mps import MpsState, TruncationPolicy
 
 DEFAULT_POOL = ("X", "Y", "Z", "RX", "RY", "RZ")
-#: Grid used by the memory-scaling study: qubits 5..85 step 5, rounds 2..10 step 2.
-DEFAULT_QUBITS = tuple(range(5, 90, 5))
-DEFAULT_ROUNDS = (2, 4, 6, 8, 10)
-DEFAULT_SEEDS_PER_CELL = 10
 
 
 @dataclass(frozen=True)
@@ -96,16 +92,16 @@ def _run_budgeted(
     program: list[Instruction],
     n: int,
     policy: TruncationPolicy,
-    chi_budget: int | None,
-    time_budget: float | None,
+    chi_budget: int,
+    time_budget: float,
 ) -> MpsState | None:
     """Simulate, returning None if the chi or wall-clock budget is exceeded."""
     start = time.perf_counter()
 
     def check_budgets(state: MpsState) -> None:
-        if chi_budget is not None and state.max_bond_seen > chi_budget:
+        if state.max_bond_seen > chi_budget:
             raise _OverBudget
-        if time_budget is not None and time.perf_counter() - start > time_budget:
+        if time.perf_counter() - start > time_budget:
             raise _OverBudget
 
     try:
@@ -115,17 +111,17 @@ def _run_budgeted(
 
 
 def run_grid(
-    qubits: list[int] = list(DEFAULT_QUBITS),
-    rounds: list[int] = list(DEFAULT_ROUNDS),
-    seeds_per_cell: int = DEFAULT_SEEDS_PER_CELL,
+    qubits: list[int],
+    rounds: list[int],
+    seeds_per_cell: int,
     policy: TruncationPolicy | None = None,
-    chi_budget: int | None = 4096,
-    time_budget: float | None = 60.0,
+    chi_budget: int = 4096,
+    time_budget: float = 60.0,
 ) -> list[BenchRecord]:
     """One record per (n, rounds) cell, aggregated over ``seeds_per_cell`` runs.
 
     Cells whose runs blow the chi or per-seed time budget are marked skipped
-    rather than aborting the grid.
+    rather than aborting the grid; ``time_budget=inf`` never fires.
     """
     if not qubits or not rounds:
         raise ValueError("qubit and round lists must be non-empty")

@@ -96,10 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_backend_flags(p: argparse.ArgumentParser, backends: bool = True) -> None:
-        if backends:  # bench runs neither the dense oracle nor a sampler
+        if backends:  # bench runs only the MPS backend
             p.add_argument("--backend", choices=BACKENDS, default="mps")
-            p.add_argument("--seed", type=_seed, default=None,
-                           help="seed of the shot sampler (default: fresh entropy)")
         p.add_argument("--cutoff", type=float, default=None,
                        help="singular-value truncation threshold (default 1e-4)")
         p.add_argument("--max-bond", type=int, default=None,
@@ -115,9 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--kernel", required=True, help="kernel name to execute")
     run.add_argument("--args", default="",
                      help="comma-separated values for the kernel's parameters")
-    run.add_argument("--qubits", type=int, default=None,
+    run.add_argument("--qubits", type=_count, default=None,
                      help="register size (default: smallest covering the program)")
     run.add_argument("--shots", type=_count, default=1024)
+    run.add_argument("--seed", type=_seed, default=None,
+                     help="seed of the shot sampler (default: fresh entropy)")
     add_backend_flags(run)
 
     vqe = sub.add_parser("vqe", help="sweep <H>(theta) over a parameter grid")
@@ -128,6 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="theta grid start:stop:count")
     vqe.add_argument("--shots", type=_count, default=None,
                      help="estimate terms by basis rotation + sampling")
+    vqe.add_argument("--seed", type=_seed, default=0,
+                     help="seed of the --shots samplers (default 0, so reruns repeat)")
     add_backend_flags(vqe)
     # let "--grid -3.14:3.14:100" pass a leading-minus value without "="
     vqe._negative_number_matcher = re.compile(r"^-\d")
@@ -189,7 +191,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         )
     program = flatten(bind_parameters(kernel, values))
     n = args.qubits
-    if n is not None and program and n < num_qubits(program):
+    if n is not None and n < num_qubits(program):
         raise UsageError(
             f"--qubits {n} is smaller than the program's qubit span {num_qubits(program)}"
         )
@@ -280,7 +282,9 @@ def main(argv: list[str] | None = None) -> int:
             _cmd_vqe(args)
         else:
             _cmd_bench(args)
-    except (ParseError, HamiltonianFormatError, UsageError, FileNotFoundError) as exc:
+    except (ParseError, HamiltonianFormatError, UsageError, OSError, UnicodeDecodeError) as exc:
+        # OSError and UnicodeDecodeError: a path that cannot be read or written,
+        # or a file that is not UTF-8 text
         print(f"mpsqvm: error: {exc}", file=sys.stderr)
         return 1
     except (IrError, ValueError, RuntimeError) as exc:

@@ -5,7 +5,9 @@ override with ``MPSQVM_ORACLE_QUBIT_CAP``) so the oracle stays desk-scale.
 :class:`DenseState` names its gate methods like :class:`~mpsqvm.mps.MpsState`,
 so :func:`~mpsqvm.gates.apply_program` drives both backends alike, and samples
 through the same :func:`~mpsqvm.mps.sample_sequential` with prefix marginals of
-``|amps|^2`` as weights.
+``|amps|^2`` as weights. Gates and the factors of a Pauli string all go through
+one contraction, ``np.tensordot`` of the gate with the qubits' axes of the
+amplitude tensor followed by ``np.moveaxis`` back into place.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 
 import numpy as np
 
-from .gates import apply_program, check_unitary
+from .gates import apply_program, check_unitary, pauli_matrix
 from .ir import Instruction
 from .mps import sample_sequential
 
@@ -41,12 +43,17 @@ class DenseState:
             if not 0 <= q < self.n:
                 raise ValueError(f"qubit {q} out of range for {self.n} qubits")
 
+    def _apply(self, amps: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+        """``gate`` (2x2 or 4x4) applied to ``qubits`` of the flat vector ``amps``."""
+        k = len(qubits)
+        psi = np.tensordot(gate.reshape([2] * 2 * k), amps.reshape([2] * self.n),
+                           axes=(list(range(k, 2 * k)), list(qubits)))
+        return np.moveaxis(psi, list(range(k)), list(qubits)).reshape(-1)
+
     def apply_one_qubit(self, gate: np.ndarray, q: int) -> None:
         self._check_qubits((q,))
         check_unitary(gate)
-        psi = self.amps.reshape([2] * self.n)
-        psi = np.tensordot(gate, psi, axes=([1], [q]))
-        self.amps = np.moveaxis(psi, 0, q).reshape(-1)
+        self.amps = self._apply(self.amps, gate, (q,))
 
     def apply_two_qubit_routed(self, gate: np.ndarray, q1: int, q2: int) -> None:
         """Apply a two-qubit gate to any pair; a statevector needs no routing."""
@@ -54,42 +61,22 @@ class DenseState:
         if q1 == q2:
             raise ValueError("two-qubit gate needs two distinct qubits")
         check_unitary(gate)
-        psi = self.amps.reshape([2] * self.n)
-        g = gate.reshape(2, 2, 2, 2)
-        psi = np.tensordot(g, psi, axes=([2, 3], [q1, q2]))
-        self.amps = np.moveaxis(psi, [0, 1], [q1, q2]).reshape(-1)
-
-    def amplitude(self, bits: str) -> complex:
-        if len(bits) != self.n or any(b not in "01" for b in bits):
-            raise ValueError(f"need a bitstring of length {self.n}, got {bits!r}")
-        return complex(self.amps[int(bits, 2)])
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
+        self.amps = self._apply(self.amps, gate, (q1, q2))
 
     def expectation_pauli(self, pauli: str) -> float:
-        from .hamiltonian import pauli_matrix
-
+        """<psi|P|psi>, applying ``P`` factor by factor to new arrays; ``amps`` is kept."""
         if len(pauli) != self.n:
             raise ValueError(
                 f"Pauli string length {len(pauli)} != qubit count {self.n}"
             )
-        phi = self.amps.copy()
-        state = DenseState.__new__(DenseState)
-        state.n = self.n
-        state.amps = phi
+        phi = self.amps
         for q, label in enumerate(pauli):
             if label != "I":
-                state.apply_one_qubit(pauli_matrix(label), q)
-        value = complex(np.vdot(self.amps, state.amps))
+                phi = self._apply(phi, pauli_matrix(label), (q,))
+        value = complex(np.vdot(self.amps, phi))
         if abs(value.imag) > 1e-10:
             raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
         return value.real
-
-    def distribution(self) -> dict[str, float]:
-        """Exact |amplitude|^2 per basis bitstring."""
-        probs = np.abs(self.amps) ** 2
-        return {format(i, f"0{self.n}b"): float(p) for i, p in enumerate(probs)}
 
     def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
         """Draw full-register bitstrings with :func:`~mpsqvm.mps.sample_sequential`.

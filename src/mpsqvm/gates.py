@@ -66,12 +66,23 @@ def gate_matrix(instr: Instruction) -> np.ndarray:
     raise ValueError(f"{instr.kind.value} has no unitary matrix")
 
 
-def check_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
+def pauli_matrix(label: str) -> np.ndarray:
+    """Matrix of one Pauli label: ``I``, ``X``, ``Y`` or ``Z``."""
+    if label not in ("I", "X", "Y", "Z"):
+        raise ValueError(f"unknown Pauli label {label!r}")
+    return _FIXED_1Q[GateKind(label)]
+
+
+#: Largest entry of ``|U+ U - I|`` that :func:`check_unitary` accepts.
+UNITARY_TOL = 1e-10
+
+
+def check_unitary(matrix: np.ndarray) -> None:
     d = matrix.shape[0]
     if matrix.shape != (d, d) or d not in (2, 4):
         raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {matrix.shape}")
     dev = np.abs(matrix.conj().T @ matrix - np.eye(d)).max()
-    if not dev <= tol:  # also rejects NaN, which compares false with everything
+    if not dev <= UNITARY_TOL:  # also rejects NaN, which compares false with everything
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
 
 

@@ -11,21 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def pauli_matrix(label: str) -> np.ndarray:
-    try:
-        return _PAULI[label]
-    except KeyError:
-        raise ValueError(f"unknown Pauli label {label!r}") from None
+from .gates import pauli_matrix
 
 
 class HamiltonianFormatError(ValueError):
@@ -46,7 +32,7 @@ class PauliHamiltonian:
         if len(widths) != 1:
             raise ValueError(f"inconsistent Pauli string lengths: {sorted(widths)}")
         for coeff, pauli in self.terms:
-            if not np.isfinite(coeff):
+            if not math.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient {coeff}")
             for label in pauli:
                 pauli_matrix(label)
@@ -54,21 +40,6 @@ class PauliHamiltonian:
     @property
     def n(self) -> int:
         return len(self.terms[0][1])
-
-    def matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; qubit 0 is the most significant factor."""
-        dim = 2**self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        for coeff, pauli in self.terms:
-            op = np.eye(1, dtype=complex)
-            for label in pauli:
-                op = np.kron(op, pauli_matrix(label))
-            out += coeff * op
-        return out
-
-    def min_eigenvalue(self) -> float:
-        """Exact ground-state energy by brute-force diagonalization."""
-        return float(np.linalg.eigvalsh(self.matrix())[0])
 
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:
@@ -92,7 +63,7 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
                 f"line {lineno}: bad coefficient {fields[0]!r}, need a finite number"
             ) from None
         pauli = fields[1].upper()
-        if any(c not in _PAULI for c in pauli):
+        if any(c not in "IXYZ" for c in pauli):
             raise HamiltonianFormatError(f"line {lineno}: bad Pauli string {fields[1]!r}")
         if width is None:
             width = len(pauli)

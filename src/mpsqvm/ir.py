@@ -74,10 +74,6 @@ class Instruction:
         if self.classical_target is not None and self.kind is not GateKind.MEASURE:
             raise IrError("classical_target is only valid on MEASURE")
 
-    @property
-    def is_bound(self) -> bool:
-        return all(not isinstance(p, str) for p in self.params)
-
 
 @dataclass(frozen=True)
 class CompositeInstruction:
@@ -143,8 +139,8 @@ def flatten(root: CompositeInstruction) -> list[Instruction]:
 
     def walk(node: Instruction | CompositeInstruction) -> None:
         if isinstance(node, Instruction):
-            if not node.is_bound:
-                unresolved = [p for p in node.params if isinstance(p, str)]
+            unresolved = [p for p in node.params if isinstance(p, str)]
+            if unresolved:
                 raise IrError(
                     f"unbound parameter(s) {unresolved} in {node.kind.value} {node.qubits}"
                 )

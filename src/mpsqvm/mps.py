@@ -17,10 +17,13 @@ divided by a singular value (Hastings, J. Math. Phys. 50, 095207 (2009)).
 Where the left bond is the smaller one (and not 1), ``theta`` is first split
 as ``L Q+`` by a QR factorization and the SVD taken of
 ``diag(Lambda_{q-1}) L``, which keeps ``B_q`` right-canonical even in rows
-whose ``Lambda_{q-1}`` is exactly zero. Non-adjacent pairs are routed together with SWAP chains and
-routed back afterwards. Every contraction is a reshape plus a matrix product;
-a Pauli expectation costs O(|support| chi^3) and touches only the string's
-support.
+whose ``Lambda_{q-1}`` is exactly zero. Non-adjacent pairs are routed
+together with SWAP chains and routed back afterwards. Every contraction is a
+reshape plus a matrix product; a Pauli expectation costs O(|support| chi^3)
+and touches only the string's support. Only the two-site update changes
+tensor sizes, so it keeps the stored entry count, its peak (the memory
+estimate) and the largest bond seen up to date in O(1), from the sizes of
+the two sites and the one bond it replaces.
 
 :func:`sample_sequential` is the one sampling routine of both backends: it
 draws one uniform variate per qubit per shot and walks the qubits once for a
@@ -39,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from .gates import SWAP_MATRIX, check_unitary
+from .gates import SWAP_MATRIX, check_unitary, pauli_matrix
 
 
 @dataclass(frozen=True)
@@ -97,26 +100,14 @@ class MpsState:
         ]
         self.bond_vectors = [np.ones(1) for _ in range(n - 1)]
         self.trunc_error_sq = 0.0
+        # sizes change only in apply_two_qubit_adjacent, which updates these
+        self.entries = 2 * n  # complex entries held in the site tensors now
+        self.peak_entries = self.entries
         self.max_bond_seen = 1
-        self.peak_entries = self.total_entries()
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def total_entries(self) -> int:
-        return sum(t.size for t in self.site_tensors)
-
-    def max_bond(self) -> int:
-        if self.n == 1:
-            return 1
-        return max(len(v) for v in self.bond_vectors)
 
     def memory_estimate_bytes(self) -> int:
         """16 bytes per complex entry, at the peak over the run so far."""
         return 16 * self.peak_entries
-
-    def _note_sizes(self) -> None:
-        self.peak_entries = max(self.peak_entries, self.total_entries())
-        self.max_bond_seen = max(self.max_bond_seen, self.max_bond())
 
     # -- gate application ----------------------------------------------------
 
@@ -170,8 +161,11 @@ class MpsState:
         b_r = vh.copy() if basis is None else vh @ basis.conj().T
         self.site_tensors[q] = b_l.reshape(dim_l, 2, keep)
         self.site_tensors[q + 1] = b_r.reshape(keep, 2, dim_r)
+        # only sites q, q+1 and bond q changed size
+        self.entries += 2 * (dim_l + dim_r) * (keep - len(self.bond_vectors[q]))
+        self.peak_entries = max(self.peak_entries, self.entries)
+        self.max_bond_seen = max(self.max_bond_seen, keep)
         self.bond_vectors[q] = s / norm
-        self._note_sizes()
 
     def apply_two_qubit_routed(self, gate: np.ndarray, q1: int, q2: int) -> None:
         """Apply a 4x4 unitary to arbitrary sites, SWAP-routing if needed.
@@ -209,13 +203,6 @@ class MpsState:
             vec = vec @ t[:, int(b), :]
         return complex(vec[0])
 
-    def norm_sq(self) -> float:
-        """<psi|psi> by contracting every stored tensor from the left edge."""
-        env = np.ones((1, 1), dtype=complex)
-        for t in self.site_tensors:
-            env = _transfer(env, t)
-        return float(env[0, 0].real)
-
     def expectation_pauli(self, pauli: str) -> float:
         """<psi|P|psi> for a Pauli string (one of IXYZ per qubit).
 
@@ -229,8 +216,6 @@ class MpsState:
         by up to about twice the discarded weight ``trunc_error_sq``
         (``2w / (1 - w)`` for a single truncation of weight ``w``).
         """
-        from .hamiltonian import pauli_matrix  # local import avoids a cycle
-
         if len(pauli) != self.n:
             raise ValueError(
                 f"Pauli string length {len(pauli)} != qubit count {self.n}"

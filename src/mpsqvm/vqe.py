@@ -19,7 +19,7 @@ from .backends import run_program
 from .dense import DenseState
 from .gates import apply_program
 from .hamiltonian import PauliHamiltonian
-from .ir import CompositeInstruction, GateKind, Instruction, bind_parameters, flatten, num_qubits
+from .ir import CompositeInstruction, GateKind, Instruction, bind_parameters, flatten
 from .mps import MpsState, TruncationPolicy
 
 
@@ -71,17 +71,14 @@ def energy(
     backend: str = "mps",
     policy: TruncationPolicy | None = None,
     shots: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> float:
-    """<psi(theta)|H|psi(theta)> with the state prepared by the bound ansatz."""
-    program = _bound_program(ansatz, theta)
-    n = hamiltonian.n
-    if num_qubits(program) > n:
-        raise ValueError(
-            f"ansatz touches qubit {num_qubits(program) - 1}, "
-            f"Hamiltonian has {n} qubit(s)"
-        )
-    state = run_program(program, n, backend, policy)
+    """<psi(theta)|H|psi(theta)> with the state prepared by the bound ansatz.
+
+    With ``shots`` set, term ``idx`` is sampled from a generator seeded with
+    ``[seed, idx]``, so equal arguments give equal energies.
+    """
+    state = run_program(_bound_program(ansatz, theta), hamiltonian.n, backend, policy)
     if shots is None:
         return sum(c * state.expectation_pauli(p) for c, p in hamiltonian.terms)
     value = 0.0
@@ -89,7 +86,7 @@ def energy(
         if set(pauli) == {"I"}:
             value += coeff
             continue
-        rng = np.random.default_rng([0 if seed is None else seed, idx])
+        rng = np.random.default_rng([seed, idx])
         value += coeff * _sampled_term(state, pauli, shots, rng)
     return value
 
@@ -103,7 +100,7 @@ def sweep(
     backend: str = "mps",
     policy: TruncationPolicy | None = None,
     shots: int | None = None,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> SweepResult:
     """Uniform inclusive grid scan; argmin ties break toward smaller theta."""
     if count < 2:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mpsqvm import GateKind, Instruction
+from mpsqvm.gates import pauli_matrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 HAM_PATH = REPO_ROOT / "data" / "h2_2q.ham"
@@ -38,6 +39,24 @@ def mps_statevector(state) -> np.ndarray:
     return np.array(
         [state.amplitude("".join(bits)) for bits in itertools.product("01", repeat=state.n)]
     )
+
+
+def max_bond(state) -> int:
+    """Largest bond dimension of an MPS as it is now (1 for one qubit)."""
+    return max((len(v) for v in state.bond_vectors), default=1)
+
+
+def exact_ground_energy(hamiltonian) -> float:
+    """Lowest eigenvalue of the dense 2^n x 2^n matrix of a Pauli Hamiltonian
+    (qubit 0 the most significant factor), by brute-force diagonalization."""
+    dim = 2**hamiltonian.n
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for coeff, pauli in hamiltonian.terms:
+        op = np.eye(1, dtype=complex)
+        for label in pauli:
+            op = np.kron(op, pauli_matrix(label))
+        matrix += coeff * op
+    return float(np.linalg.eigvalsh(matrix)[0])
 
 
 def bell_program() -> list[Instruction]:

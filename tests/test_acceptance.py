@@ -31,7 +31,13 @@ from mpsqvm.gates import apply_program
 from mpsqvm.ir import GateKind
 from mpsqvm.parser import ParseError
 from mpsqvm.vqe import _basis_rotations, _bound_program, _sampled_term, binomial_sigma
-from tests.conftest import ANSATZ_PATH, HAM_PATH, mps_statevector, random_program
+from tests.conftest import (
+    ANSATZ_PATH,
+    HAM_PATH,
+    exact_ground_energy,
+    mps_statevector,
+    random_program,
+)
 
 EXACT = TruncationPolicy(cutoff=0.0)
 
@@ -157,7 +163,7 @@ def test_criterion_5_large_shallow_run():
 def test_criterion_6_vqe_correctness():
     start = time.perf_counter()
     hamiltonian = load_hamiltonian(HAM_PATH)
-    lam = hamiltonian.min_eigenvalue()
+    lam = exact_ground_energy(hamiltonian)
     ansatz = parse(ANSATZ_PATH.read_text()).kernels["ansatz"]
     dense_sweep = sweep(ansatz, hamiltonian, -pi, pi, 100, backend="dense")
     mps_sweep = sweep(ansatz, hamiltonian, -pi, pi, 100, backend="mps", policy=EXACT)

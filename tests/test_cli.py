@@ -76,10 +76,12 @@ class TestRunCommand:
         assert "error" in proc.stderr
 
     def test_execution_error_exit_2(self, bell_file):
+        # a register of 0 qubits is a bad flag, so a usage error;
+        # test_gate_after_measure_exit_2 covers exit 2
         proc = run_cli(
             "run", "--source", str(bell_file), "--kernel", "bell", "--qubits", "0",
         )
-        assert proc.returncode != 0
+        assert proc.returncode == 1, proc.stderr
 
     def test_gate_after_measure_exit_2(self, tmp_path):
         src = tmp_path / "mid.qk"
@@ -180,6 +182,45 @@ class TestUsageErrors:
         assert proc.returncode == 1, proc.stderr
         assert message in proc.stderr
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_qubits(self, tmp_path, value):
+        empty = tmp_path / "empty.qk"
+        empty.write_text("__qpu__ k(AcceleratorBuffer b) {\n}\n")
+        proc = run_cli("run", "--source", str(empty), "--kernel", "k", "--qubits", value)
+        assert proc.returncode == 1, proc.stderr
+        assert f"argument --qubits: expected an integer >= 1, got '{value}'" in proc.stderr
+
+    def test_register_smaller_than_program(self, bell_file):
+        proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell", "--qubits", "1")
+        assert proc.returncode == 1, proc.stderr
+        assert "--qubits 1 is smaller than the program's qubit span 2" in proc.stderr
+
+    @pytest.mark.parametrize("case", [
+        "run-source-dir", "run-out-dir", "vqe-ham-dir", "run-source-not-utf8",
+        "vqe-ansatz-not-utf8", "vqe-ham-not-utf8",
+    ])
+    def test_unreadable_path(self, tmp_path, case):
+        """A path that is a directory, or a file that is not UTF-8, is a usage
+        error with a one-line message, not a traceback."""
+        binary = tmp_path / "binary"
+        binary.write_bytes(b"\xff\xfe 1.0 Z\n")
+        run = ["run", "--source", str(ANSATZ_PATH), "--kernel", "term0", "--args", "0.5",
+               "--shots", "10"]
+        vqe = ["vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH), "--grid", "0:1:2"]
+        command, flag, path = {
+            "run-source-dir": (run, "--source", tmp_path),
+            "run-out-dir": (run, "--out", tmp_path),
+            "vqe-ham-dir": (vqe, "--ham", tmp_path),
+            "run-source-not-utf8": (run, "--source", binary),
+            "vqe-ansatz-not-utf8": (vqe, "--ansatz", binary),
+            "vqe-ham-not-utf8": (vqe, "--ham", binary),
+        }[case]
+        proc = run_cli(*command, flag, str(path))  # argparse keeps the last value
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("mpsqvm: error: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_env_var_oracle_qubit_cap(self, bell_file):
         proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell",
                        "--backend", "dense", "--shots", "10",
@@ -256,6 +297,15 @@ class TestSamplingStream:
             "-0.27926", "-0.360856", "-0.5005556", "-0.6349099999999999",
             "-0.8057643999999999",
         ]
+
+    def test_sampled_vqe_default_seed_is_0(self):
+        """Without --seed, vqe --shots samples as with --seed 0, unlike run."""
+        base = ["vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH),
+                "--shots", "500", "--grid", "0:1:5"]
+        default, zero = run_cli(*base), run_cli(*base, "--seed", "0")
+        assert default.returncode == zero.returncode == 0, default.stderr
+        assert default.stdout == zero.stdout
+        assert default.stdout != run_cli(*base, "--seed", "1").stdout
 
 
 class TestBenchCommand:

@@ -17,15 +17,15 @@ from mpsqvm import (
     run_program,
 )
 from mpsqvm import mps as mps_module
-from mpsqvm.gates import apply_program, gate_matrix
+from mpsqvm.gates import apply_program, gate_matrix, pauli_matrix
 from mpsqvm.ir import IrError
 from mpsqvm.mps import SHOT_BLOCK, sample_sequential
-from mpsqvm.hamiltonian import pauli_matrix
 from tests.conftest import (
     ONE_QUBIT_KINDS,
     TWO_QUBIT_KINDS,
     bell_program,
     ghz3_program,
+    max_bond,
     mps_statevector,
     random_program,
 )
@@ -114,7 +114,7 @@ class TestTwoQubitAdjacent:
         state.apply_one_qubit(X, 0)
         state.apply_two_qubit_adjacent(CNOT, 0)
         assert state.amplitude("11") == pytest.approx(1.0)
-        assert state.max_bond() == 1
+        assert max_bond(state) == 1
 
     def test_double_cnot_returns_to_product(self):
         state = MpsState(2, TruncationPolicy(1e-4))
@@ -124,7 +124,7 @@ class TestTwoQubitAdjacent:
         # verified against the dense oracle: (H x I)|00>
         assert state.amplitude("00") == pytest.approx(1 / np.sqrt(2))
         assert state.amplitude("10") == pytest.approx(1 / np.sqrt(2))
-        assert state.max_bond() == 1
+        assert max_bond(state) == 1
 
     def test_right_boundary_rejected(self):
         with pytest.raises(ValueError):
@@ -182,7 +182,7 @@ class TestRouting:
         dense = dense_run(program, 6)
         for bits in product("01", repeat=6):
             key = "".join(bits)
-            assert mps.amplitude(key) == pytest.approx(dense.amplitude(key), abs=1e-10)
+            assert mps.amplitude(key) == pytest.approx(dense.amps[int(key, 2)], abs=1e-10)
 
     def test_same_site_rejected(self):
         with pytest.raises(ValueError):
@@ -250,9 +250,9 @@ class TestSampling:
         program = random_program(4, 20, rng)
         state = run_program(program, 4, "mps", EXACT)
         counts = state.sample(100_000, np.random.default_rng(3))
-        oracle = dense_run(program, 4).distribution()
+        oracle = np.abs(dense_run(program, 4).amps) ** 2
         tvd = 0.5 * sum(
-            abs(counts.get(b, 0) / 100_000 - p) for b, p in oracle.items()
+            abs(counts.get(format(i, "04b"), 0) / 100_000 - p) for i, p in enumerate(oracle)
         )
         assert tvd < 0.02
 
@@ -367,16 +367,36 @@ class TestPrefixGroups:
 class TestBondStats:
     def test_product_state_stats(self):
         state = MpsState(10)
-        assert state.max_bond() == 1
+        assert max_bond(state) == 1
         assert state.memory_estimate_bytes() == 320
 
     def test_bell_bond(self):
-        assert run_program(bell_program(), 2, "mps", EXACT).max_bond() == 2
+        assert max_bond(run_program(bell_program(), 2, "mps", EXACT)) == 2
 
     def test_saturation_at_half_register(self, rng):
         program = random_program(10, 400, rng)
         state = run_program(program, 10, "mps", EXACT)
         assert state.max_bond_seen == 32  # 2^(10/2)
+
+    @pytest.mark.parametrize("cutoff", [0.0, 0.05])
+    def test_size_bookkeeping_matches_scans(self, rng, cutoff):
+        """The entry count, its peak and the largest bond seen, kept up to date
+        by each two-site update, equal scans of the whole chain after every
+        update, also when truncation shrinks a bond."""
+        scans = []
+
+        class ScannedMps(MpsState):
+            def apply_two_qubit_adjacent(self, gate, q):
+                super().apply_two_qubit_adjacent(gate, q)
+                scans.append((sum(t.size for t in self.site_tensors), max_bond(self)))
+                assert self.entries == scans[-1][0]
+                assert self.peak_entries == max(2 * 7, *(e for e, _ in scans))
+                assert self.max_bond_seen == max(b for _, b in scans)
+
+        apply_program(ScannedMps(7, TruncationPolicy(cutoff)), random_program(7, 80, rng))
+        assert len(scans) > 40
+        shrank = any(b < a for (a, _), (b, _) in zip(scans, scans[1:]))
+        assert shrank == (cutoff > 0)  # cutoff 0 keeps every singular value
 
 
 class TestInvariants:
@@ -384,7 +404,8 @@ class TestInvariants:
         program = random_program(6, 40, rng)
 
         def check_norm(state):
-            assert abs(state.norm_sq() - 1) < 1e-10
+            vec = mps_statevector(state)
+            assert abs(np.vdot(vec, vec).real - 1) < 1e-10
 
         apply_program(MpsState(6, EXACT), program, check_norm)
 
@@ -410,14 +431,15 @@ class TestInvariants:
             program = random_program(n, 60, rng)
             state = run_program(program, n, "mps", EXACT)
             chi = state.max_bond_seen
-            assert state.total_entries() <= n * 2 * chi**2 + (n - 1) * chi
+            entries = sum(t.size for t in state.site_tensors)
+            assert entries <= n * 2 * chi**2 + (n - 1) * chi
 
     def test_policy_keeps_at_least_one(self):
         policy = TruncationPolicy(cutoff=0.5, max_bond=1)
         state = MpsState(2, policy)
         state.apply_one_qubit(H, 0)
         state.apply_two_qubit_adjacent(CNOT, 0)
-        assert state.max_bond() == 1
+        assert max_bond(state) == 1
         assert state.trunc_error_sq == pytest.approx(0.5)
 
     @pytest.mark.parametrize("cutoff", [np.nan, np.inf, -1.0])
