@@ -18,7 +18,7 @@ import numpy as np
 
 from .dense import DenseState
 from .gates import apply_program
-from .ir import GateKind, Instruction, num_qubits
+from .ir import GateKind, Instruction, IrError, num_qubits
 from .mps import MpsState, TruncationPolicy
 
 BACKENDS = ("mps", "dense")
@@ -34,16 +34,14 @@ class RunRecord:
     trunc_error_sq: float = 0.0
     wall_time: float = 0.0
 
-    def to_json_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        """Everything but ``wall_time``, so equal runs give equal JSON."""
+        return {
             "counts": self.counts,
             "max_bond_seen": self.max_bond_seen,
             "memory_estimate_bytes": self.memory_estimate_bytes,
             "trunc_error_sq": self.trunc_error_sq,
         }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def run_program(
@@ -69,8 +67,20 @@ def run_program(
 
 
 def measured_qubits(program: list[Instruction]) -> list[int]:
-    """Qubits of the MEASURE instructions, in program order (with repeats)."""
-    return [i.qubits[0] for i in program if i.kind is GateKind.MEASURE]
+    """The qubit read into each classical bit, by classical index.
+
+    The MEASUREs must write each classical index from 0 up exactly once.
+    """
+    by_bit: dict[int, int] = {}
+    for instr in program:
+        if instr.kind is GateKind.MEASURE:
+            if instr.classical_target in by_bit:
+                raise IrError(f"classical bit {instr.classical_target} is measured twice")
+            by_bit[instr.classical_target] = instr.qubits[0]
+    try:
+        return [by_bit[bit] for bit in range(len(by_bit))]
+    except KeyError as exc:
+        raise IrError(f"classical bit {exc.args[0]} is not measured") from None
 
 
 def execute(
@@ -83,6 +93,7 @@ def execute(
 ) -> RunRecord:
     """Run the program, sample measured qubits, and collect run statistics."""
     start = time.perf_counter()
+    targets = measured_qubits(program)
     state = run_program(program, n, backend, policy)
     record = RunRecord()
     if isinstance(state, MpsState):
@@ -91,7 +102,6 @@ def execute(
         record.trunc_error_sq = state.trunc_error_sq
     else:
         record.memory_estimate_bytes = 16 * state.amps.size
-    targets = measured_qubits(program)
     if targets:
         rng = np.random.default_rng(seed)
         full_counts = state.sample(shots, rng)

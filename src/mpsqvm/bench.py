@@ -62,7 +62,6 @@ class BenchRecord:
 
     n: int
     rounds: int
-    seeds: tuple[int, ...] = ()
     peak_bytes: list[int] = field(default_factory=list)
     max_bonds: list[int] = field(default_factory=list)
     skipped: bool = False
@@ -129,8 +128,8 @@ def run_grid(
     records: list[BenchRecord] = []
     for n in qubits:
         for m in rounds:
-            record = BenchRecord(n=n, rounds=m, seeds=tuple(range(seeds_per_cell)))
-            for seed in record.seeds:
+            record = BenchRecord(n=n, rounds=m)
+            for seed in range(seeds_per_cell):
                 program = generate_round_circuit(RoundCircuitSpec(n, m, seed))
                 state = _run_budgeted(program, n, policy, chi_budget, time_budget)
                 if state is None:

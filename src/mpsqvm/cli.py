@@ -21,7 +21,7 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import vqe as vqe_mod
 from .backends import BACKENDS, execute
-from .hamiltonian import HamiltonianFormatError, load_hamiltonian
+from .hamiltonian import HamiltonianFormatError, parse_hamiltonian
 from .ir import IrError, bind_parameters, flatten, num_qubits
 from .mps import TruncationPolicy
 from .parser import ParseError, parse
@@ -34,11 +34,8 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit 1, not argparse's default 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
-
-    def _fail(self, message: str) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _env_number(name: str, kind: type[int] | type[float]) -> int | float | None:
@@ -99,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
         if backends:  # bench runs only the MPS backend
             p.add_argument("--backend", choices=BACKENDS, default="mps")
         p.add_argument("--cutoff", type=float, default=None,
-                       help="singular-value truncation threshold (default 1e-4)")
+                       help="singular-value truncation threshold "
+                            f"(default {TruncationPolicy.cutoff:g})")
         p.add_argument("--max-bond", type=int, default=None,
                        help="hard bond-dimension cap (default unlimited)")
         p.add_argument("--cutoff-mode", choices=("relative", "absolute"),
@@ -119,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=_seed, default=None,
                      help="seed of the shot sampler (default: fresh entropy)")
     add_backend_flags(run)
+    run.set_defaults(handler=_cmd_run)
 
     vqe = sub.add_parser("vqe", help="sweep <H>(theta) over a parameter grid")
     vqe.add_argument("--ansatz", required=True, help="kernel source file (.qk) or '-'")
@@ -131,6 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     vqe.add_argument("--seed", type=_seed, default=0,
                      help="seed of the --shots samplers (default 0, so reruns repeat)")
     add_backend_flags(vqe)
+    vqe.set_defaults(handler=_cmd_vqe)
     # let "--grid -3.14:3.14:100" pass a leading-minus value without "="
     vqe._negative_number_matcher = re.compile(r"^-\d")
 
@@ -147,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--plot-out", type=Path, default=None,
                        help="also write a gnuplot-style surface data file")
     add_backend_flags(bench, backends=False)
+    bench.set_defaults(handler=_cmd_bench)
 
     return top
 
@@ -155,16 +156,22 @@ def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
     cutoff = args.cutoff if args.cutoff is not None else _env_number("MPSQVM_CUTOFF", float)
     max_bond = args.max_bond if args.max_bond is not None else _env_number("MPSQVM_MAX_BOND", int)
     try:
-        return TruncationPolicy(cutoff=1e-4 if cutoff is None else cutoff, max_bond=max_bond,
-                                relative=args.cutoff_mode == "relative")
+        return TruncationPolicy(
+            cutoff=TruncationPolicy.cutoff if cutoff is None else cutoff, max_bond=max_bond,
+            relative=args.cutoff_mode == "relative",
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
-def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+def _read_text(path: str) -> str:
+    """The UTF-8 text of an input file, or of stdin for ``-``."""
+    try:
+        if path == "-":  # decoded here, so the locale cannot mask bad bytes
+            return sys.stdin.buffer.read().decode("utf-8")
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{'<stdin>' if path == '-' else path}: {exc}") from None
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -182,7 +189,7 @@ def _get_kernel(source_text: str, name: str):
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    kernel = _get_kernel(_read_source(args.source), args.kernel)
+    kernel = _get_kernel(_read_text(args.source), args.kernel)
     values = [_finite(v, "--args") for v in args.args.split(",") if v.strip()]
     if len(values) != len(kernel.formal_params):
         raise UsageError(
@@ -197,14 +204,8 @@ def _cmd_run(args: argparse.Namespace) -> None:
         )
     record = execute(program, n, args.backend, _policy_from(args),
                      shots=args.shots, seed=args.seed)
-    # wall_time is excluded from --out files so identical invocations are
-    # byte-identical; timing goes to stderr instead.
-    if args.out is None:
-        _emit(json.dumps(record.to_json_dict(), indent=2) + "\n", None)
-    else:
-        _emit(json.dumps(record.to_json_dict(include_wall_time=False), indent=2) + "\n",
-              args.out)
-        print(f"wall_time: {record.wall_time:.6f} s", file=sys.stderr)
+    _emit(json.dumps(record.to_json_dict(), indent=2) + "\n", args.out)
+    print(f"wall_time: {record.wall_time:.6f} s", file=sys.stderr)
 
 
 def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
@@ -236,8 +237,16 @@ def _parse_steps(text: str, what: str, minimum: int) -> list[int]:
 
 
 def _cmd_vqe(args: argparse.Namespace) -> None:
-    kernel = _get_kernel(_read_source(args.ansatz), args.kernel)
-    hamiltonian = load_hamiltonian(args.ham)
+    kernel = _get_kernel(_read_text(args.ansatz), args.kernel)
+    hamiltonian = parse_hamiltonian(_read_text(args.ham))
+    try:
+        span = num_qubits(vqe_mod._bound_program(kernel, 0.0))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if span > hamiltonian.n:
+        raise UsageError(
+            f"kernel '{kernel.name}' spans {span} qubit(s), the Hamiltonian {hamiltonian.n}"
+        )
     start, stop, count = _parse_grid(args.grid, "--grid")
     result = vqe_mod.sweep(
         kernel, hamiltonian, start, stop, count,
@@ -276,15 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "backend", None) == "dense":
             # read here so a malformed cap is a usage error, not an execution error
             _env_number("MPSQVM_ORACLE_QUBIT_CAP", int)
-        if args.command == "run":
-            _cmd_run(args)
-        elif args.command == "vqe":
-            _cmd_vqe(args)
-        else:
-            _cmd_bench(args)
-    except (ParseError, HamiltonianFormatError, UsageError, OSError, UnicodeDecodeError) as exc:
-        # OSError and UnicodeDecodeError: a path that cannot be read or written,
-        # or a file that is not UTF-8 text
+        args.handler(args)
+    except (ParseError, HamiltonianFormatError, UsageError, OSError) as exc:
+        # OSError: a path that cannot be read or written
         print(f"mpsqvm: error: {exc}", file=sys.stderr)
         return 1
     except (IrError, ValueError, RuntimeError) as exc:

@@ -21,22 +21,6 @@ _State = TypeVar("_State")
 
 _SQ2 = 1.0 / sqrt(2.0)
 
-_FIXED_1Q = {
-    GateKind.I: np.eye(2, dtype=complex),
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-}
-
-_FIXED_2Q = {
-    GateKind.CNOT: np.eye(4, dtype=complex)[[0, 1, 3, 2]],
-    GateKind.CZ: np.diag([1, 1, 1, -1]).astype(complex),
-    GateKind.SWAP: np.eye(4, dtype=complex)[[0, 2, 1, 3]],
-}
-
-SWAP_MATRIX = _FIXED_2Q[GateKind.SWAP]
-
 
 def rx(theta: float) -> np.ndarray:
     c, s = cos(theta / 2), sin(theta / 2)
@@ -52,25 +36,37 @@ def rz(theta: float) -> np.ndarray:
     return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
 
 
-_ROTATIONS = {GateKind.RX: rx, GateKind.RY: ry, GateKind.RZ: rz}
+#: The matrix of every gate kind but MEASURE: fixed, or a function of the angle.
+_MATRICES: dict[GateKind, np.ndarray | Callable[[float], np.ndarray]] = {
+    GateKind.I: np.eye(2, dtype=complex),
+    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+    GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    GateKind.RX: rx,
+    GateKind.RY: ry,
+    GateKind.RZ: rz,
+    GateKind.CNOT: np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+    GateKind.CZ: np.diag([1, 1, 1, -1]).astype(complex),
+    GateKind.SWAP: np.eye(4, dtype=complex)[[0, 2, 1, 3]],
+}
+
+SWAP_MATRIX = _MATRICES[GateKind.SWAP]
 
 
 def gate_matrix(instr: Instruction) -> np.ndarray:
     """Unitary matrix of a (bound, non-MEASURE) instruction."""
-    if instr.kind in _FIXED_1Q:
-        return _FIXED_1Q[instr.kind]
-    if instr.kind in _FIXED_2Q:
-        return _FIXED_2Q[instr.kind]
-    if instr.kind in _ROTATIONS:
-        return _ROTATIONS[instr.kind](float(instr.params[0]))
-    raise ValueError(f"{instr.kind.value} has no unitary matrix")
+    entry = _MATRICES.get(instr.kind)
+    if entry is None:
+        raise ValueError(f"{instr.kind.value} has no unitary matrix")
+    return entry(float(instr.params[0])) if instr.params else entry
 
 
 def pauli_matrix(label: str) -> np.ndarray:
     """Matrix of one Pauli label: ``I``, ``X``, ``Y`` or ``Z``."""
     if label not in ("I", "X", "Y", "Z"):
         raise ValueError(f"unknown Pauli label {label!r}")
-    return _FIXED_1Q[GateKind(label)]
+    return _MATRICES[GateKind(label)]
 
 
 #: Largest entry of ``|U+ U - I|`` that :func:`check_unitary` accepts.

@@ -71,8 +71,8 @@ class Instruction:
                 f"{self.kind.value} takes {self.kind.num_params} parameter(s), "
                 f"got {len(self.params)}"
             )
-        if self.classical_target is not None and self.kind is not GateKind.MEASURE:
-            raise IrError("classical_target is only valid on MEASURE")
+        if (self.classical_target is None) == (self.kind is GateKind.MEASURE):
+            raise IrError("MEASURE needs a classical_target, and no other gate takes one")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .ir import CompositeInstruction, GateKind, Instruction, ParamSlot, _substitute
+from .ir import CompositeInstruction, GateKind, Instruction, IrError, ParamSlot, _substitute
 
 _GATE_NAMES = {k.value: k for k in GateKind}
 
@@ -58,9 +58,8 @@ class Token:
 
 @dataclass
 class SourceUnit:
-    """A parsed source file: original text plus its kernels by name."""
+    """A parsed source file: its kernels by name, in definition order."""
 
-    text: str
     kernels: dict[str, CompositeInstruction] = field(default_factory=dict)
 
 
@@ -108,8 +107,10 @@ class _Parser:
             raise self._fail(f"expected '{sym}', found {self.cur.text!r}")
         return self._advance()
 
-    def _expect_ident(self, what: str = "identifier") -> Token:
-        if self.cur.kind != "ident":
+    def _expect_ident(self, what: str = "identifier", word: str | None = None) -> Token:
+        """Consume an identifier; with ``word`` given, only that keyword."""
+        if self.cur.kind != "ident" or word not in (None, self.cur.text):
+            what = what if word is None else repr(word)
             raise self._fail(f"expected {what}, found {self.cur.text!r}")
         return self._advance()
 
@@ -120,39 +121,27 @@ class _Parser:
         self._advance()
         return int(tok.text)
 
-    def parse_unit(self, text: str) -> SourceUnit:
-        unit = SourceUnit(text)
+    def parse_unit(self) -> SourceUnit:
+        unit = SourceUnit()
         while self.cur.kind != "eof":
             name, kernel = self.parse_kernel(unit)
             unit.kernels[name] = kernel
         return unit
 
     def parse_kernel(self, unit: SourceUnit) -> tuple[str, CompositeInstruction]:
-        tok = self._expect_ident("'__qpu__'")
-        if tok.text != "__qpu__":
-            raise ParseError(f"expected '__qpu__', found {tok.text!r}", tok.line, tok.col)
+        self._expect_ident(word="__qpu__")
         name_tok = self._expect_ident("kernel name")
         if name_tok.text in unit.kernels:
             raise ParseError(
                 f"duplicate kernel name '{name_tok.text}'", name_tok.line, name_tok.col
             )
         self._expect_sym("(")
-        buf_type = self._expect_ident("'AcceleratorBuffer'")
-        if buf_type.text != "AcceleratorBuffer":
-            raise ParseError(
-                f"first formal must be 'AcceleratorBuffer <id>', found {buf_type.text!r}",
-                buf_type.line, buf_type.col,
-            )
+        self._expect_ident(word="AcceleratorBuffer")
         self._expect_ident("buffer name")  # parsed and discarded
         formals: list[str] = []
         while self.cur.kind == "sym" and self.cur.text == ",":
             self._advance()
-            kw = self._expect_ident("'double'")
-            if kw.text != "double":
-                raise ParseError(
-                    f"only 'double' formals are supported, found {kw.text!r}",
-                    kw.line, kw.col,
-                )
+            self._expect_ident(word="double")
             formals.append(self._expect_ident("parameter name").text)
         self._expect_sym(")")
         self._expect_sym("{")
@@ -169,35 +158,29 @@ class _Parser:
         self, unit: SourceUnit, formals: list[str]
     ) -> Instruction | CompositeInstruction:
         head = self._expect_ident("gate or kernel name")
-        if head.text == "MEASURE":
-            qubit = self._expect_uint("qubit index")
-            self._expect_sym("[")
-            creg = self._expect_uint("classical register index")
-            self._expect_sym("]")
-            return Instruction(GateKind.MEASURE, (qubit,), (), classical_target=creg)
         if head.text in _GATE_NAMES:
             return self.parse_gate(_GATE_NAMES[head.text], head, formals)
         return self.parse_call(head, unit, formals)
 
     def parse_gate(self, kind: GateKind, head: Token, formals: list[str]) -> Instruction:
+        """A gate statement; :class:`Instruction` checks its angles and qubits."""
         params: tuple[ParamSlot, ...] = ()
         if self.cur.kind == "sym" and self.cur.text == "(":
             self._advance()
             params = (self.parse_expr(formals),)
             self._expect_sym(")")
-        if len(params) != kind.num_params:
-            raise ParseError(
-                f"{kind.value} takes {kind.num_params} angle parameter(s), got {len(params)}",
-                head.line, head.col,
-            )
         qubits = tuple(
             self._expect_uint("qubit index") for _ in range(kind.num_qubits)
         )
-        if len(set(qubits)) != len(qubits):
-            raise ParseError(
-                f"{kind.value} qubit indices must be distinct", head.line, head.col
-            )
-        return Instruction(kind, qubits, params)
+        creg = None
+        if kind is GateKind.MEASURE:
+            self._expect_sym("[")
+            creg = self._expect_uint("classical register index")
+            self._expect_sym("]")
+        try:
+            return Instruction(kind, qubits, params, creg)
+        except IrError as exc:
+            raise ParseError(str(exc), head.line, head.col) from None
 
     def parse_call(
         self, head: Token, unit: SourceUnit, formals: list[str]
@@ -243,7 +226,7 @@ class _Parser:
 
 def parse(text: str) -> SourceUnit:
     """Parse a source unit; raises :class:`ParseError` on any invalid input."""
-    return _Parser(text).parse_unit(text)
+    return _Parser(text).parse_unit()
 
 
 def _format_param(p: ParamSlot) -> str:

@@ -90,6 +90,20 @@ class TestRunCommand:
         assert proc.returncode == 2, proc.stderr
         assert "H (0,) acts on qubit 0 after it was measured" in proc.stderr
 
+    @pytest.mark.parametrize("mode, bond, trunc", [("relative", 2, 0.0), ("absolute", 1, 0.36)])
+    def test_cutoff_mode(self, tmp_path, mode, bond, trunc):
+        """Schmidt values 0.8 and 0.6 at a cutoff of 0.7: relative to s_max the
+        threshold is 0.56 and keeps both, absolute keeps only 0.8."""
+        src = tmp_path / "k.qk"
+        src.write_text("__qpu__ k(AcceleratorBuffer b) {\n"
+                       "  RY(1.2870022175865685) 0\n  CNOT 0 1\n}\n")
+        proc = run_cli("run", "--source", str(src), "--kernel", "k",
+                       "--cutoff", "0.7", "--cutoff-mode", mode)
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        assert record["max_bond_seen"] == bond
+        assert record["trunc_error_sq"] == pytest.approx(trunc, abs=1e-12)
+
     def test_env_var_cutoff(self, bell_file):
         proc = run_cli(
             "run", "--source", str(bell_file), "--kernel", "bell",
@@ -201,7 +215,7 @@ class TestUsageErrors:
     ])
     def test_unreadable_path(self, tmp_path, case):
         """A path that is a directory, or a file that is not UTF-8, is a usage
-        error with a one-line message, not a traceback."""
+        error with a one-line message that names the path, not a traceback."""
         binary = tmp_path / "binary"
         binary.write_bytes(b"\xff\xfe 1.0 Z\n")
         run = ["run", "--source", str(ANSATZ_PATH), "--kernel", "term0", "--args", "0.5",
@@ -220,6 +234,13 @@ class TestUsageErrors:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("mpsqvm: error: ")
         assert proc.stderr.count("\n") == 1
+        assert str(path) in proc.stderr
+
+    def test_stdin_not_utf8(self):
+        proc = subprocess.run([sys.executable, "-m", "mpsqvm", "run", "--source", "-",
+                               "--kernel", "k"], input=b"\xff", capture_output=True)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.decode().startswith("mpsqvm: error: <stdin>: 'utf-8' codec")
 
     def test_env_var_oracle_qubit_cap(self, bell_file):
         proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell",
@@ -228,6 +249,21 @@ class TestUsageErrors:
         assert proc.returncode == 1, proc.stderr
         assert "MPSQVM_ORACLE_QUBIT_CAP='abc'" in proc.stderr
 
+    def test_vqe_kernel_without_parameter(self, bell_file):
+        proc = run_cli("vqe", "--ansatz", str(bell_file), "--kernel", "bell",
+                       "--ham", str(HAM_PATH), "--grid", "0:1:2")
+        assert proc.returncode == 1, proc.stderr
+        assert "driver supports exactly one formal parameter" in proc.stderr
+
+    def test_vqe_ansatz_wider_than_hamiltonian(self, tmp_path):
+        source = tmp_path / "wide.qk"
+        source.write_text("__qpu__ ansatz(AcceleratorBuffer b, double t0) {\n  RY(t0) 3\n}\n")
+        ham = tmp_path / "z.ham"
+        ham.write_text("1.0 Z\n")
+        proc = run_cli("vqe", "--ansatz", str(source), "--ham", str(ham), "--grid", "0:1:2")
+        assert proc.returncode == 1, proc.stderr
+        assert "kernel 'ansatz' spans 4 qubit(s), the Hamiltonian 1" in proc.stderr
+
     def test_nan_coefficient(self, tmp_path):
         ham = tmp_path / "nan.ham"
         ham.write_text("-1.05 II\nnan ZI\n")
@@ -235,6 +271,33 @@ class TestUsageErrors:
                        "--grid", "-1:1:3")
         assert proc.returncode == 1, proc.stderr
         assert "line 2: bad coefficient 'nan'" in proc.stderr
+
+
+class TestClassicalTargets:
+    """Count keys hold one bit per classical index, in index order."""
+
+    @staticmethod
+    def run_measures(tmp_path, backend, body):
+        src = tmp_path / "m.qk"
+        src.write_text(f"__qpu__ k(AcceleratorBuffer b) {{\n{body}}}\n")
+        return run_cli("run", "--source", str(src), "--kernel", "k", "--shots", "10",
+                       "--backend", backend)
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_key_follows_classical_index(self, tmp_path, backend):
+        proc = self.run_measures(tmp_path, backend, "  X 0\n  MEASURE 0 [1]\n  MEASURE 1 [0]\n")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["counts"] == {"01": 10}
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("body, message", [
+        ("  MEASURE 0 [0]\n  MEASURE 1 [0]\n", "classical bit 0 is measured twice"),
+        ("  MEASURE 0 [1]\n", "classical bit 0 is not measured"),
+    ], ids=["duplicate", "missing"])
+    def test_bad_classical_index_exit_2(self, tmp_path, backend, body, message):
+        proc = self.run_measures(tmp_path, backend, body)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
 
 
 class TestVqeCommand:

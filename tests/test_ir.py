@@ -47,6 +47,10 @@ class TestInstructionInvariants:
         with pytest.raises(IrError):
             Instruction(GateKind.X, (0,), (), classical_target=0)
 
+    def test_measure_needs_classical_target(self):
+        with pytest.raises(IrError):
+            Instruction(GateKind.MEASURE, (0,))
+
 
 class TestBindParameters:
     def test_fig_listing_binding(self):
