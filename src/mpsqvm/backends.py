@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dense import DenseState
-from .gates import apply_program
-from .ir import GateKind, Instruction, IrError, num_qubits
+from .gates import apply_program, measured_qubits
+from .ir import Instruction, num_qubits
 from .mps import MpsState, TruncationPolicy
 
 BACKENDS = ("mps", "dense")
@@ -64,23 +64,6 @@ def run_program(
     else:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     return apply_program(state, program)
-
-
-def measured_qubits(program: list[Instruction]) -> list[int]:
-    """The qubit read into each classical bit, by classical index.
-
-    The MEASUREs must write each classical index from 0 up exactly once.
-    """
-    by_bit: dict[int, int] = {}
-    for instr in program:
-        if instr.kind is GateKind.MEASURE:
-            if instr.classical_target in by_bit:
-                raise IrError(f"classical bit {instr.classical_target} is measured twice")
-            by_bit[instr.classical_target] = instr.qubits[0]
-    try:
-        return [by_bit[bit] for bit in range(len(by_bit))]
-    except KeyError as exc:
-        raise IrError(f"classical bit {exc.args[0]} is not measured") from None
 
 
 def execute(

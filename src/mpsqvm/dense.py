@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .gates import apply_program, check_unitary, pauli_matrix
+from .gates import apply_program, check_gate, check_pauli, pauli_matrix, real_expectation
 from .ir import Instruction
 from .mps import sample_sequential
 
@@ -38,11 +38,6 @@ class DenseState:
         self.amps = np.zeros(2**n, dtype=complex)
         self.amps[0] = 1.0
 
-    def _check_qubits(self, qubits: tuple[int, ...]) -> None:
-        for q in qubits:
-            if not 0 <= q < self.n:
-                raise ValueError(f"qubit {q} out of range for {self.n} qubits")
-
     def _apply(self, amps: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
         """``gate`` (2x2 or 4x4) applied to ``qubits`` of the flat vector ``amps``."""
         k = len(qubits)
@@ -51,32 +46,22 @@ class DenseState:
         return np.moveaxis(psi, list(range(k)), list(qubits)).reshape(-1)
 
     def apply_one_qubit(self, gate: np.ndarray, q: int) -> None:
-        self._check_qubits((q,))
-        check_unitary(gate)
+        check_gate(gate, (q,), self.n)
         self.amps = self._apply(self.amps, gate, (q,))
 
     def apply_two_qubit_routed(self, gate: np.ndarray, q1: int, q2: int) -> None:
         """Apply a two-qubit gate to any pair; a statevector needs no routing."""
-        self._check_qubits((q1, q2))
-        if q1 == q2:
-            raise ValueError("two-qubit gate needs two distinct qubits")
-        check_unitary(gate)
+        check_gate(gate, (q1, q2), self.n)
         self.amps = self._apply(self.amps, gate, (q1, q2))
 
     def expectation_pauli(self, pauli: str) -> float:
         """<psi|P|psi>, applying ``P`` factor by factor to new arrays; ``amps`` is kept."""
-        if len(pauli) != self.n:
-            raise ValueError(
-                f"Pauli string length {len(pauli)} != qubit count {self.n}"
-            )
+        check_pauli(pauli, self.n)
         phi = self.amps
         for q, label in enumerate(pauli):
             if label != "I":
                 phi = self._apply(phi, pauli_matrix(label), (q,))
-        value = complex(np.vdot(self.amps, phi))
-        if abs(value.imag) > 1e-10:
-            raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
-        return value.real
+        return real_expectation(complex(np.vdot(self.amps, phi)))
 
     def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
         """Draw full-register bitstrings with :func:`~mpsqvm.mps.sample_sequential`.

@@ -1,5 +1,11 @@
-"""Unitary matrices for the supported gate set, and the one loop that applies
-a program's gates to a simulator state.
+"""Unitary matrices for the supported gate set, the checks every simulator
+state applies to its inputs, and the one loop that applies a program's gates
+to a state.
+
+Both backends call :func:`check_gate` from each public gate method,
+:func:`check_pauli` and :func:`real_expectation` from ``expectation_pauli``,
+and every executed program passes :func:`measured_qubits`, so the same
+input is rejected with the same message whichever backend runs it.
 
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
 qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
@@ -9,7 +15,7 @@ drives either backend through the same two methods, ``apply_one_qubit`` and
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Sequence
 from math import cos, sin, sqrt
 from typing import TypeVar
 
@@ -69,42 +75,96 @@ def pauli_matrix(label: str) -> np.ndarray:
     return _MATRICES[GateKind(label)]
 
 
-#: Largest entry of ``|U+ U - I|`` that :func:`check_unitary` accepts.
+# -- the input contract of both simulator states ------------------------------
+
+#: Largest entry of ``|U+ U - I|`` that :func:`check_gate` accepts.
 UNITARY_TOL = 1e-10
 
+_IDENTITY = {d: np.eye(d) for d in (2, 4)}
 
-def check_unitary(matrix: np.ndarray) -> None:
-    d = matrix.shape[0]
-    if matrix.shape != (d, d) or d not in (2, 4):
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {matrix.shape}")
-    dev = np.abs(matrix.conj().T @ matrix - np.eye(d)).max()
+
+def check_gate(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> None:
+    """Reject a gate that a state of ``n`` qubits cannot apply to ``qubits``.
+
+    Checked in this order: every qubit is in range, no qubit repeats, the
+    matrix is ``2^k x 2^k`` for ``k`` qubits, and it is unitary.
+    """
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"gate needs distinct qubits, got {qubits}")
+    d = 2 ** len(qubits)
+    if matrix.shape != (d, d):
+        raise ValueError(
+            f"expected a {d}x{d} matrix on qubits {qubits}, got shape {matrix.shape}"
+        )
+    dev = np.abs(matrix.conj().T @ matrix - _IDENTITY[d]).max()
     if not dev <= UNITARY_TOL:  # also rejects NaN, which compares false with everything
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
 
 
-def apply_program(
-    state: _State,
-    program: Iterable[Instruction],
-    on_step: Callable[[_State], None] | None = None,
-) -> _State:
-    """Apply the program's gates to ``state`` in order and return it.
+def check_pauli(pauli: str, n: int) -> None:
+    """Reject a Pauli string that is not ``n`` labels from ``IXYZ``."""
+    if len(pauli) != n:
+        raise ValueError(f"Pauli string length {len(pauli)} != qubit count {n}")
+    for label in sorted(set(pauli)):
+        pauli_matrix(label)
 
-    MEASUREs apply nothing: measurement is deferred to sampling at the end of
-    the run, so a gate on a qubit that an earlier MEASURE read is rejected
-    with :class:`IrError` rather than silently acting before the readout.
-    ``on_step(state)`` runs after every gate and may raise to abort the run.
+
+def real_expectation(value: complex) -> float:
+    """The real part of a Pauli expectation; an imaginary part above 1e-10
+    (or a NaN) means the state or the contraction is broken."""
+    if not abs(value.imag) <= 1e-10:
+        raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
+    return value.real
+
+
+def measured_qubits(program: Sequence[Instruction]) -> list[int]:
+    """The qubit read into each classical bit, by classical index.
+
+    This is the readout rule of every executed program. The MEASUREs must
+    write each classical index from 0 up exactly once. Measurement is
+    deferred to sampling at the end of the run, so a gate on a qubit that an
+    earlier MEASURE read is rejected rather than silently acting before the
+    readout. Each fault is an :class:`IrError`.
     """
-    measured: set[int] = set()
+    by_bit: dict[int, int] = {}
+    read: set[int] = set()
     for instr in program:
         if instr.kind is GateKind.MEASURE:
-            measured.add(instr.qubits[0])
+            if instr.classical_target in by_bit:
+                raise IrError(f"classical bit {instr.classical_target} is measured twice")
+            by_bit[instr.classical_target] = instr.qubits[0]
+            read.add(instr.qubits[0])
             continue
         for q in instr.qubits:
-            if q in measured:
+            if q in read:
                 raise IrError(
                     f"{instr.kind.value} {instr.qubits} acts on qubit {q} after it was "
                     f"measured; mid-circuit measurement is not supported"
                 )
+    try:
+        return [by_bit[bit] for bit in range(len(by_bit))]
+    except KeyError as exc:
+        raise IrError(f"classical bit {exc.args[0]} is not measured") from None
+
+
+def apply_program(
+    state: _State,
+    program: Sequence[Instruction],
+    on_step: Callable[[_State], None] | None = None,
+) -> _State:
+    """Apply the program's gates to ``state`` in order and return it.
+
+    :func:`measured_qubits` checks the readout before the first gate, and
+    MEASUREs then apply nothing. ``on_step(state)`` runs after every gate and
+    may raise to abort the run.
+    """
+    measured_qubits(program)
+    for instr in program:
+        if instr.kind is GateKind.MEASURE:
+            continue
         matrix = gate_matrix(instr)
         if instr.kind.num_qubits == 1:
             state.apply_one_qubit(matrix, instr.qubits[0])

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gates import pauli_matrix
+from .gates import check_pauli
 
 
 class HamiltonianFormatError(ValueError):
@@ -28,14 +28,10 @@ class PauliHamiltonian:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("Hamiltonian needs at least one term")
-        widths = {len(p) for _, p in self.terms}
-        if len(widths) != 1:
-            raise ValueError(f"inconsistent Pauli string lengths: {sorted(widths)}")
         for coeff, pauli in self.terms:
             if not math.isfinite(coeff):
                 raise ValueError(f"non-finite coefficient {coeff}")
-            for label in pauli:
-                pauli_matrix(label)
+            check_pauli(pauli, self.n)
 
     @property
     def n(self) -> int:

@@ -14,6 +14,8 @@ gate, and takes the SVD of ``diag(Lambda_{q-1}) theta``: its singular values
 are the new ``Lambda_q`` (after truncation per the active policy), ``V+``
 becomes ``B_{q+1}`` and ``theta V / |s|`` becomes ``B_q``, so nothing is
 divided by a singular value (Hastings, J. Math. Phys. 50, 095207 (2009)).
+Should the SVD not converge, ``s`` and ``V+`` come from ``eigh`` of the Gram
+matrix instead.
 Where the left bond is the smaller one (and not 1), ``theta`` is first split
 as ``L Q+`` by a QR factorization and the SVD taken of
 ``diag(Lambda_{q-1}) L``, which keeps ``B_q`` right-canonical even in rows
@@ -42,7 +44,7 @@ from typing import Any
 
 import numpy as np
 
-from .gates import SWAP_MATRIX, check_unitary, pauli_matrix
+from .gates import SWAP_MATRIX, check_gate, check_pauli, pauli_matrix, real_expectation
 
 
 @dataclass(frozen=True)
@@ -113,16 +115,12 @@ class MpsState:
 
     def apply_one_qubit(self, gate: np.ndarray, q: int) -> None:
         """Contract a 2x2 unitary into site ``q``; bonds are untouched."""
-        self._check_site(q)
-        check_unitary(gate)
+        check_gate(gate, (q,), self.n)
         self.site_tensors[q] = np.matmul(gate, self.site_tensors[q])
 
     def apply_two_qubit_adjacent(self, gate: np.ndarray, q: int) -> None:
         """Apply a 4x4 unitary to sites ``(q, q+1)`` via contract + SVD."""
-        self._check_site(q)
-        if q + 1 >= self.n:
-            raise ValueError(f"site {q} has no right neighbour (n={self.n})")
-        check_unitary(gate)
+        check_gate(gate, (q, q + 1), self.n)
 
         b_l, b_r = self.site_tensors[q], self.site_tensors[q + 1]
         dim_l, dim_r = b_l.shape[0], b_r.shape[2]
@@ -140,12 +138,11 @@ class MpsState:
             basis, tri = np.linalg.qr(theta.conj().T)
             theta = tri.conj().T
         lam_l = self.bond_vectors[q - 1] if q > 0 else np.ones(1)
+        m = np.repeat(lam_l, 2)[:, np.newaxis] * theta
         try:
-            _, s, vh = np.linalg.svd(
-                np.repeat(lam_l, 2)[:, np.newaxis] * theta, full_matrices=False
-            )
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"SVD failed on bond {q}") from exc
+            _, s, vh = np.linalg.svd(m, full_matrices=False)
+        except np.linalg.LinAlgError:
+            s, vh = _svd_from_gram(m, q)
 
         keep = self.policy.keep_count(s)
         self.trunc_error_sq += float(np.sum(s[keep:] ** 2))
@@ -173,10 +170,7 @@ class MpsState:
         The higher-index qubit is moved down until adjacent to the lower one,
         the gate is applied, and reverse SWAPs restore the original ordering.
         """
-        self._check_site(q1)
-        self._check_site(q2)
-        if q1 == q2:
-            raise ValueError("two-qubit gate needs two distinct sites")
+        check_gate(gate, (q1, q2), self.n)
         lo, hi = min(q1, q2), max(q1, q2)
         for k in range(hi - 1, lo, -1):
             self.apply_two_qubit_adjacent(SWAP_MATRIX, k)
@@ -189,10 +183,6 @@ class MpsState:
             self.apply_two_qubit_adjacent(SWAP_MATRIX, k)
 
     # -- queries -------------------------------------------------------------
-
-    def _check_site(self, q: int) -> None:
-        if not 0 <= q < self.n:
-            raise ValueError(f"site {q} out of range for {self.n} qubits")
 
     def amplitude(self, bits: str) -> complex:
         """<bits|psi>, with string position k addressing qubit k."""
@@ -216,10 +206,7 @@ class MpsState:
         by up to about twice the discarded weight ``trunc_error_sq``
         (``2w / (1 - w)`` for a single truncation of weight ``w``).
         """
-        if len(pauli) != self.n:
-            raise ValueError(
-                f"Pauli string length {len(pauli)} != qubit count {self.n}"
-            )
+        check_pauli(pauli, self.n)
         support = [k for k, label in enumerate(pauli) if label != "I"]
         if not support:
             return 1.0
@@ -229,10 +216,7 @@ class MpsState:
         for k in range(first, last + 1):
             op = None if pauli[k] == "I" else pauli_matrix(pauli[k])
             env = _transfer(env, self.site_tensors[k], op)
-        value = complex(np.trace(env))
-        if abs(value.imag) > 1e-10:
-            raise RuntimeError(f"expectation has imaginary residue {value.imag:.3e}")
-        return value.real
+        return real_expectation(complex(np.trace(env)))
 
     def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
         """Draw full-register bitstrings with :func:`sample_sequential`.
@@ -249,6 +233,23 @@ class MpsState:
             return _row_norm_sq(w0), _row_norm_sq(w1), w0, w1
 
         return sample_sequential(self.n, shots, rng, np.ones((1, 1), dtype=complex), split)
+
+
+def _svd_from_gram(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and ``V+`` of ``m`` from ``eigh`` of its Gram matrix
+    ``m+ m``, for when the SVD of bond ``q`` fails to converge.
+
+    The top ``min(m.shape)`` eigenpairs give ``s`` (descending) and ``V+``.
+    The two-site update needs nothing else, so nothing divides by ``s``.
+    Squaring costs accuracy: a singular value is good to about ``1e-8 s_max``
+    instead of ``1e-16 s_max``, while ``V+`` stays orthonormal.
+    """
+    try:
+        evals, evecs = np.linalg.eigh(m.conj().T @ m)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"SVD failed on bond {q}") from exc
+    top = slice(None, -min(m.shape) - 1, -1)
+    return np.sqrt(np.clip(evals[top], 0.0, None)), evecs[:, top].conj().T
 
 
 def _row_norm_sq(rows: np.ndarray) -> np.ndarray:

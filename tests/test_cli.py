@@ -289,13 +289,30 @@ class TestClassicalTargets:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["counts"] == {"01": 10}
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
-    @pytest.mark.parametrize("body, message", [
+    BAD_INDEX = pytest.mark.parametrize("body, message", [
         ("  MEASURE 0 [0]\n  MEASURE 1 [0]\n", "classical bit 0 is measured twice"),
         ("  MEASURE 0 [1]\n", "classical bit 0 is not measured"),
     ], ids=["duplicate", "missing"])
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @BAD_INDEX
     def test_bad_classical_index_exit_2(self, tmp_path, backend, body, message):
         proc = self.run_measures(tmp_path, backend, body)
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize("shots", [[], ["--shots", "100"]], ids=["analytic", "sampled"])
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @BAD_INDEX
+    def test_vqe_bad_classical_index_exit_2(self, tmp_path, backend, shots, body, message):
+        ansatz = tmp_path / "a.qk"
+        ansatz.write_text(
+            f"__qpu__ a(AcceleratorBuffer b, double t0) {{\n  RY(t0) 0\n{body}}}\n"
+        )
+        ham = tmp_path / "z.ham"
+        ham.write_text("1.0 ZI\n")
+        proc = run_cli("vqe", "--ansatz", str(ansatz), "--kernel", "a", "--ham", str(ham),
+                       "--grid", "0:1:3", "--backend", backend, *shots)
         assert proc.returncode == 2, proc.stderr
         assert message in proc.stderr
 

@@ -582,3 +582,56 @@ class TestCanonicalProperties:
                 gap = abs(state.expectation_pauli(pauli) - _full_expectation(state, pauli))
                 assert gap <= 2 * state.trunc_error_sq, pauli
         assert truncated == 3
+
+
+class TestSvdFallback:
+    """An SVD that does not converge falls back to ``eigh`` of the Gram matrix."""
+
+    # the failing call is the first of the largest SVDs of this shape in the
+    # run: a wide one (left bond 1) uses only part of the Gram eigenvectors
+    @pytest.mark.parametrize("shape", ["wide", "square", "tall"])
+    def test_one_failed_svd_keeps_state_exact(self, monkeypatch, shape):
+        program = random_program(6, 60, np.random.default_rng(5))
+        svd, shapes, fail_at = np.linalg.svd, [], -1
+
+        def svd_failing_once(a, *args, **kwargs):
+            shapes.append(a.shape)
+            if len(shapes) == fail_at + 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_failing_once)
+        bonds = []  # the bond vectors after each gate of an undisturbed run
+        apply_program(MpsState(6, EXACT), program,
+                      lambda state: bonds.append([v.copy() for v in state.bond_vectors]))
+        wanted = {"wide": lambda r, c: r < c, "square": lambda r, c: r == c > 2,
+                  "tall": lambda r, c: r > c}[shape]
+        fail_at = max((i for i, dims in enumerate(shapes) if wanted(*dims)),
+                      key=lambda i: (np.prod(shapes[i]), -i))
+        shapes.clear()
+        expected = iter(bonds)
+
+        def check(state):
+            _assert_right_canonical(state)
+            for got, want in zip(state.bond_vectors, next(expected)):
+                np.testing.assert_allclose(got, want, atol=1e-7)
+
+        state = apply_program(MpsState(6, EXACT), program, check)
+        assert len(shapes) > fail_at
+        dense = dense_run(program, 6)
+        assert abs(np.vdot(dense.amps, mps_statevector(state))) ** 2 >= 1 - 1e-10
+        for pauli in ("ZIIIII", "IXYIII", "IIIZZX"):
+            assert state.expectation_pauli(pauli) == pytest.approx(
+                dense.expectation_pauli(pauli), abs=1e-9
+            )
+
+    def test_failed_fallback_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        state = MpsState(3)
+        state.apply_one_qubit(H, 1)
+        with pytest.raises(RuntimeError, match="SVD failed on bond 1"):
+            state.apply_two_qubit_adjacent(CNOT, 1)
