@@ -11,7 +11,6 @@ backends when truncation is off.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,22 +25,15 @@ BACKENDS = ("mps", "dense")
 
 @dataclass
 class RunRecord:
-    """Results of one program execution."""
+    """Results of one program execution, field for field the ``run`` JSON.
+
+    Equal runs give equal records, so nothing timed belongs here.
+    """
 
     counts: dict[str, int] = field(default_factory=dict)
     max_bond_seen: int | None = None
     memory_estimate_bytes: int = 0
     trunc_error_sq: float = 0.0
-    wall_time: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        """Everything but ``wall_time``, so equal runs give equal JSON."""
-        return {
-            "counts": self.counts,
-            "max_bond_seen": self.max_bond_seen,
-            "memory_estimate_bytes": self.memory_estimate_bytes,
-            "trunc_error_sq": self.trunc_error_sq,
-        }
 
 
 def run_program(
@@ -75,7 +67,6 @@ def execute(
     seed: int | None = None,
 ) -> RunRecord:
     """Run the program, sample measured qubits, and collect run statistics."""
-    start = time.perf_counter()
     targets = measured_qubits(program)
     state = run_program(program, n, backend, policy)
     record = RunRecord()
@@ -91,5 +82,4 @@ def execute(
         for bits, count in sorted(full_counts.items()):
             key = "".join(bits[q] for q in targets)
             record.counts[key] = record.counts.get(key, 0) + count
-    record.wall_time = time.perf_counter() - start
     return record

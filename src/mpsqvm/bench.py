@@ -90,7 +90,7 @@ class _OverBudget(Exception):
 def _run_budgeted(
     program: list[Instruction],
     n: int,
-    policy: TruncationPolicy,
+    policy: TruncationPolicy | None,
     chi_budget: int,
     time_budget: float,
 ) -> MpsState | None:
@@ -124,7 +124,6 @@ def run_grid(
     """
     if not qubits or not rounds:
         raise ValueError("qubit and round lists must be non-empty")
-    policy = policy or TruncationPolicy()
     records: list[BenchRecord] = []
     for n in qubits:
         for m in rounds:

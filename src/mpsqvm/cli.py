@@ -10,13 +10,16 @@ override defaults; explicit flags win over the environment.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import re
 import sys
+import time
 from collections.abc import Callable
 from pathlib import Path
+from typing import TypeVar
 
 from . import bench as bench_mod
 from . import vqe as vqe_mod
@@ -25,6 +28,9 @@ from .hamiltonian import HamiltonianFormatError, parse_hamiltonian
 from .ir import IrError, bind_parameters, flatten, num_qubits
 from .mps import TruncationPolicy
 from .parser import ParseError, parse
+
+
+_T = TypeVar("_T")
 
 
 class UsageError(Exception):
@@ -58,34 +64,27 @@ def _finite(text: str, what: str) -> float:
     raise UsageError(f"{what} value {text.strip()!r} is not a finite number")
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
-    """argparse type for an integer of at least ``minimum``."""
+def _flag_type(kind: Callable[[str], _T], accept: Callable[[_T], bool],
+               expected: str) -> Callable[[str], _T]:
+    """argparse type: ``kind(text)`` if ``accept`` holds for it, else a usage
+    error that names ``expected``."""
 
-    def parse(text: str) -> int:
+    def parse(text: str) -> _T:
         try:
-            value = int(text)
+            value = kind(text)
+            if accept(value):
+                return value
         except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
-        return value
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
 
     return parse
 
 
-_count = _int_at_least(1)  # shots, seeds per cell, chi cap
-_seed = _int_at_least(0)
-
-
-def _seconds(text: str) -> float:
-    """argparse type for a positive duration; ``inf`` means no limit."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a number of seconds > 0, got {text!r}")
-    return value
+_count = _flag_type(int, lambda v: v >= 1, "an integer >= 1")  # shots, seeds per cell, chi cap
+_seed = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
+# a positive duration; inf means no limit, and NaN fails the comparison
+_seconds = _flag_type(float, lambda v: v > 0, "a number of seconds > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,10 +201,12 @@ def _cmd_run(args: argparse.Namespace) -> None:
         raise UsageError(
             f"--qubits {n} is smaller than the program's qubit span {num_qubits(program)}"
         )
-    record = execute(program, n, args.backend, _policy_from(args),
-                     shots=args.shots, seed=args.seed)
-    _emit(json.dumps(record.to_json_dict(), indent=2) + "\n", args.out)
-    print(f"wall_time: {record.wall_time:.6f} s", file=sys.stderr)
+    policy = _policy_from(args)
+    start = time.perf_counter()
+    record = execute(program, n, args.backend, policy, shots=args.shots, seed=args.seed)
+    wall_time = time.perf_counter() - start
+    _emit(json.dumps(dataclasses.asdict(record), indent=2) + "\n", args.out)
+    print(f"wall_time: {wall_time:.6f} s", file=sys.stderr)
 
 
 def _parse_grid(text: str, what: str) -> tuple[float, float, int]:

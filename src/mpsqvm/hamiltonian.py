@@ -40,7 +40,6 @@ class PauliHamiltonian:
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:
     terms: list[tuple[float, str]] = []
-    width: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -59,14 +58,10 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
                 f"line {lineno}: bad coefficient {fields[0]!r}, need a finite number"
             ) from None
         pauli = fields[1].upper()
-        if any(c not in "IXYZ" for c in pauli):
-            raise HamiltonianFormatError(f"line {lineno}: bad Pauli string {fields[1]!r}")
-        if width is None:
-            width = len(pauli)
-        elif len(pauli) != width:
-            raise HamiltonianFormatError(
-                f"line {lineno}: Pauli string length {len(pauli)} != {width}"
-            )
+        try:
+            check_pauli(pauli, len(terms[0][1]) if terms else len(pauli))
+        except ValueError as exc:
+            raise HamiltonianFormatError(f"line {lineno}: {exc}") from None
         terms.append((coeff, pauli))
     if not terms:
         raise HamiltonianFormatError("no terms found")
