@@ -37,7 +37,7 @@ class GateKind(enum.Enum):
 
 
 class IrError(ValueError):
-    """Malformed IR: bad arity, unknown parameter, unbound slot."""
+    """Malformed IR: bad arity, unknown or repeated parameter, unbound slot."""
 
 
 #: A parameter slot: either a concrete angle (radians) or an unresolved
@@ -92,6 +92,9 @@ class CompositeInstruction:
     def __post_init__(self) -> None:
         object.__setattr__(self, "formal_params", tuple(self.formal_params))
         object.__setattr__(self, "children", tuple(self.children))
+        for i, param in enumerate(self.formal_params):
+            if param in self.formal_params[:i]:
+                raise IrError(f"kernel '{self.name}' declares parameter '{param}' twice")
         if self.call_args is not None:
             object.__setattr__(self, "call_args", tuple(self.call_args))
 

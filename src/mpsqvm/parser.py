@@ -151,7 +151,10 @@ class _Parser:
                 raise self._fail("unexpected end of input inside kernel body")
             children.append(self.parse_statement(unit, formals))
         self._expect_sym("}")
-        kernel = CompositeInstruction(name_tok.text, tuple(formals), tuple(children))
+        try:
+            kernel = CompositeInstruction(name_tok.text, tuple(formals), tuple(children))
+        except IrError as exc:
+            raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         return name_tok.text, kernel
 
     def parse_statement(

@@ -1,11 +1,15 @@
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import mpsqvm
+from mpsqvm import RunRecord, TruncationPolicy, bind_parameters, execute, flatten, parse
 from tests.conftest import ANSATZ_PATH, HAM_PATH
 
 BELL_SRC = """\
@@ -272,6 +276,28 @@ class TestUsageErrors:
         assert proc.returncode == 1, proc.stderr
         assert "line 2: bad coefficient 'nan'" in proc.stderr
 
+    @pytest.mark.parametrize("text, message", [
+        ("-1.05 II\n0.39 ZQ\n", "line 2: unknown Pauli label 'Q'"),
+        ("-1.05 II\n0.39 Z\n", "line 2: Pauli string length 1 != qubit count 2"),
+    ], ids=["bad-label", "width-mismatch"])
+    def test_bad_pauli_string(self, tmp_path, text, message):
+        ham = tmp_path / "bad.ham"
+        ham.write_text(text)
+        proc = run_cli("vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(ham),
+                       "--grid", "-1:1:3")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"mpsqvm: error: {message}\n"
+
+    def test_repeated_parameter(self, tmp_path):
+        """Without the check, --args 0,3.14159 bound t = 3.14159 and dropped the 0."""
+        source = tmp_path / "dup.qk"
+        source.write_text("__qpu__ k(AcceleratorBuffer b, double t, double t) {\n"
+                          "  RX(t) 0\n  MEASURE 0 [0]\n}\n")
+        proc = run_cli("run", "--source", str(source), "--kernel", "k",
+                       "--args", "0,3.14159", "--shots", "10")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "mpsqvm: error: 1:9: kernel 'k' declares parameter 't' twice\n"
+
 
 class TestClassicalTargets:
     """Count keys hold one bit per classical index, in index order."""
@@ -452,6 +478,22 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_run_out_is_the_record(self, tmp_path, backend):
+        """``run --out`` holds exactly the fields of :class:`RunRecord`, so
+        nothing timed can reach the byte-reproducible file."""
+        out = tmp_path / "run.json"
+        proc = run_cli("run", "--source", str(ANSATZ_PATH), "--kernel", "term0",
+                       "--args", "0.5", "--shots", "1000", "--seed", "7",
+                       "--backend", backend, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        written = json.loads(out.read_text())
+        assert list(written) == [f.name for f in dataclasses.fields(RunRecord)]
+        kernel = parse(ANSATZ_PATH.read_text()).kernels["term0"]
+        record = execute(flatten(bind_parameters(kernel, [0.5])), backend=backend,
+                         policy=TruncationPolicy(), shots=1000, seed=7)
+        assert dataclasses.asdict(record) == written
+
     def test_vqe_outputs_byte_identical(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -463,3 +505,25 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestRuntimeDependencies:
+    @staticmethod
+    def top_level_modules(code: str) -> set[str]:
+        """Top-level names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+        src = str(Path(mpsqvm.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return {name.split(".")[0] for name in proc.stdout.split()}
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        """Importing the package and its CLI loads only the standard library
+        and numpy, beyond what a bare interpreter's ``site`` already loads."""
+        baseline = self.top_level_modules("")
+        loaded = self.top_level_modules("import mpsqvm, mpsqvm.cli")
+        assert {"mpsqvm", "numpy"} <= loaded - baseline
+        assert loaded - baseline - set(sys.stdlib_module_names) - {"mpsqvm", "numpy"} == set()

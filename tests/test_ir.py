@@ -83,6 +83,11 @@ class TestBindParameters:
         with pytest.raises(IrError, match="t0.*not finite"):
             bind_parameters(kernel, [value])
 
+    def test_repeated_parameter_rejected(self):
+        """Binding by name would keep only the last value given for ``t``."""
+        with pytest.raises(IrError, match="kernel 'k' declares parameter 't' twice"):
+            CompositeInstruction("k", ("t", "t"), (Instruction(GateKind.RX, (0,), ("t",)),))
+
     def test_input_never_mutated(self):
         kernel = parse(ANSATZ_SRC).kernels["term0"]
         before = kernel

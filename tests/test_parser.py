@@ -108,6 +108,12 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="argument"):
             parse(src)
 
+    def test_repeated_parameter_at_kernel_name(self):
+        src = "\n__qpu__ k(AcceleratorBuffer b, double t, double t) {\n  RX(t) 0\n}"
+        with pytest.raises(ParseError, match="kernel 'k' declares parameter 't' twice") as info:
+            parse(src)
+        assert (info.value.line, info.value.col) == (2, 9)
+
     def test_error_carries_position(self):
         try:
             parse("__qpu__ k(AcceleratorBuffer b) {\n  BOGUS 0\n}")

@@ -16,6 +16,7 @@ from mpsqvm import (
     sweep,
 )
 from mpsqvm import vqe
+from mpsqvm.gates import check_pauli
 from mpsqvm.hamiltonian import HamiltonianFormatError
 from mpsqvm.ir import IrError
 from tests.conftest import ANSATZ_PATH, HAM_PATH, exact_ground_energy
@@ -52,6 +53,17 @@ class TestLoadHamiltonian:
     def test_mixed_lengths_reports_line(self):
         with pytest.raises(HamiltonianFormatError, match="line 2"):
             parse_hamiltonian("1 Z\n1 ZZ")
+
+    @pytest.mark.parametrize("text, pauli, width", [
+        ("1 ZZ\n1 zq", "ZQ", 2),
+        ("1 Z\n1 ZZ", "ZZ", 1),
+    ], ids=["bad-label", "width-mismatch"])
+    def test_pauli_string_rule_is_check_pauli(self, text, pauli, width):
+        with pytest.raises(ValueError) as rule:
+            check_pauli(pauli, width)
+        with pytest.raises(HamiltonianFormatError) as info:
+            parse_hamiltonian(text)
+        assert str(info.value) == f"line 2: {rule.value}"
 
     @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_coefficient_reports_line(self, coeff):
