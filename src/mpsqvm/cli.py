@@ -189,7 +189,9 @@ def _get_kernel(source_text: str, name: str):
 
 def _cmd_run(args: argparse.Namespace) -> None:
     kernel = _get_kernel(_read_text(args.source), args.kernel)
-    values = [_finite(v, "--args") for v in args.args.split(",") if v.strip()]
+    # no text passes no values; otherwise every field, empty or not, is one value
+    fields = args.args.split(",") if args.args.strip() else []
+    values = [_finite(v, "--args") for v in fields]
     if len(values) != len(kernel.formal_params):
         raise UsageError(
             f"kernel '{kernel.name}' takes {len(kernel.formal_params)} parameter(s), "

@@ -69,12 +69,17 @@ class DenseState:
         The carry holds each distinct prefix read as an integer (qubit 0 the
         high bit), starting from the one-row array of the empty prefix; the
         weights of the two outcomes at qubit ``k`` are prefix marginals of
-        ``|amps|^2`` over qubits ``0..k``.
+        ``|amps|^2`` over qubits ``0..k``. Each marginal is summed from
+        ``|amps|^2`` once per call, not once per block of shots; levels
+        ``0..n-2`` hold ``2^n - 2`` floats on top of the state, and level
+        ``n-1`` is ``|amps|^2`` itself.
         """
         probs = np.abs(self.amps) ** 2
+        marginals = [probs.reshape(2 ** (k + 1), -1).sum(1) for k in range(self.n - 1)]
+        marginals.append(probs)
 
         def split(k: int, prefix):
-            marginal = probs.reshape(2 ** (k + 1), -1).sum(1)
+            marginal = marginals[k]
             return marginal[2 * prefix], marginal[2 * prefix + 1], 2 * prefix, 2 * prefix + 1
 
         return sample_sequential(self.n, shots, rng, np.zeros(1, dtype=np.intp), split)

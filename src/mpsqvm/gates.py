@@ -15,6 +15,7 @@ drives either backend through the same two methods, ``apply_one_qubit`` and
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Callable, Sequence
 from math import cos, sin, sqrt
 from typing import TypeVar
@@ -39,22 +40,29 @@ def ry(theta: float) -> np.ndarray:
 
 
 def rz(theta: float) -> np.ndarray:
-    return np.diag([np.exp(-1j * theta / 2), np.exp(1j * theta / 2)])
+    return np.array([[cmath.exp(-1j * theta / 2), 0], [0, cmath.exp(1j * theta / 2)]])
+
+
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    """A read-only copy over an immutable buffer, so that not even
+    ``setflags(write=True)`` can make it writable again."""
+    return np.frombuffer(matrix.tobytes(), dtype=matrix.dtype).reshape(matrix.shape)
 
 
 #: The matrix of every gate kind but MEASURE: fixed, or a function of the angle.
+#: The fixed ones are frozen, so no caller can change a gate for the process.
 _MATRICES: dict[GateKind, np.ndarray | Callable[[float], np.ndarray]] = {
-    GateKind.I: np.eye(2, dtype=complex),
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    GateKind.I: _frozen(np.eye(2, dtype=complex)),
+    GateKind.X: _frozen(np.array([[0, 1], [1, 0]], dtype=complex)),
+    GateKind.Y: _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    GateKind.Z: _frozen(np.array([[1, 0], [0, -1]], dtype=complex)),
+    GateKind.H: _frozen(np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)),
     GateKind.RX: rx,
     GateKind.RY: ry,
     GateKind.RZ: rz,
-    GateKind.CNOT: np.eye(4, dtype=complex)[[0, 1, 3, 2]],
-    GateKind.CZ: np.diag([1, 1, 1, -1]).astype(complex),
-    GateKind.SWAP: np.eye(4, dtype=complex)[[0, 2, 1, 3]],
+    GateKind.CNOT: _frozen(np.eye(4, dtype=complex)[[0, 1, 3, 2]]),
+    GateKind.CZ: _frozen(np.diag([1, 1, 1, -1]).astype(complex)),
+    GateKind.SWAP: _frozen(np.eye(4, dtype=complex)[[0, 2, 1, 3]]),
 }
 
 SWAP_MATRIX = _MATRICES[GateKind.SWAP]
@@ -68,11 +76,15 @@ def gate_matrix(instr: Instruction) -> np.ndarray:
     return entry(float(instr.params[0])) if instr.params else entry
 
 
+_PAULIS = {label: _MATRICES[GateKind(label)] for label in "IXYZ"}
+
+
 def pauli_matrix(label: str) -> np.ndarray:
     """Matrix of one Pauli label: ``I``, ``X``, ``Y`` or ``Z``."""
-    if label not in ("I", "X", "Y", "Z"):
+    matrix = _PAULIS.get(label)
+    if matrix is None:
         raise ValueError(f"unknown Pauli label {label!r}")
-    return _MATRICES[GateKind(label)]
+    return matrix
 
 
 # -- the input contract of both simulator states ------------------------------
@@ -82,12 +94,22 @@ UNITARY_TOL = 1e-10
 
 _IDENTITY = {d: np.eye(d) for d in (2, 4)}
 
+#: The frozen fixed matrices of the gate table, known unitary: ``check_gate``
+#: recognises them by identity, so a copy or a view is still tested in full.
+_TABLE_IDS = frozenset(id(m) for m in _MATRICES.values() if isinstance(m, np.ndarray))
+
 
 def check_gate(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> None:
     """Reject a gate that a state of ``n`` qubits cannot apply to ``qubits``.
 
     Checked in this order: every qubit is in range, no qubit repeats, the
-    matrix is ``2^k x 2^k`` for ``k`` qubits, and it is unitary.
+    matrix is ``2^k x 2^k`` for ``k`` qubits, and it is unitary. The
+    unitarity test is skipped only for the frozen matrices of the gate table
+    themselves (``gate_matrix`` of a fixed gate, ``pauli_matrix``,
+    ``SWAP_MATRIX``); a copy or a view of one is tested like any other matrix.
+    The test is ``max |U+ U - I| <= UNITARY_TOL``, which rejects any NaN or
+    infinite entry; a 2x2 matrix that passes it in closed form skips the
+    matrix product.
     """
     for q in qubits:
         if not 0 <= q < n:
@@ -99,9 +121,28 @@ def check_gate(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> None:
         raise ValueError(
             f"expected a {d}x{d} matrix on qubits {qubits}, got shape {matrix.shape}"
         )
+    if id(matrix) in _TABLE_IDS or (d == 2 and _is_unitary_2x2(matrix)):
+        return
     dev = np.abs(matrix.conj().T @ matrix - _IDENTITY[d]).max()
     if not dev <= UNITARY_TOL:  # also rejects NaN, which compares false with everything
         raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+
+
+def _is_unitary_2x2(matrix: np.ndarray) -> bool:
+    """``max |U+ U - I| <= UNITARY_TOL`` in closed form on Python scalars.
+
+    The three entries of ``U+ U - I`` (two real diagonal ones; the
+    off-diagonal ones are conjugates) are compared one by one, so a NaN
+    anywhere gives false. A false is rechecked by the matrix formula, which
+    also words the message.
+    """
+    (a, b), (c, d) = matrix.tolist()
+    ca, cc = a.conjugate(), c.conjugate()
+    return (
+        abs((ca * a + cc * c).real - 1) <= UNITARY_TOL
+        and abs((b.conjugate() * b + d.conjugate() * d).real - 1) <= UNITARY_TOL
+        and abs(ca * b + cc * d) <= UNITARY_TOL
+    )
 
 
 def check_pauli(pauli: str, n: int) -> None:

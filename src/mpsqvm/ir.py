@@ -102,6 +102,8 @@ class CompositeInstruction:
 def _substitute(node: Instruction | CompositeInstruction,
                 mapping: dict[str, float]) -> Instruction | CompositeInstruction:
     if isinstance(node, Instruction):
+        if not any(isinstance(p, str) for p in node.params):
+            return node  # no formal slot to fill; leaves are immutable, so share it
         params = tuple(
             mapping.get(p, p) if isinstance(p, str) else p for p in node.params
         )
@@ -117,10 +119,12 @@ def _substitute(node: Instruction | CompositeInstruction,
 
 
 def bind_parameters(root: CompositeInstruction, values: list[float]) -> CompositeInstruction:
-    """Return a deep copy of ``root`` with formal parameters replaced by ``values``.
+    """Return a new tree like ``root`` with formal parameters replaced by ``values``.
 
     ``values`` is matched positionally against ``root.formal_params`` and
-    must be finite. The input tree is never mutated.
+    must be finite. Every kernel node and every gate with a parameter slot is
+    rebuilt (and so validated again); a gate without one is shared with the
+    input tree, which is never mutated.
     """
     if len(values) != len(root.formal_params):
         raise IrError(

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from math import sqrt
 from typing import Any
 
 import numpy as np
@@ -68,7 +69,10 @@ class TruncationPolicy:
 
     def keep_count(self, singular_values: np.ndarray) -> int:
         threshold = self.cutoff * (singular_values[0] if self.relative else 1.0)
-        keep = int(np.sum(singular_values >= threshold)) if self.cutoff > 0 else len(singular_values)
+        keep = (
+            int(np.count_nonzero(singular_values >= threshold))
+            if self.cutoff > 0 else len(singular_values)
+        )
         keep = max(keep, 1)
         if self.max_bond is not None:
             keep = min(keep, self.max_bond)
@@ -138,16 +142,19 @@ class MpsState:
             basis, tri = np.linalg.qr(theta.conj().T)
             theta = tri.conj().T
         lam_l = self.bond_vectors[q - 1] if q > 0 else np.ones(1)
-        m = np.repeat(lam_l, 2)[:, np.newaxis] * theta
+        # rows of theta are (l, s1): weight row pair l by Lambda_{q-1}[l]
+        m = lam_l[:, np.newaxis, np.newaxis] * theta.reshape(dim_l, 2, -1)
+        m = m.reshape(2 * dim_l, -1)
         try:
             _, s, vh = np.linalg.svd(m, full_matrices=False)
         except np.linalg.LinAlgError:
             s, vh = _svd_from_gram(m, q)
 
         keep = self.policy.keep_count(s)
-        self.trunc_error_sq += float(np.sum(s[keep:] ** 2))
-        s = s[:keep]
-        norm = np.linalg.norm(s)
+        if keep < len(s):
+            self.trunc_error_sq += float(np.sum(s[keep:] ** 2))
+            s = s[:keep]
+        norm = sqrt(s.dot(s))  # what np.linalg.norm computes for a real vector
         if norm == 0.0:
             raise RuntimeError(f"all singular values truncated on bond {q}")
         vh = vh[:keep]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpsqvm import DenseState, GateKind, Instruction, MpsState, TruncationPolicy
-from mpsqvm.gates import apply_program, gate_matrix
+from mpsqvm.gates import SWAP_MATRIX, apply_program, gate_matrix, pauli_matrix
 from tests.conftest import ghz3_program, mps_statevector
 
 X = gate_matrix(Instruction(GateKind.X, (0,)))
@@ -52,4 +52,56 @@ def test_bad_input_rejected_alike(make, case):
     with pytest.raises(ValueError) as info:
         call(state)
     assert str(info.value) == message
+    np.testing.assert_array_equal(amplitudes(state), before)
+
+
+@pytest.mark.parametrize("matrix", [
+    X, CNOT, gate_matrix(Instruction(GateKind.H, (0,))), pauli_matrix("X"), SWAP_MATRIX,
+], ids=["X", "CNOT", "H", "pauli-X", "SWAP"])
+def test_gate_table_is_read_only(matrix):
+    """A write into a shared table matrix would change that gate for the whole process."""
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 0
+    with pytest.raises(ValueError):
+        matrix.setflags(write=True)
+
+
+@pytest.mark.parametrize("make", [lambda: MpsState(2), lambda: DenseState(2)], ids=["mps", "dense"])
+def test_writable_copy_of_table_matrix_checked_in_full(make):
+    """Only the table's own objects skip the unitarity test, not equal arrays."""
+    state = make()
+    with pytest.raises(ValueError) as info:
+        state.apply_one_qubit(2 * pauli_matrix("X"), 0)
+    assert str(info.value) == "matrix is not unitary (deviation 3.000e+00)"
+    spoiled = pauli_matrix("X").copy()
+    state.apply_one_qubit(spoiled, 0)
+    spoiled[0, 1] = 2
+    with pytest.raises(ValueError) as info:
+        state.apply_one_qubit(spoiled, 0)
+    assert str(info.value) == "matrix is not unitary (deviation 3.000e+00)"
+
+
+GATE_CALLS = {
+    "one-qubit": (gate_matrix(Instruction(GateKind.H, (0,))), lambda s, g: s.apply_one_qubit(g, 1)),
+    "routed": (CNOT, lambda s, g: s.apply_two_qubit_routed(g, 2, 0)),
+    "adjacent": (CNOT, lambda s, g: s.apply_two_qubit_adjacent(g, 1)),
+}
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("backend, call", [
+    ("mps", "one-qubit"), ("mps", "routed"), ("mps", "adjacent"),
+    ("dense", "one-qubit"), ("dense", "routed"),  # a statevector has no adjacent method
+])
+def test_single_non_finite_entry_rejected(backend, call, fill):
+    """One NaN or infinity at any position, the rest of a unitary untouched."""
+    unitary, apply = GATE_CALLS[call]
+    state = apply_program(MpsState(3) if backend == "mps" else DenseState(3), ghz3_program())
+    before = amplitudes(state)
+    for index in np.ndindex(unitary.shape):
+        gate = unitary.copy()
+        gate[index] = fill
+        with pytest.raises(ValueError, match="matrix is not unitary"):
+            apply(state, gate)
     np.testing.assert_array_equal(amplitudes(state), before)

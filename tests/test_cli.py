@@ -135,6 +135,22 @@ class TestUsageErrors:
         assert proc.returncode == 1, proc.stderr
         assert "takes 1 parameter(s), --args gives 2" in proc.stderr
 
+    @pytest.mark.parametrize("values", [",3.14159265,,0,", "3.14159265,0,", "3.14159265,,0"])
+    def test_empty_arg_field(self, tmp_path, values):
+        """An empty field was dropped, so each of these bound the two values it kept."""
+        source = tmp_path / "two.qk"
+        source.write_text("__qpu__ k(AcceleratorBuffer b, double s, double t) {\n"
+                          "  RX(s) 0\n  RY(t) 1\n  MEASURE 0 [0]\n  MEASURE 1 [1]\n}\n")
+        proc = run_cli("run", "--source", str(source), "--kernel", "k",
+                       "--args", values, "--shots", "10")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "mpsqvm: error: --args value '' is not a finite number\n"
+
+    def test_default_args_on_kernel_without_parameters(self, bell_file):
+        proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell", "--shots", "10")
+        assert proc.returncode == 0, proc.stderr
+        assert sum(json.loads(proc.stdout)["counts"].values()) == 10
+
     def test_non_finite_grid(self):
         proc = run_cli("vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH),
                        "--grid", "nan:1:3")

@@ -95,6 +95,38 @@ class TestBindParameters:
         assert kernel == before
         assert any(isinstance(p, str) for p in flatten_slots(kernel))
 
+    def test_gates_without_slots_shared(self, monkeypatch):
+        """Only the gates with a parameter slot are rebuilt, and so validated."""
+        kernel = parse(ANSATZ_SRC).kernels["term0"]
+        before = list(leaves(kernel))
+        slotted = [g for g in before if any(isinstance(p, str) for p in g.params)]
+        assert 0 < len(slotted) < len(before)
+        built = []
+        validate = Instruction.__post_init__
+        monkeypatch.setattr(Instruction, "__post_init__",
+                            lambda self: (built.append(self), validate(self)))
+        bound = bind_parameters(kernel, [1.25])
+        monkeypatch.undo()
+        after = list(leaves(bound))
+        assert len(after) == len(before)
+        for old, new in zip(before, after):
+            if any(old is g for g in slotted):
+                assert new is not old and new.params == (1.25,)
+                assert any(b is new for b in built)
+            else:
+                assert new is old
+        assert len(built) == len(slotted)
+        assert kernel == parse(ANSATZ_SRC).kernels["term0"]
+        assert list(leaves(kernel)) == before
+
+
+def leaves(node):
+    if isinstance(node, Instruction):
+        yield node
+    else:
+        for child in node.children:
+            yield from leaves(child)
+
 
 def flatten_slots(node):
     if isinstance(node, Instruction):
