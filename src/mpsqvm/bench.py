@@ -124,6 +124,8 @@ def run_grid(
     """
     if not qubits or not rounds:
         raise ValueError("qubit and round lists must be non-empty")
+    if seeds_per_cell < 1:
+        raise ValueError(f"seeds_per_cell must be >= 1, got {seeds_per_cell}")
     records: list[BenchRecord] = []
     for n in qubits:
         for m in rounds:

@@ -240,6 +240,8 @@ def _parse_steps(text: str, what: str, minimum: int) -> list[int]:
 
 
 def _cmd_vqe(args: argparse.Namespace) -> None:
+    if args.ansatz == args.ham == "-":
+        raise UsageError("--ansatz and --ham cannot both read stdin ('-')")
     kernel = _get_kernel(_read_text(args.ansatz), args.kernel)
     hamiltonian = parse_hamiltonian(_read_text(args.ham))
     try:

@@ -3,7 +3,9 @@
 Programs are trees: :class:`CompositeInstruction` nodes (named kernels) with
 :class:`Instruction` leaves (concrete gates). Execution order is a pre-order
 traversal of the leaves. All IR values are immutable after construction and
-safe to share; parameter binding returns new trees.
+safe to share. A kernel call is inlined where it is parsed, and binding
+parameters returns a one-level kernel that holds the bound gates, not a new
+tree.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ class CompositeInstruction:
 
     ``call_args`` is set on nodes that stand for a call site inside another
     kernel; it records the caller-supplied argument expressions so the source
-    form can be regenerated.
+    form can be regenerated, and ``children`` holds the callee's gates as
+    :func:`inline` returns them.
     """
 
     name: str
@@ -99,64 +102,64 @@ class CompositeInstruction:
             object.__setattr__(self, "call_args", tuple(self.call_args))
 
 
-def _substitute(node: Instruction | CompositeInstruction,
-                mapping: dict[str, float]) -> Instruction | CompositeInstruction:
-    if isinstance(node, Instruction):
-        if not any(isinstance(p, str) for p in node.params):
-            return node  # no formal slot to fill; leaves are immutable, so share it
-        params = tuple(
-            mapping.get(p, p) if isinstance(p, str) else p for p in node.params
+def _gates(node: CompositeInstruction, out: list[Instruction]) -> list[Instruction]:
+    """Append the gates under ``node`` to ``out`` in pre-order; return ``out``."""
+    for child in node.children:
+        if isinstance(child, Instruction):
+            out.append(child)
+        else:
+            _gates(child, out)
+    return out
+
+
+def inline(kernel: CompositeInstruction, args: list[ParamSlot]) -> tuple[Instruction, ...]:
+    """The gates of the call ``kernel(b, *args)``, in pre-order.
+
+    ``args`` is matched positionally against ``kernel.formal_params``; each
+    is an angle or a formal-parameter name of the caller. Nested kernel
+    nodes are walked through, so the result is flat. A gate with a named
+    slot is rebuilt with the slot filled (and so validated again); a gate
+    without one is shared with ``kernel``, which is never mutated.
+    """
+    if len(args) != len(kernel.formal_params):
+        raise IrError(
+            f"kernel '{kernel.name}' takes {len(kernel.formal_params)} argument(s), "
+            f"got {len(args)}"
         )
-        return Instruction(node.kind, node.qubits, params, node.classical_target)
-    children = tuple(_substitute(c, mapping) for c in node.children)
-    call_args = None
-    if node.call_args is not None:
-        call_args = tuple(
-            mapping.get(a, a) if isinstance(a, str) else a for a in node.call_args
-        )
-    formals = tuple(p for p in node.formal_params if p not in mapping)
-    return CompositeInstruction(node.name, formals, children, call_args)
+    mapping = dict(zip(kernel.formal_params, args))
+    out = _gates(kernel, [])
+    for i, gate in enumerate(out):
+        if any(isinstance(p, str) for p in gate.params):
+            params = tuple(mapping.get(p, p) if isinstance(p, str) else p for p in gate.params)
+            out[i] = Instruction(gate.kind, gate.qubits, params, gate.classical_target)
+    return tuple(out)
 
 
 def bind_parameters(root: CompositeInstruction, values: list[float]) -> CompositeInstruction:
-    """Return a new tree like ``root`` with formal parameters replaced by ``values``.
+    """Return ``root`` bound to ``values``, as a one-level kernel.
 
     ``values`` is matched positionally against ``root.formal_params`` and
-    must be finite. Every kernel node and every gate with a parameter slot is
-    rebuilt (and so validated again); a gate without one is shared with the
-    input tree, which is never mutated.
+    must be finite. The result's children are :func:`inline`'s gates: every
+    gate with a parameter slot is rebuilt, every other gate is shared with
+    ``root``, and no kernel node of ``root`` is kept.
     """
-    if len(values) != len(root.formal_params):
-        raise IrError(
-            f"kernel '{root.name}' takes {len(root.formal_params)} parameter(s), "
-            f"got {len(values)}"
-        )
-    mapping = {name: float(v) for name, v in zip(root.formal_params, values)}
-    for name, v in mapping.items():
+    values = [float(v) for v in values]
+    gates = inline(root, values)
+    for name, v in zip(root.formal_params, values):
         if not math.isfinite(v):
             raise IrError(f"parameter '{name}' of kernel '{root.name}' is {v!r}, not finite")
-    bound = _substitute(root, mapping)
-    assert isinstance(bound, CompositeInstruction)
-    return bound
+    return CompositeInstruction(root.name, (), gates)
 
 
 def flatten(root: CompositeInstruction) -> list[Instruction]:
     """Pre-order leaf list of a fully bound tree."""
-    out: list[Instruction] = []
-
-    def walk(node: Instruction | CompositeInstruction) -> None:
-        if isinstance(node, Instruction):
-            unresolved = [p for p in node.params if isinstance(p, str)]
-            if unresolved:
-                raise IrError(
-                    f"unbound parameter(s) {unresolved} in {node.kind.value} {node.qubits}"
-                )
-            out.append(node)
-        else:
-            for child in node.children:
-                walk(child)
-
-    walk(root)
+    out = _gates(root, [])
+    for node in out:
+        unresolved = [p for p in node.params if isinstance(p, str)]
+        if unresolved:
+            raise IrError(
+                f"unbound parameter(s) {unresolved} in {node.kind.value} {node.qubits}"
+            )
     return out
 
 

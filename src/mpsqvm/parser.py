@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .ir import CompositeInstruction, GateKind, Instruction, IrError, ParamSlot, _substitute
+from .ir import CompositeInstruction, GateKind, Instruction, IrError, ParamSlot, inline
 
 _GATE_NAMES = {k.value: k for k in GateKind}
 
@@ -198,18 +198,10 @@ class _Parser:
             self._advance()
             args.append(self.parse_expr(formals))
         self._expect_sym(")")
-        if len(args) != len(callee.formal_params):
-            raise ParseError(
-                f"kernel '{head.text}' takes {len(callee.formal_params)} "
-                f"argument(s) after the buffer, got {len(args)}",
-                head.line, head.col,
-            )
-        mapping = dict(zip(callee.formal_params, args))
-        inlined = _substitute(callee, mapping)
-        assert isinstance(inlined, CompositeInstruction)
-        return CompositeInstruction(
-            callee.name, (), inlined.children, call_args=tuple(args)
-        )
+        try:
+            return CompositeInstruction(callee.name, (), inline(callee, args), call_args=args)
+        except IrError as exc:
+            raise ParseError(str(exc), head.line, head.col) from None
 
     def parse_expr(self, formals: list[str]) -> ParamSlot:
         tok = self.cur

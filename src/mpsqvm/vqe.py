@@ -110,7 +110,7 @@ def sweep(
         energy(ansatz, float(t), hamiltonian, backend, policy, shots, seed)
         for t in thetas
     ]
-    best = int(np.argmin(energies))
+    best = min(range(count), key=lambda i: (energies[i], thetas[i]))
     return SweepResult(
         thetas=tuple(float(t) for t in thetas),
         energies=tuple(energies),

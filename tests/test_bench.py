@@ -86,6 +86,11 @@ class TestRunGrid:
         [record] = run_grid([5], [2], seeds_per_cell=2, policy=EXACT, time_budget=0)
         assert record.skipped
 
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_seeds_per_cell_below_one_rejected(self, seeds):
+        with pytest.raises(ValueError, match=f"seeds_per_cell must be >= 1, got {seeds}"):
+            run_grid([5], [2], seeds_per_cell=seeds, policy=EXACT)
+
     def test_determinism(self):
         a = run_grid([5], [2, 4], seeds_per_cell=3, policy=EXACT)
         b = run_grid([5], [2, 4], seeds_per_cell=3, policy=EXACT)

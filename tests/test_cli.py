@@ -377,6 +377,12 @@ class TestVqeCommand:
         assert proc.returncode == 1
         assert "usage" in proc.stderr.lower()
 
+    def test_ansatz_and_ham_both_stdin_exit_1(self):
+        proc = run_cli("vqe", "--ansatz", "-", "--ham", "-", "--grid", "0:1:2",
+                       stdin=ANSATZ_PATH.read_text())
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == "mpsqvm: error: --ansatz and --ham cannot both read stdin ('-')\n"
+
 
     def test_gate_after_measure_exit_2(self, tmp_path):
         source = tmp_path / "m.qk"

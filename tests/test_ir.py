@@ -11,6 +11,7 @@ from mpsqvm import (
     parse,
 )
 from mpsqvm.ir import IrError
+from mpsqvm.parser import ParseError
 
 ANSATZ_SRC = """
 __qpu__ ansatz(AcceleratorBuffer b, double t0) {
@@ -25,6 +26,27 @@ __qpu__ ansatz(AcceleratorBuffer b, double t0) {
 }
 __qpu__ term0(AcceleratorBuffer b, double t0) {
   ansatz(b, t0)
+  MEASURE 0 [0]
+}
+"""
+
+
+#: A call chain three kernels deep, with literal and name arguments.
+CHAIN_SRC = """
+__qpu__ leaf(AcceleratorBuffer b, double z) {
+  RZ(z) 2
+  H 2
+}
+__qpu__ mid(AcceleratorBuffer b, double y, double w) {
+  RY(y) 1
+  leaf(b, w)
+  leaf(b, 1.5)
+  CNOT 0 1
+}
+__qpu__ top(AcceleratorBuffer b, double t, double u) {
+  RX(t) 0
+  mid(b, u, t)
+  mid(b, 0.75, u)
   MEASURE 0 [0]
 }
 """
@@ -77,6 +99,21 @@ class TestBindParameters:
         with pytest.raises(IrError):
             bind_parameters(kernel, [0.1, 0.2])
 
+    @pytest.mark.parametrize(
+        "args, count", [("", 0), (", 1.0, t", 2)], ids=["too_few", "too_many"]
+    )
+    def test_call_and_bind_share_arity_message(self, args, count):
+        """A call and a bind with the wrong count fail alike; the parse error
+        sits at the call's name."""
+        with pytest.raises(IrError) as bound:
+            bind_parameters(parse(CHAIN_SRC).kernels["leaf"], [0.5] * count)
+        message = f"kernel 'leaf' takes 1 argument(s), got {count}"
+        assert str(bound.value) == message
+        caller = f"__qpu__ k(AcceleratorBuffer b, double t) {{\n  H 0\n  leaf(b{args})\n}}"
+        with pytest.raises(ParseError) as called:
+            parse(CHAIN_SRC + caller)
+        assert str(called.value) == f"20:3: {message}"
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, float("1e400")])
     def test_non_finite_value_rejected(self, value):
         kernel = parse(ANSATZ_SRC).kernels["ansatz"]
@@ -95,9 +132,15 @@ class TestBindParameters:
         assert kernel == before
         assert any(isinstance(p, str) for p in flatten_slots(kernel))
 
-    def test_gates_without_slots_shared(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "src, name, values",
+        [(ANSATZ_SRC, "term0", [1.25]), (CHAIN_SRC, "top", [1.25, -0.5])],
+        ids=["term0", "chain"],
+    )
+    def test_gates_without_slots_shared(self, monkeypatch, src, name, values):
         """Only the gates with a parameter slot are rebuilt, and so validated."""
-        kernel = parse(ANSATZ_SRC).kernels["term0"]
+        kernel = parse(src).kernels[name]
+        mapping = dict(zip(kernel.formal_params, values))
         before = list(leaves(kernel))
         slotted = [g for g in before if any(isinstance(p, str) for p in g.params)]
         assert 0 < len(slotted) < len(before)
@@ -105,18 +148,18 @@ class TestBindParameters:
         validate = Instruction.__post_init__
         monkeypatch.setattr(Instruction, "__post_init__",
                             lambda self: (built.append(self), validate(self)))
-        bound = bind_parameters(kernel, [1.25])
+        bound = bind_parameters(kernel, values)
         monkeypatch.undo()
         after = list(leaves(bound))
         assert len(after) == len(before)
         for old, new in zip(before, after):
             if any(old is g for g in slotted):
-                assert new is not old and new.params == (1.25,)
+                assert new is not old and new.params == tuple(mapping[p] for p in old.params)
                 assert any(b is new for b in built)
             else:
                 assert new is old
         assert len(built) == len(slotted)
-        assert kernel == parse(ANSATZ_SRC).kernels["term0"]
+        assert kernel == parse(src).kernels[name]
         assert list(leaves(kernel)) == before
 
 
@@ -158,6 +201,26 @@ class TestFlatten:
         )
         kinds = [i.kind for i in flatten(root)]
         assert kinds == [GateKind.X, GateKind.Y, GateKind.Z]
+
+    def test_call_chain_expanded_by_hand(self):
+        bound = bind_parameters(parse(CHAIN_SRC).kernels["top"], [0.5, -2.0])
+        assert list(bound.children) == flatten(bound)  # one level
+        assert flatten(bound) == [
+            Instruction(GateKind.RX, (0,), (0.5,)),
+            Instruction(GateKind.RY, (1,), (-2.0,)),
+            Instruction(GateKind.RZ, (2,), (0.5,)),
+            Instruction(GateKind.H, (2,)),
+            Instruction(GateKind.RZ, (2,), (1.5,)),
+            Instruction(GateKind.H, (2,)),
+            Instruction(GateKind.CNOT, (0, 1)),
+            Instruction(GateKind.RY, (1,), (0.75,)),
+            Instruction(GateKind.RZ, (2,), (-2.0,)),
+            Instruction(GateKind.H, (2,)),
+            Instruction(GateKind.RZ, (2,), (1.5,)),
+            Instruction(GateKind.H, (2,)),
+            Instruction(GateKind.CNOT, (0, 1)),
+            Instruction(GateKind.MEASURE, (0,), (), classical_target=0),
+        ]
 
     def test_unbound_parameter_rejected(self):
         kernel = parse(ANSATZ_SRC).kernels["ansatz"]

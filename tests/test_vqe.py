@@ -141,6 +141,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(RX_ANSATZ, ZI, 0, 1, 1)
 
+    @pytest.mark.parametrize("start, stop", [(-pi, pi), (pi, -pi)])
+    def test_argmin_tie_breaks_toward_smaller_theta(self, start, stop):
+        result = sweep(RX_ANSATZ, parse_hamiltonian("1.0 Z"), start, stop, 3)
+        assert result.energies[0] == result.energies[2] == result.min_energy == -1.0
+        assert result.argmin_theta == -pi
+
 
 class TestSampledMode:
     def test_basis_rotations_reproduce_analytic(self):
