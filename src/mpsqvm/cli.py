@@ -24,6 +24,7 @@ from typing import TypeVar
 from . import bench as bench_mod
 from . import vqe as vqe_mod
 from .backends import BACKENDS, execute
+from .dense import oracle_qubit_cap
 from .hamiltonian import HamiltonianFormatError, parse_hamiltonian
 from .ir import IrError, bind_parameters, flatten, num_qubits
 from .mps import TruncationPolicy
@@ -289,7 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "backend", None) == "dense":
             # read here so a malformed cap is a usage error, not an execution error
-            _env_number("MPSQVM_ORACLE_QUBIT_CAP", int)
+            try:
+                oracle_qubit_cap()
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
         args.handler(args)
     except (ParseError, HamiltonianFormatError, UsageError, OSError) as exc:
         # OSError: a path that cannot be read or written

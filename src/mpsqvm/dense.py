@@ -24,7 +24,16 @@ DEFAULT_QUBIT_CAP = 24
 
 
 def oracle_qubit_cap() -> int:
-    return int(os.environ.get("MPSQVM_ORACLE_QUBIT_CAP", DEFAULT_QUBIT_CAP))
+    """``MPSQVM_ORACLE_QUBIT_CAP`` if set, else :data:`DEFAULT_QUBIT_CAP`; a
+    value that is not an integer >= 1 is a ``ValueError`` naming the variable."""
+    text = os.environ.get("MPSQVM_ORACLE_QUBIT_CAP", str(DEFAULT_QUBIT_CAP))
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MPSQVM_ORACLE_QUBIT_CAP={text!r} is not an integer >= 1")
+    return cap
 
 
 class DenseState:

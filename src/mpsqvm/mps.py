@@ -4,9 +4,21 @@ The state of ``n`` qubits is stored as ``n`` rank-3 site tensors
 ``B_k = Gamma_k * Lambda_k`` (shape ``(left_bond, 2, right_bond)``, the
 Vidal tensor with its right singular values absorbed) and ``n-1``
 singular-value vectors ``Lambda_k`` on the bonds between them. Every ``B_k``
-is right-canonical, ``sum_s B^s B^s+ = I`` (exactly at cutoff 0), so the
-amplitude of a bitstring is the plain matrix product of the ``B`` slices, and
-the state to the right of any bond needs no contraction.
+is right-canonical on the support of ``Lambda``:
+``diag(Lambda_{k-1}) (sum_s B^s B^s+ - I) diag(Lambda_{k-1}) = 0``, exactly at
+cutoff 0, with ``Lambda_{-1} = 1``. So the amplitude of a bitstring is the
+plain matrix product of the ``B`` slices, and the state to the right of any
+bond needs no contraction.
+
+A row ``l`` of ``B_k`` whose ``Lambda_{k-1}[l]`` is exactly zero need not be
+orthonormal, and nothing reads it: it enters a query only through
+``Lambda_{k-1}[l]`` (the ``diag(Lambda^2)`` start of
+:meth:`MpsState.expectation_pauli`, the ``diag(Lambda) theta`` of the next
+update) or through column ``l`` of ``B_{k-1}`` (the products of
+:meth:`MpsState.amplitude` and :meth:`MpsState.sample`), and that column is
+itself non-zero only on rows of zero weight. A Schmidt vector of weight 0
+contributes nothing to the state (Vidal, PRL 91, 147902 (2003)), and its
+weight stays 0 under every later gate.
 
 One-qubit gates act on the physical index of one ``B``. A two-qubit gate on
 adjacent sites ``(q, q+1)`` forms ``theta = B_q B_{q+1}``, applies the 4x4
@@ -15,17 +27,13 @@ are the new ``Lambda_q`` (after truncation per the active policy), ``V+``
 becomes ``B_{q+1}`` and ``theta V / |s|`` becomes ``B_q``, so nothing is
 divided by a singular value (Hastings, J. Math. Phys. 50, 095207 (2009)).
 Should the SVD not converge, ``s`` and ``V+`` come from ``eigh`` of the Gram
-matrix instead.
-Where the left bond is the smaller one (and not 1), ``theta`` is first split
-as ``L Q+`` by a QR factorization and the SVD taken of
-``diag(Lambda_{q-1}) L``, which keeps ``B_q`` right-canonical even in rows
-whose ``Lambda_{q-1}`` is exactly zero. Non-adjacent pairs are routed
-together with SWAP chains and routed back afterwards. Every contraction is a
-reshape plus a matrix product; a Pauli expectation costs O(|support| chi^3)
-and touches only the string's support. Only the two-site update changes
-tensor sizes, so it keeps the stored entry count, its peak (the memory
-estimate) and the largest bond seen up to date in O(1), from the sizes of
-the two sites and the one bond it replaces.
+matrix instead. Non-adjacent pairs are routed together with SWAP chains and
+routed back afterwards. Every contraction is a reshape plus a matrix product;
+a Pauli expectation costs O(|support| chi^3) and touches only the string's
+support. Only the two-site update changes tensor sizes, so it keeps the
+stored entry count, its peak (the memory estimate) and the largest bond seen
+up to date in O(1), from the sizes of the two sites and the one bond it
+replaces.
 
 :func:`sample_sequential` is the one sampling routine of both backends: it
 draws one uniform variate per qubit per shot and walks the qubits once for a
@@ -132,19 +140,10 @@ class MpsState:
         # enters, because B_{q+1} is right-canonical
         theta = b_l.reshape(2 * dim_l, -1) @ b_r.reshape(-1, 2 * dim_r)
         theta = np.matmul(gate, theta.reshape(dim_l, 4, dim_r)).reshape(2 * dim_l, 2 * dim_r)
-        basis = None
-        if 1 < dim_l < dim_r:
-            # Split theta = L Q+ first. The right basis (Q V) then spans every
-            # row of theta, so B_q stays right-canonical in the rows where
-            # Lambda_{q-1} is zero, which diag(Lambda_{q-1}) theta cannot see.
-            # (A left bond of dimension 1 carries Lambda = 1; if the right bond
-            # is the smaller one, V is square and spans everything anyway.)
-            basis, tri = np.linalg.qr(theta.conj().T)
-            theta = tri.conj().T
         lam_l = self.bond_vectors[q - 1] if q > 0 else np.ones(1)
-        # rows of theta are (l, s1): weight row pair l by Lambda_{q-1}[l]
-        m = lam_l[:, np.newaxis, np.newaxis] * theta.reshape(dim_l, 2, -1)
-        m = m.reshape(2 * dim_l, -1)
+        # rows of theta are (l, s1): weight row pair l by Lambda_{q-1}[l]; V
+        # then spans every row of theta that carries weight
+        m = np.repeat(lam_l, 2)[:, np.newaxis] * theta
         try:
             _, s, vh = np.linalg.svd(m, full_matrices=False)
         except np.linalg.LinAlgError:
@@ -162,9 +161,8 @@ class MpsState:
         # B_q = theta V / |s| and B_{q+1} = V+: no division by Lambda
         b_l = theta @ vh.conj().T
         b_l /= norm
-        b_r = vh.copy() if basis is None else vh @ basis.conj().T
         self.site_tensors[q] = b_l.reshape(dim_l, 2, keep)
-        self.site_tensors[q + 1] = b_r.reshape(keep, 2, dim_r)
+        self.site_tensors[q + 1] = vh.copy().reshape(keep, 2, dim_r)
         # only sites q, q+1 and bond q changed size
         self.entries += 2 * (dim_l + dim_r) * (keep - len(self.bond_vectors[q]))
         self.peak_entries = max(self.peak_entries, self.entries)
@@ -205,9 +203,10 @@ class MpsState:
 
         Only sites ``first..last`` of the string's support are contracted,
         starting from ``diag(Lambda_{first-1}^2)`` on the left and closing
-        with a trace, because the canonical form makes the rest of the chain
-        an identity: O(|support| chi^3) instead of O(n chi^4). That assumes
-        the stored tensors are canonical, which holds exactly at cutoff 0.
+        with a trace, because the tensors are right-canonical on the support
+        of ``Lambda``, which makes the rest of the chain an identity:
+        O(|support| chi^3) instead of O(n chi^4). That form holds exactly at
+        cutoff 0.
         After truncation both ends miss the discarded part, so the value
         deviates from the full normalised contraction of the stored tensors
         by up to about twice the discarded weight ``trunc_error_sq``
@@ -230,8 +229,10 @@ class MpsState:
 
         The carry of a distinct prefix is its row ``W = B_0[s_0] ... B_{k-1}[s_{k-1}]``;
         the weight of outcome ``s`` at qubit ``k`` is ``|W B_k[s]|^2``, exact
-        because ``B_k`` is right-canonical. The carry at qubit ``k`` is a
-        ``(G, chi)`` block with one row per distinct prefix drawn so far.
+        because ``W`` is zero, up to rounding, where ``Lambda_{k-1}`` is, and
+        ``B_k`` is right-canonical on the support of ``Lambda``. The carry at
+        qubit ``k`` is a ``(G, chi)`` block with one row per distinct prefix
+        drawn so far.
         """
 
         def split(k: int, prefix: np.ndarray):

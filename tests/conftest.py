@@ -46,6 +46,86 @@ def max_bond(state) -> int:
     return max((len(v) for v in state.bond_vectors), default=1)
 
 
+def max_right_canonical_deviation(state) -> float:
+    """max over sites k of |diag(L) (sum_s B^s B^s+ - I) diag(L)| with
+    L = Lambda_{k-1} (1 at the left edge): the right-canonical form on the
+    rows that carry weight, which is all that any query reads."""
+    worst = 0.0
+    for k, b in enumerate(state.site_tensors):
+        lam = state.bond_vectors[k - 1] if k > 0 else np.ones(1)
+        rows = b.reshape(b.shape[0], -1)
+        gap = rows @ rows.conj().T - np.eye(len(rows))
+        worst = max(worst, np.abs(lam[:, np.newaxis] * gap * lam).max())
+    return worst
+
+
+def assert_right_canonical(state) -> None:
+    assert max_right_canonical_deviation(state) <= 1e-12
+
+
+def conjugate_pauli(program, pauli: str, forward: bool = False) -> tuple[str, int]:
+    """``U+ P U`` (or ``U P U+`` with ``forward``) for a Clifford program ``U``
+    as ``(labels, sign)``, tracking an x and a z bit per qubit and one sign
+    bit (Aaronson and Gottesman, PRA 70, 052328 (2004)). Takes H, X, Y, Z,
+    RZ(k pi/2), CNOT, CZ and SWAP and raises on anything else, so it is exact
+    at any width in O(len(program))."""
+    x = [int(label in "XY") for label in pauli]
+    z = [int(label in "YZ") for label in pauli]
+    sign = 0
+
+    def h(a):  # H P H
+        nonlocal sign
+        sign ^= x[a] & z[a]
+        x[a], z[a] = z[a], x[a]
+
+    def s(a):  # S P S+
+        nonlocal sign
+        sign ^= x[a] & z[a]
+        z[a] ^= x[a]
+
+    def cnot(a, b):  # CNOT P CNOT, control a
+        nonlocal sign
+        sign ^= x[a] & z[b] & (x[b] ^ z[a] ^ 1)
+        x[b] ^= x[a]
+        z[a] ^= z[b]
+
+    for gate in program if forward else reversed(program):
+        kind, (a, *rest) = gate.kind, gate.qubits
+        turns = round(gate.params[0] / (np.pi / 2)) if kind is GateKind.RZ else None
+        if turns is not None and abs(gate.params[0] - turns * np.pi / 2) < 1e-12:
+            # RZ(k pi/2) is S^k up to a phase; U+ P U conjugates by S^-k
+            for _ in range((turns if forward else -turns) % 4):
+                s(a)
+        elif kind is GateKind.X:
+            sign ^= z[a]
+        elif kind is GateKind.Y:
+            sign ^= x[a] ^ z[a]
+        elif kind is GateKind.Z:
+            sign ^= x[a]
+        elif kind is GateKind.H:
+            h(a)
+        elif kind is GateKind.CNOT:
+            cnot(a, rest[0])
+        elif kind is GateKind.CZ:
+            h(rest[0])
+            cnot(a, rest[0])
+            h(rest[0])
+        elif kind is GateKind.SWAP:
+            b = rest[0]
+            x[a], x[b], z[a], z[b] = x[b], x[a], z[b], z[a]
+        else:
+            raise ValueError(f"not a Clifford gate of this propagator: {gate}")
+    labels = "".join("IZXY"[2 * xb + zb] for xb, zb in zip(x, z))
+    return labels, -1 if sign else 1
+
+
+def clifford_expectation(program, pauli: str) -> int:
+    """<0...0| U+ P U |0...0>: the sign of ``U+ P U`` if it has no X or Y
+    factor, else 0."""
+    labels, sign = conjugate_pauli(program, pauli)
+    return 0 if set(labels) & {"X", "Y"} else sign
+
+
 def exact_ground_energy(hamiltonian) -> float:
     """Lowest eigenvalue of the dense 2^n x 2^n matrix of a Pauli Hamiltonian
     (qubit 0 the most significant factor), by brute-force diagonalization."""

@@ -269,6 +269,16 @@ class TestUsageErrors:
         assert proc.returncode == 1, proc.stderr
         assert "MPSQVM_ORACLE_QUBIT_CAP='abc'" in proc.stderr
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_var_oracle_qubit_cap_below_1(self, bell_file, value):
+        proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell",
+                       "--backend", "dense", "--shots", "10",
+                       env={"MPSQVM_ORACLE_QUBIT_CAP": value})
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (
+            f"mpsqvm: error: MPSQVM_ORACLE_QUBIT_CAP={value!r} is not an integer >= 1\n"
+        )
+
     def test_vqe_kernel_without_parameter(self, bell_file):
         proc = run_cli("vqe", "--ansatz", str(bell_file), "--kernel", "bell",
                        "--ham", str(HAM_PATH), "--grid", "0:1:2")

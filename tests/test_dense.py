@@ -33,6 +33,12 @@ class TestDenseRun:
             DenseState(5)
         DenseState(4)
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+    def test_qubit_cap_must_be_an_integer_at_least_1(self, monkeypatch, value):
+        monkeypatch.setenv("MPSQVM_ORACLE_QUBIT_CAP", value)
+        with pytest.raises(ValueError, match=f"MPSQVM_ORACLE_QUBIT_CAP='{value}'"):
+            DenseState(1)
+
     def test_measure_is_skipped(self):
         program = bell_program() + [
             Instruction(GateKind.MEASURE, (0,), (), classical_target=0)

@@ -23,6 +23,7 @@ from mpsqvm.mps import SHOT_BLOCK, sample_sequential
 from tests.conftest import (
     ONE_QUBIT_KINDS,
     TWO_QUBIT_KINDS,
+    assert_right_canonical,
     bell_program,
     ghz3_program,
     max_bond,
@@ -458,19 +459,6 @@ class TestInvariants:
 # -- properties of the right-canonical core ------------------------------------
 
 
-def _max_right_canonical_deviation(state) -> float:
-    """max over sites of |sum_s B^s B^s+ - I|."""
-    worst = 0.0
-    for b in state.site_tensors:
-        rows = b.reshape(b.shape[0], -1)
-        worst = max(worst, np.abs(rows @ rows.conj().T - np.eye(len(rows))).max())
-    return worst
-
-
-def _assert_right_canonical(state) -> None:
-    assert _max_right_canonical_deviation(state) <= 1e-12
-
-
 def _full_expectation(state, pauli: str) -> float:
     """<P> from every stored tensor, contracted from the left edge and divided
     by the norm: the reference that does not assume canonical form."""
@@ -529,16 +517,53 @@ class TestCanonicalProperties:
     @given(circuits())
     def test_right_canonical_after_every_gate(self, circuit):
         n, program = circuit
-        apply_program(MpsState(n, EXACT), program, _assert_right_canonical)
+        apply_program(MpsState(n, EXACT), program, assert_right_canonical)
 
     def test_right_canonical_next_to_exactly_zero_singular_values(self):
         # SWAPs and CNOTs on product states leave Schmidt values of exactly 0
         # on bonds of dimension 2; later gates meet them on their left bond
         program = random_program(5, 8, np.random.default_rng(2))
-        state = apply_program(MpsState(5, EXACT), program, _assert_right_canonical)
+        state = apply_program(MpsState(5, EXACT), program, assert_right_canonical)
         assert any((v == 0.0).any() for v in state.bond_vectors)
         dense = dense_run(program, 5)
         assert abs(np.vdot(dense.amps, mps_statevector(state))) ** 2 >= 1 - 1e-12
+
+    def test_rows_of_zero_weight_are_never_read(self):
+        # after each gate, fill every row of B_k whose Lambda_{k-1} entry is
+        # exactly 0 with values of order 1 (not NaN: 0 * NaN is NaN); no query
+        # and no later gate may tell the two states apart
+        n, checked = 5, 0
+        noise = np.random.default_rng(0)
+        paulis = ["ZIIII", "IXIII", "IIYZI", "IIIIY", "XXXXX", "ZIIIZ", "YZXZY"]
+        for seed in range(2, 18):
+            program = random_program(n, 8, np.random.default_rng(seed))
+            further = random_program(n, 8, np.random.default_rng(100 + seed))
+            prefixes = []
+            apply_program(MpsState(n, EXACT), program,
+                          lambda state: prefixes.append(copy.deepcopy(state)))
+            for done, state in enumerate(prefixes, start=1):
+                filled, rows = copy.deepcopy(state), 0
+                for k in range(1, n):
+                    zero = filled.bond_vectors[k - 1] == 0.0
+                    shape = filled.site_tensors[k][zero].shape
+                    filled.site_tensors[k][zero] = (noise.normal(size=shape)
+                                                    + 1j * noise.normal(size=shape))
+                    rows += shape[0]
+                if not rows:
+                    continue
+                checked += 1
+                np.testing.assert_allclose(
+                    mps_statevector(filled), mps_statevector(state), rtol=0, atol=1e-12)
+                for pauli in paulis:
+                    assert filled.expectation_pauli(pauli) == pytest.approx(
+                        state.expectation_pauli(pauli), abs=1e-12), (seed, done, pauli)
+                assert filled.sample(2000, np.random.default_rng(1)) == state.sample(
+                    2000, np.random.default_rng(1)), (seed, done)
+                dense = dense_run(program[:done] + further, n)
+                for mps in (state, filled):
+                    apply_program(mps, further)
+                    assert abs(np.vdot(dense.amps, mps_statevector(mps))) ** 2 >= 1 - 1e-12
+        assert checked > 50  # states with an exactly-zero Schmidt value
 
     def test_expectation_reads_only_the_support(self, rng):
         n = 200
@@ -588,7 +613,7 @@ class TestSvdFallback:
     """An SVD that does not converge falls back to ``eigh`` of the Gram matrix."""
 
     # the failing call is the first of the largest SVDs of this shape in the
-    # run: a wide one (left bond 1) uses only part of the Gram eigenvectors
+    # run: a wide one uses only part of the Gram eigenvectors
     @pytest.mark.parametrize("shape", ["wide", "square", "tall"])
     def test_one_failed_svd_keeps_state_exact(self, monkeypatch, shape):
         program = random_program(6, 60, np.random.default_rng(5))
@@ -612,7 +637,7 @@ class TestSvdFallback:
         expected = iter(bonds)
 
         def check(state):
-            _assert_right_canonical(state)
+            assert_right_canonical(state)
             for got, want in zip(state.bond_vectors, next(expected)):
                 np.testing.assert_allclose(got, want, atol=1e-7)
 
