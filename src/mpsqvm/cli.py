@@ -193,12 +193,11 @@ def _cmd_run(args: argparse.Namespace) -> None:
     # no text passes no values; otherwise every field, empty or not, is one value
     fields = args.args.split(",") if args.args.strip() else []
     values = [_finite(v, "--args") for v in fields]
-    if len(values) != len(kernel.formal_params):
-        raise UsageError(
-            f"kernel '{kernel.name}' takes {len(kernel.formal_params)} parameter(s), "
-            f"--args gives {len(values)}"
-        )
-    program = flatten(bind_parameters(kernel, values))
+    try:
+        bound = bind_parameters(kernel, values)
+    except IrError as exc:  # a wrong --args count; the values are finite already
+        raise UsageError(str(exc)) from None
+    program = flatten(bound)
     n = args.qubits
     if n is not None and n < num_qubits(program):
         raise UsageError(

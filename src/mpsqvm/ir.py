@@ -1,11 +1,10 @@
 """Gate-level intermediate representation.
 
-Programs are trees: :class:`CompositeInstruction` nodes (named kernels) with
-:class:`Instruction` leaves (concrete gates). Execution order is a pre-order
-traversal of the leaves. All IR values are immutable after construction and
-safe to share. A kernel call is inlined where it is parsed, and binding
-parameters returns a one-level kernel that holds the bound gates, not a new
-tree.
+A kernel is a :class:`CompositeInstruction`: a name, formal parameters and a
+flat tuple of :class:`Instruction` gates, run in order. All IR values are
+immutable after construction and safe to share. A kernel call is expanded
+into the caller's gates where it is parsed, and binding parameters returns a
+kernel that holds the bound gates.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ class GateKind(enum.Enum):
 
 
 class IrError(ValueError):
-    """Malformed IR: bad arity, unknown or repeated parameter, unbound slot."""
+    """Malformed IR: bad arity, unknown or repeated parameter, unbound slot, or
+    a kernel child that is not a gate."""
 
 
 #: A parameter slot: either a concrete angle (radians) or an unresolved
@@ -79,18 +79,16 @@ class Instruction:
 
 @dataclass(frozen=True)
 class CompositeInstruction:
-    """A named kernel: an ordered tree of gates and nested kernel calls.
+    """A named kernel: its formal parameters and its gates, in run order.
 
-    ``call_args`` is set on nodes that stand for a call site inside another
-    kernel; it records the caller-supplied argument expressions so the source
-    form can be regenerated, and ``children`` holds the callee's gates as
-    :func:`inline` returns them.
+    Every child is an :class:`Instruction`. A call to another kernel is
+    expanded by :func:`inline` into the callee's gates, so a kernel never
+    holds a kernel.
     """
 
     name: str
     formal_params: tuple[str, ...] = ()
-    children: tuple["Instruction | CompositeInstruction", ...] = ()
-    call_args: tuple[ParamSlot, ...] | None = None
+    children: tuple[Instruction, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "formal_params", tuple(self.formal_params))
@@ -98,28 +96,18 @@ class CompositeInstruction:
         for i, param in enumerate(self.formal_params):
             if param in self.formal_params[:i]:
                 raise IrError(f"kernel '{self.name}' declares parameter '{param}' twice")
-        if self.call_args is not None:
-            object.__setattr__(self, "call_args", tuple(self.call_args))
-
-
-def _gates(node: CompositeInstruction, out: list[Instruction]) -> list[Instruction]:
-    """Append the gates under ``node`` to ``out`` in pre-order; return ``out``."""
-    for child in node.children:
-        if isinstance(child, Instruction):
-            out.append(child)
-        else:
-            _gates(child, out)
-    return out
+        for child in self.children:
+            if not isinstance(child, Instruction):
+                raise IrError(f"kernel '{self.name}' holds a {type(child).__name__}, not a gate")
 
 
 def inline(kernel: CompositeInstruction, args: list[ParamSlot]) -> tuple[Instruction, ...]:
-    """The gates of the call ``kernel(b, *args)``, in pre-order.
+    """The gates of the call ``kernel(b, *args)``, in order.
 
     ``args`` is matched positionally against ``kernel.formal_params``; each
-    is an angle or a formal-parameter name of the caller. Nested kernel
-    nodes are walked through, so the result is flat. A gate with a named
-    slot is rebuilt with the slot filled (and so validated again); a gate
-    without one is shared with ``kernel``, which is never mutated.
+    is an angle or a formal-parameter name of the caller. A gate with a
+    named slot is rebuilt with the slot filled (and so validated again); a
+    gate without one is shared with ``kernel``, which is never mutated.
     """
     if len(args) != len(kernel.formal_params):
         raise IrError(
@@ -127,7 +115,7 @@ def inline(kernel: CompositeInstruction, args: list[ParamSlot]) -> tuple[Instruc
             f"got {len(args)}"
         )
     mapping = dict(zip(kernel.formal_params, args))
-    out = _gates(kernel, [])
+    out = list(kernel.children)
     for i, gate in enumerate(out):
         if any(isinstance(p, str) for p in gate.params):
             params = tuple(mapping.get(p, p) if isinstance(p, str) else p for p in gate.params)
@@ -136,12 +124,12 @@ def inline(kernel: CompositeInstruction, args: list[ParamSlot]) -> tuple[Instruc
 
 
 def bind_parameters(root: CompositeInstruction, values: list[float]) -> CompositeInstruction:
-    """Return ``root`` bound to ``values``, as a one-level kernel.
+    """Return ``root`` bound to ``values``, as a kernel with no parameters.
 
     ``values`` is matched positionally against ``root.formal_params`` and
     must be finite. The result's children are :func:`inline`'s gates: every
-    gate with a parameter slot is rebuilt, every other gate is shared with
-    ``root``, and no kernel node of ``root`` is kept.
+    gate with a parameter slot is rebuilt, and every other gate is shared
+    with ``root``.
     """
     values = [float(v) for v in values]
     gates = inline(root, values)
@@ -152,15 +140,14 @@ def bind_parameters(root: CompositeInstruction, values: list[float]) -> Composit
 
 
 def flatten(root: CompositeInstruction) -> list[Instruction]:
-    """Pre-order leaf list of a fully bound tree."""
-    out = _gates(root, [])
-    for node in out:
-        unresolved = [p for p in node.params if isinstance(p, str)]
+    """The gates of a fully bound kernel, in order."""
+    for gate in root.children:
+        unresolved = [p for p in gate.params if isinstance(p, str)]
         if unresolved:
             raise IrError(
-                f"unbound parameter(s) {unresolved} in {node.kind.value} {node.qubits}"
+                f"unbound parameter(s) {unresolved} in {gate.kind.value} {gate.qubits}"
             )
-    return out
+    return list(root.children)
 
 
 def num_qubits(program: list[Instruction]) -> int:

@@ -145,11 +145,11 @@ class _Parser:
             formals.append(self._expect_ident("parameter name").text)
         self._expect_sym(")")
         self._expect_sym("{")
-        children: list[Instruction | CompositeInstruction] = []
+        children: list[Instruction] = []
         while not (self.cur.kind == "sym" and self.cur.text == "}"):
             if self.cur.kind == "eof":
                 raise self._fail("unexpected end of input inside kernel body")
-            children.append(self.parse_statement(unit, formals))
+            children.extend(self.parse_statement(unit, formals))
         self._expect_sym("}")
         try:
             kernel = CompositeInstruction(name_tok.text, tuple(formals), tuple(children))
@@ -157,12 +157,11 @@ class _Parser:
             raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         return name_tok.text, kernel
 
-    def parse_statement(
-        self, unit: SourceUnit, formals: list[str]
-    ) -> Instruction | CompositeInstruction:
+    def parse_statement(self, unit: SourceUnit, formals: list[str]) -> tuple[Instruction, ...]:
+        """The gates of one statement: a gate, or a call expanded in place."""
         head = self._expect_ident("gate or kernel name")
         if head.text in _GATE_NAMES:
-            return self.parse_gate(_GATE_NAMES[head.text], head, formals)
+            return (self.parse_gate(_GATE_NAMES[head.text], head, formals),)
         return self.parse_call(head, unit, formals)
 
     def parse_gate(self, kind: GateKind, head: Token, formals: list[str]) -> Instruction:
@@ -187,7 +186,7 @@ class _Parser:
 
     def parse_call(
         self, head: Token, unit: SourceUnit, formals: list[str]
-    ) -> CompositeInstruction:
+    ) -> tuple[Instruction, ...]:
         callee = unit.kernels.get(head.text)
         if callee is None:
             raise ParseError(f"call to undefined kernel '{head.text}'", head.line, head.col)
@@ -199,7 +198,7 @@ class _Parser:
             args.append(self.parse_expr(formals))
         self._expect_sym(")")
         try:
-            return CompositeInstruction(callee.name, (), inline(callee, args), call_args=args)
+            return inline(callee, args)
         except IrError as exc:
             raise ParseError(str(exc), head.line, head.col) from None
 
@@ -228,10 +227,7 @@ def _format_param(p: ParamSlot) -> str:
     return p if isinstance(p, str) else repr(float(p))
 
 
-def _unparse_statement(node: Instruction | CompositeInstruction) -> str:
-    if isinstance(node, CompositeInstruction):
-        args = "".join(", " + _format_param(a) for a in (node.call_args or ()))
-        return f"{node.name}(b{args})"
+def _unparse_statement(node: Instruction) -> str:
     if node.kind is GateKind.MEASURE:
         return f"MEASURE {node.qubits[0]} [{node.classical_target}]"
     params = ""
@@ -241,7 +237,11 @@ def _unparse_statement(node: Instruction | CompositeInstruction) -> str:
 
 
 def unparse(unit: SourceUnit) -> str:
-    """Canonical source text; ``parse(unparse(u))`` is structurally equal to ``u``."""
+    """Canonical source text; ``parse(unparse(u))`` is structurally equal to ``u``.
+
+    A kernel holds only gates, so a call is printed as the callee's gates
+    it was expanded into.
+    """
     blocks = []
     for name, kernel in unit.kernels.items():
         formals = "".join(f", double {p}" for p in kernel.formal_params)

@@ -11,6 +11,26 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 HAM_PATH = REPO_ROOT / "data" / "h2_2q.ham"
 ANSATZ_PATH = REPO_ROOT / "data" / "h2_vqe.qk"
 
+#: A call chain three kernels deep, with literal and name arguments.
+CHAIN_SRC = """
+__qpu__ leaf(AcceleratorBuffer b, double z) {
+  RZ(z) 2
+  H 2
+}
+__qpu__ mid(AcceleratorBuffer b, double y, double w) {
+  RY(y) 1
+  leaf(b, w)
+  leaf(b, 1.5)
+  CNOT 0 1
+}
+__qpu__ top(AcceleratorBuffer b, double t, double u) {
+  RX(t) 0
+  mid(b, u, t)
+  mid(b, 0.75, u)
+  MEASURE 0 [0]
+}
+"""
+
 ONE_QUBIT_KINDS = [
     GateKind.H, GateKind.X, GateKind.Y, GateKind.Z,
     GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.I,

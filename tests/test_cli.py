@@ -133,7 +133,7 @@ class TestUsageErrors:
         proc = run_cli("run", "--source", str(ANSATZ_PATH), "--kernel", "term0",
                        "--args", "0.5,1")
         assert proc.returncode == 1, proc.stderr
-        assert "takes 1 parameter(s), --args gives 2" in proc.stderr
+        assert "kernel 'term0' takes 1 argument(s), got 2" in proc.stderr
 
     @pytest.mark.parametrize("values", [",3.14159265,,0,", "3.14159265,0,", "3.14159265,,0"])
     def test_empty_arg_field(self, tmp_path, values):

@@ -12,6 +12,7 @@ from mpsqvm import (
 )
 from mpsqvm.ir import IrError
 from mpsqvm.parser import ParseError
+from tests.conftest import CHAIN_SRC
 
 ANSATZ_SRC = """
 __qpu__ ansatz(AcceleratorBuffer b, double t0) {
@@ -26,27 +27,6 @@ __qpu__ ansatz(AcceleratorBuffer b, double t0) {
 }
 __qpu__ term0(AcceleratorBuffer b, double t0) {
   ansatz(b, t0)
-  MEASURE 0 [0]
-}
-"""
-
-
-#: A call chain three kernels deep, with literal and name arguments.
-CHAIN_SRC = """
-__qpu__ leaf(AcceleratorBuffer b, double z) {
-  RZ(z) 2
-  H 2
-}
-__qpu__ mid(AcceleratorBuffer b, double y, double w) {
-  RY(y) 1
-  leaf(b, w)
-  leaf(b, 1.5)
-  CNOT 0 1
-}
-__qpu__ top(AcceleratorBuffer b, double t, double u) {
-  RX(t) 0
-  mid(b, u, t)
-  mid(b, 0.75, u)
   MEASURE 0 [0]
 }
 """
@@ -130,7 +110,7 @@ class TestBindParameters:
         before = kernel
         bind_parameters(kernel, [1.25])
         assert kernel == before
-        assert any(isinstance(p, str) for p in flatten_slots(kernel))
+        assert any(isinstance(p, str) for g in kernel.children for p in g.params)
 
     @pytest.mark.parametrize(
         "src, name, values",
@@ -141,7 +121,7 @@ class TestBindParameters:
         """Only the gates with a parameter slot are rebuilt, and so validated."""
         kernel = parse(src).kernels[name]
         mapping = dict(zip(kernel.formal_params, values))
-        before = list(leaves(kernel))
+        before = list(kernel.children)
         slotted = [g for g in before if any(isinstance(p, str) for p in g.params)]
         assert 0 < len(slotted) < len(before)
         built = []
@@ -150,7 +130,7 @@ class TestBindParameters:
                             lambda self: (built.append(self), validate(self)))
         bound = bind_parameters(kernel, values)
         monkeypatch.undo()
-        after = list(leaves(bound))
+        after = list(bound.children)
         assert len(after) == len(before)
         for old, new in zip(before, after):
             if any(old is g for g in slotted):
@@ -160,23 +140,7 @@ class TestBindParameters:
                 assert new is old
         assert len(built) == len(slotted)
         assert kernel == parse(src).kernels[name]
-        assert list(leaves(kernel)) == before
-
-
-def leaves(node):
-    if isinstance(node, Instruction):
-        yield node
-    else:
-        for child in node.children:
-            yield from leaves(child)
-
-
-def flatten_slots(node):
-    if isinstance(node, Instruction):
-        yield from node.params
-    else:
-        for child in node.children:
-            yield from flatten_slots(child)
+        assert list(kernel.children) == before
 
 
 class TestFlatten:
@@ -191,16 +155,11 @@ class TestFlatten:
     def test_empty_composite(self):
         assert flatten(CompositeInstruction("empty")) == []
 
-    def test_nested_outer_to_inner_order(self):
+    def test_nested_kernel_rejected(self):
+        """A kernel holds only gates, so a kernel child fails where it is built."""
         inner = CompositeInstruction("c", (), (Instruction(GateKind.Z, (2,)),))
-        mid = CompositeInstruction(
-            "b", (), (Instruction(GateKind.Y, (1,)), inner)
-        )
-        root = CompositeInstruction(
-            "a", (), (Instruction(GateKind.X, (0,)), mid)
-        )
-        kinds = [i.kind for i in flatten(root)]
-        assert kinds == [GateKind.X, GateKind.Y, GateKind.Z]
+        with pytest.raises(IrError, match="kernel 'b' holds a CompositeInstruction, not a gate"):
+            CompositeInstruction("b", (), (Instruction(GateKind.Y, (1,)), inner))
 
     def test_call_chain_expanded_by_hand(self):
         bound = bind_parameters(parse(CHAIN_SRC).kernels["top"], [0.5, -2.0])

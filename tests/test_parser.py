@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from mpsqvm import GateKind, parse, unparse
+from mpsqvm import GateKind, Instruction, bind_parameters, flatten, parse, unparse
 from mpsqvm.parser import ParseError
+from tests.conftest import CHAIN_SRC
 
 FULL_SRC = """\
 __qpu__ ansatz(AcceleratorBuffer b,
@@ -56,11 +57,15 @@ class TestParse:
         assert unit.kernels["ansatz"].formal_params == ("t0",)
 
     def test_call_inlines_callee(self):
-        term0 = parse(FULL_SRC).kernels["term0"]
-        call = term0.children[0]
-        assert call.name == "ansatz"
-        assert call.call_args == ("t0",)
-        assert len(call.children) == 8
+        """A call is expanded in place into the callee's gates."""
+        unit = parse(FULL_SRC)
+        ansatz, term0 = unit.kernels["ansatz"], unit.kernels["term0"]
+        assert len(term0.children) == 9
+        for called, gate in zip(term0.children[:8], ansatz.children):
+            if gate.params == ("t0",):
+                assert called is not gate and called.params == ("t0",)
+            else:
+                assert called is gate
 
     def test_comments_and_blank_lines(self):
         src = "# header comment\n\n" + wrap("H 0  # inline\n\n  X 1")
@@ -134,10 +139,20 @@ class TestParseErrors:
 
 
 class TestUnparse:
-    def test_round_trip_full_listing(self):
-        unit = parse(FULL_SRC)
+    @pytest.mark.parametrize("src", [FULL_SRC, CHAIN_SRC], ids=["full", "chain"])
+    def test_round_trip_full_listing(self, src):
+        unit = parse(src)
         again = parse(unparse(unit))
         assert again.kernels == unit.kernels
+        for kernel in unit.kernels.values():
+            assert all(isinstance(c, Instruction) for c in kernel.children)
+
+    def test_round_trip_keeps_bound_chain(self):
+        top = parse(CHAIN_SRC).kernels["top"]
+        again = parse(unparse(parse(CHAIN_SRC))).kernels["top"]
+        assert flatten(bind_parameters(again, [0.5, -2.0])) == flatten(
+            bind_parameters(top, [0.5, -2.0])
+        )
 
     def test_zero_kernel_unit(self):
         assert unparse(parse("")) == ""
@@ -146,8 +161,9 @@ class TestUnparse:
         text = unparse(parse(wrap("RZ(t0) 0", ", double t0")))
         assert "RZ(t0) 0" in text
 
-    def test_fixed_point(self):
-        first = parse(FULL_SRC)
+    @pytest.mark.parametrize("src", [FULL_SRC, CHAIN_SRC], ids=["full", "chain"])
+    def test_fixed_point(self, src):
+        first = parse(src)
         second = parse(unparse(first))
         third = parse(unparse(second))
         assert second.kernels == third.kernels
