@@ -9,6 +9,7 @@ parity meet.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -87,28 +88,6 @@ class _OverBudget(Exception):
     """Raised between gates to abandon a run that blew its budget."""
 
 
-def _run_budgeted(
-    program: list[Instruction],
-    n: int,
-    policy: TruncationPolicy | None,
-    chi_budget: int,
-    time_budget: float,
-) -> MpsState | None:
-    """Simulate, returning None if the chi or wall-clock budget is exceeded."""
-    start = time.perf_counter()
-
-    def check_budgets(state: MpsState) -> None:
-        if state.max_bond_seen > chi_budget:
-            raise _OverBudget
-        if time.perf_counter() - start > time_budget:
-            raise _OverBudget
-
-    try:
-        return apply_program(MpsState(n, policy), program, check_budgets)
-    except _OverBudget:
-        return None
-
-
 def run_grid(
     qubits: list[int],
     rounds: list[int],
@@ -119,27 +98,34 @@ def run_grid(
 ) -> list[BenchRecord]:
     """One record per (n, rounds) cell, aggregated over ``seeds_per_cell`` runs.
 
-    Cells whose runs blow the chi or per-seed time budget are marked skipped
-    rather than aborting the grid; ``time_budget=inf`` never fires.
+    A cell is skipped as soon as any one of its seeds exceeds the chi or the
+    time budget, and the statistics of its earlier seeds are dropped; the
+    grid goes on with the next cell. The time budget of a seed runs from the
+    start of its simulation, after its circuit is generated;
+    ``time_budget=inf`` never fires.
     """
     if not qubits or not rounds:
         raise ValueError("qubit and round lists must be non-empty")
     if seeds_per_cell < 1:
         raise ValueError(f"seeds_per_cell must be >= 1, got {seeds_per_cell}")
+
+    def check_budgets(state: MpsState) -> None:
+        if state.max_bond_seen > chi_budget or time.perf_counter() > deadline:
+            raise _OverBudget
+
     records: list[BenchRecord] = []
     for n in qubits:
         for m in rounds:
             record = BenchRecord(n=n, rounds=m)
-            for seed in range(seeds_per_cell):
-                program = generate_round_circuit(RoundCircuitSpec(n, m, seed))
-                state = _run_budgeted(program, n, policy, chi_budget, time_budget)
-                if state is None:
-                    record.skipped = True
-                    record.peak_bytes.clear()
-                    record.max_bonds.clear()
-                    break
-                record.peak_bytes.append(state.memory_estimate_bytes())
-                record.max_bonds.append(state.max_bond_seen)
+            try:
+                for seed in range(seeds_per_cell):
+                    program = generate_round_circuit(RoundCircuitSpec(n, m, seed))
+                    deadline = time.perf_counter() + time_budget
+                    state = apply_program(MpsState(n, policy), program, check_budgets)
+                    record.peak_bytes.append(state.memory_estimate_bytes())
+                    record.max_bonds.append(state.max_bond_seen)
+            except _OverBudget:
+                record = BenchRecord(n, m, skipped=True)
             records.append(record)
     return records
 
@@ -159,17 +145,10 @@ def emit_report(records: list[BenchRecord]) -> tuple[str, str]:
             )
     csv_text = "\n".join(lines) + "\n"
 
-    blocks: list[str] = []
-    by_n: dict[int, list[BenchRecord]] = {}
-    for r in records:
-        by_n.setdefault(r.n, []).append(r)
-    for n in sorted(by_n):
-        rows = [
-            f"{r.n} {r.rounds} {r.mean_bytes!r} {r.std_bytes!r}"
-            for r in sorted(by_n[n], key=lambda r: r.rounds)
-            if not r.skipped
-        ]
-        if rows:
-            blocks.append("\n".join(rows))
+    shown = sorted((r for r in records if not r.skipped), key=lambda r: (r.n, r.rounds))
+    blocks = [
+        "\n".join(f"{r.n} {r.rounds} {r.mean_bytes!r} {r.std_bytes!r}" for r in group)
+        for _, group in itertools.groupby(shown, key=lambda r: r.n)
+    ]
     plot_text = "\n\n".join(blocks) + "\n"
     return csv_text, plot_text

@@ -63,6 +63,8 @@ class TruncationPolicy:
     ``cutoff`` discards singular values below ``cutoff * s_max`` (relative
     mode, the default) or below ``cutoff`` itself (absolute mode); ``max_bond``
     then caps the bond dimension. At least one singular value is always kept.
+    A value equal to the threshold is kept, so at cutoff 0 (threshold 0) an
+    exactly-zero singular value is kept and counts as bond dimension.
     """
 
     cutoff: float = 1e-4
@@ -77,11 +79,7 @@ class TruncationPolicy:
 
     def keep_count(self, singular_values: np.ndarray) -> int:
         threshold = self.cutoff * (singular_values[0] if self.relative else 1.0)
-        keep = (
-            int(np.count_nonzero(singular_values >= threshold))
-            if self.cutoff > 0 else len(singular_values)
-        )
-        keep = max(keep, 1)
+        keep = max(int(np.count_nonzero(singular_values >= threshold)), 1)
         if self.max_bond is not None:
             keep = min(keep, self.max_bond)
         return keep

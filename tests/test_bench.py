@@ -8,7 +8,7 @@ from mpsqvm import (
     run_grid,
     run_program,
 )
-from mpsqvm.bench import emit_report
+from mpsqvm.bench import BenchRecord, emit_report
 
 EXACT = TruncationPolicy(cutoff=0.0)
 
@@ -116,3 +116,27 @@ class TestEmitReport:
         records = run_grid([5, 10, 15], [2, 4], seeds_per_cell=1, policy=EXACT)
         csv_text, _ = emit_report(records)
         assert len(csv_text.strip().split("\n")) == 1 + 6
+
+    def test_plot_sorted_and_skips_left_out(self):
+        # given out of grid order; n=5 has a skipped cell, every n=8 cell is skipped
+        records = [
+            BenchRecord(10, 4, [300, 500], [4, 4]),
+            BenchRecord(5, 6, skipped=True),
+            BenchRecord(8, 2, skipped=True),
+            BenchRecord(5, 4, [200, 400], [2, 4]),
+            BenchRecord(10, 2, [64], [1]),
+            BenchRecord(8, 4, skipped=True),
+            BenchRecord(5, 2, [100], [2]),
+        ]
+        csv_text, plot_text = emit_report(records)
+        assert plot_text == (
+            "5 2 100.0 0.0\n5 4 300.0 100.0\n"
+            "\n"
+            "10 2 64.0 0.0\n10 4 400.0 100.0\n"
+        )
+        rows = [line.split(",")[:2] for line in csv_text.splitlines()[1:]]
+        assert rows == [[str(r.n), str(r.rounds)] for r in records]
+
+    def test_plot_of_all_skipped_cells_is_empty(self):
+        records = [BenchRecord(8, 4, skipped=True), BenchRecord(5, 2, skipped=True)]
+        assert emit_report(records)[1] == "\n"

@@ -443,6 +443,43 @@ class TestInvariants:
         assert max_bond(state) == 1
         assert state.trunc_error_sq == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_no_method_writes_a_held_array(self, backend):
+        # methods may rebind a list slot or ``amps`` but never write into an
+        # array the state holds, so a copy of the lists alone forks a state
+        def held(state):
+            if backend == "mps":
+                return state.site_tensors + state.bond_vectors
+            return [state.amps]
+
+        rng = np.random.default_rng(5)
+        ry = gate_matrix(Instruction(GateKind.RY, (0,), (0.7,)))
+        n, truncated = 6, False
+        for _ in range(20):
+            state = run_program(random_program(n, 30, rng), n, backend,
+                                TruncationPolicy(cutoff=1e-2, max_bond=3))
+            q, lo, hi = int(rng.integers(n)), *sorted(rng.choice(n, 2, replace=False).tolist())
+            pauli = "".join(rng.choice(list("IXYZ"), n))
+            calls = [
+                lambda: state.apply_one_qubit(ry, q),
+                lambda: state.apply_two_qubit_routed(CNOT, lo, hi),
+                lambda: state.apply_two_qubit_routed(CNOT, hi, lo),
+                lambda: state.expectation_pauli(pauli),
+                lambda: state.sample(50, rng),
+            ]
+            if backend == "mps":
+                truncated = truncated or state.trunc_error_sq > 0
+                bits = "".join(rng.choice(list("01"), n))
+                calls += [
+                    lambda: state.apply_two_qubit_adjacent(CNOT, min(q, n - 2)),
+                    lambda: state.amplitude(bits),
+                ]
+            for call in calls:
+                before = [(a, a.tobytes()) for a in held(state)]
+                call()
+                assert all(a.tobytes() == data for a, data in before)
+        assert truncated or backend == "dense"
+
     @pytest.mark.parametrize("cutoff", [np.nan, np.inf, -1.0])
     def test_cutoff_must_be_finite_and_non_negative(self, cutoff):
         with pytest.raises(ValueError, match="cutoff"):
@@ -454,6 +491,22 @@ class TestInvariants:
         s = np.array([1.0, 0.5, 0.3, 1e-9])
         assert policy.keep_count(s) == 2
         assert TruncationPolicy(cutoff=1e-4).keep_count(s) == 3
+        # an exactly-zero value is kept at cutoff 0, in either mode
+        zero = np.array([1.0, 0.5, 0.0])
+        for relative in (True, False):
+            assert TruncationPolicy(cutoff=0.0, relative=relative).keep_count(zero) == 3
+            assert TruncationPolicy(cutoff=1e-12, relative=relative).keep_count(zero) == 2
+
+    @pytest.mark.parametrize(
+        "cutoff, bond, chi, nbytes", [(0.0, [1.0, 0.0], 2, 128), (1e-12, [1.0], 1, 64)]
+    )
+    def test_zero_singular_value_is_bond_dimension_at_cutoff_0(self, cutoff, bond, chi, nbytes):
+        # CNOT on |00> leaves a product state: its second singular value is 0
+        state = MpsState(2, TruncationPolicy(cutoff=cutoff))
+        state.apply_two_qubit_adjacent(CNOT, 0)
+        assert state.bond_vectors[0].tolist() == bond
+        assert state.max_bond_seen == chi
+        assert state.memory_estimate_bytes() == nbytes
 
 
 # -- properties of the right-canonical core ------------------------------------
