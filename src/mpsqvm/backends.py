@@ -1,16 +1,19 @@
 """Common execution contract over the two interchangeable backends.
 
 ``run_program`` builds a fresh state on either the MPS simulator or the dense
-oracle and applies a flattened program to it with
-:func:`~mpsqvm.gates.apply_program`; ``execute`` additionally samples the
-measured qubits and assembles a :class:`RunRecord`. Both backends sample
-through the one function :func:`~mpsqvm.mps.sample_sequential` (one uniform
-variate per qubit per shot), so a fixed seed yields identical counts across
-backends when truncation is off.
+oracle and applies a program to it with :func:`~mpsqvm.gates.apply_program`,
+which binds the program's named angle slots from the values it is given, so
+a kernel's gates run as they are at each new value, with nothing rebuilt.
+``execute`` additionally samples the measured qubits and assembles a
+:class:`RunRecord`. Both backends sample through the one function
+:func:`~mpsqvm.mps.sample_sequential` (one uniform variate per qubit per
+shot), so a fixed seed yields identical counts across backends when
+truncation is off.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +40,14 @@ class RunRecord:
 
 
 def run_program(
-    program: list[Instruction],
+    program: Sequence[Instruction],
     n: int | None = None,
     backend: str = "mps",
     policy: TruncationPolicy | None = None,
+    values: Mapping[str, float] | None = None,
 ) -> MpsState | DenseState:
+    """A fresh ``n``-qubit state (default: the program's span) with the
+    program applied, its named angle slots bound from ``values``."""
     if n is None:
         n = num_qubits(program)
     elif n < num_qubits(program):
@@ -55,7 +61,7 @@ def run_program(
         state = DenseState(n)
     else:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return apply_program(state, program)
+    return apply_program(state, program, values=values)
 
 
 def execute(

@@ -245,9 +245,10 @@ def _cmd_vqe(args: argparse.Namespace) -> None:
     kernel = _get_kernel(_read_text(args.ansatz), args.kernel)
     hamiltonian = parse_hamiltonian(_read_text(args.ham))
     try:
-        span = num_qubits(vqe_mod._bound_program(kernel, 0.0))
+        vqe_mod.formal_name(kernel)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    span = num_qubits(kernel.children)
     if span > hamiltonian.n:
         raise UsageError(
             f"kernel '{kernel.name}' spans {span} qubit(s), the Hamiltonian {hamiltonian.n}"

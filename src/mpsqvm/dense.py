@@ -12,6 +12,7 @@ amplitude tensor followed by ``np.moveaxis`` back into place.
 
 from __future__ import annotations
 
+import copy
 import os
 
 import numpy as np
@@ -46,6 +47,11 @@ class DenseState:
         self.n = n
         self.amps = np.zeros(2**n, dtype=complex)
         self.amps[0] = 1.0
+
+    def copy(self) -> DenseState:
+        """A state that evolves apart from this one; ``amps`` is shared, because
+        a gate rebinds it to a new array and never writes into it."""
+        return copy.copy(self)
 
     def _apply(self, amps: np.ndarray, gate: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
         """``gate`` (2x2 or 4x4) applied to ``qubits`` of the flat vector ``amps``."""

@@ -10,13 +10,15 @@ input is rejected with the same message whichever backend runs it.
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
 qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
 drives either backend through the same two methods, ``apply_one_qubit`` and
-``apply_two_qubit_routed``, so it never branches on which backend it runs.
+``apply_two_qubit_routed``, so it never branches on which backend it runs, and
+binds a kernel's named angle slots as it goes, so a kernel runs at new
+parameter values without being rebuilt.
 """
 
 from __future__ import annotations
 
 import cmath
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from math import cos, sin, sqrt
 from typing import TypeVar
 
@@ -67,6 +69,15 @@ _MATRICES: dict[GateKind, np.ndarray | Callable[[float], np.ndarray]] = {
 
 SWAP_MATRIX = _MATRICES[GateKind.SWAP]
 
+#: ``SWAP G SWAP`` of each fixed two-qubit gate ``G``: the gate with its two
+#: qubits in the other order. Only CNOT changes; CZ and SWAP map to themselves.
+#: The products are permutations of the entries, so they are exact.
+_SWAPPED = {
+    id(m): _frozen(SWAP_MATRIX @ m @ SWAP_MATRIX) if kind is GateKind.CNOT else m
+    for kind, m in _MATRICES.items()
+    if kind.num_qubits == 2
+}
+
 
 def gate_matrix(instr: Instruction) -> np.ndarray:
     """Unitary matrix of a (bound, non-MEASURE) instruction."""
@@ -74,6 +85,16 @@ def gate_matrix(instr: Instruction) -> np.ndarray:
     if entry is None:
         raise ValueError(f"{instr.kind.value} has no unitary matrix")
     return entry(float(instr.params[0])) if instr.params else entry
+
+
+def qubits_swapped(gate: np.ndarray) -> np.ndarray:
+    """``SWAP gate SWAP``: a 4x4 gate with its two qubits in the other order.
+
+    For a fixed gate of the table this is a frozen table matrix too, built
+    once, so :func:`check_gate` skips its unitarity test.
+    """
+    swapped = _SWAPPED.get(id(gate))
+    return SWAP_MATRIX @ gate @ SWAP_MATRIX if swapped is None else swapped
 
 
 _PAULIS = {label: _MATRICES[GateKind(label)] for label in "IXYZ"}
@@ -94,9 +115,13 @@ UNITARY_TOL = 1e-10
 
 _IDENTITY = {d: np.eye(d) for d in (2, 4)}
 
-#: The frozen fixed matrices of the gate table, known unitary: ``check_gate``
-#: recognises them by identity, so a copy or a view is still tested in full.
-_TABLE_IDS = frozenset(id(m) for m in _MATRICES.values() if isinstance(m, np.ndarray))
+#: The frozen fixed matrices of the gate table and their qubit-swapped forms,
+#: known unitary: ``check_gate`` recognises them by identity, so a copy or a
+#: view is still tested in full. They live as long as the process, so no ``id``
+#: is reused.
+_TABLE_IDS = frozenset(
+    id(m) for m in [*_MATRICES.values(), *_SWAPPED.values()] if isinstance(m, np.ndarray)
+)
 
 
 def check_gate(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> None:
@@ -106,7 +131,8 @@ def check_gate(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> None:
     matrix is ``2^k x 2^k`` for ``k`` qubits, and it is unitary. The
     unitarity test is skipped only for the frozen matrices of the gate table
     themselves (``gate_matrix`` of a fixed gate, ``pauli_matrix``,
-    ``SWAP_MATRIX``); a copy or a view of one is tested like any other matrix.
+    ``SWAP_MATRIX``, ``qubits_swapped`` of a fixed two-qubit gate); a copy or a
+    view of one is tested like any other matrix.
     The test is ``max |U+ U - I| <= UNITARY_TOL``, which rejects any NaN or
     infinite entry; a 2x2 matrix that passes it in closed form skips the
     matrix product.
@@ -195,18 +221,33 @@ def apply_program(
     state: _State,
     program: Sequence[Instruction],
     on_step: Callable[[_State], None] | None = None,
+    values: Mapping[str, float] | None = None,
 ) -> _State:
     """Apply the program's gates to ``state`` in order and return it.
 
     :func:`measured_qubits` checks the readout before the first gate, and
     MEASUREs then apply nothing. ``on_step(state)`` runs after every gate and
     may raise to abort the run.
+
+    A gate whose angle slot is a formal-parameter name is bound here, from
+    ``values`` (name to angle): its matrix is built once per run for each
+    gate kind and name, and shared, read-only, by every gate with that slot.
+    A name that ``values`` lacks is an :class:`IrError`, raised when the
+    first gate with that slot is reached; a NaN or infinite angle is a
+    ``ValueError``, from the rotation or from :func:`check_gate`.
     """
     measured_qubits(program)
+    bound: dict[tuple[GateKind, str], np.ndarray] = {}
     for instr in program:
         if instr.kind is GateKind.MEASURE:
             continue
-        matrix = gate_matrix(instr)
+        slot = instr.params[0] if instr.params else None
+        if isinstance(slot, str):
+            matrix = bound.get((instr.kind, slot))
+            if matrix is None:
+                matrix = bound[instr.kind, slot] = _bind(instr, slot, values or {})
+        else:
+            matrix = gate_matrix(instr)
         if instr.kind.num_qubits == 1:
             state.apply_one_qubit(matrix, instr.qubits[0])
         else:
@@ -214,3 +255,12 @@ def apply_program(
         if on_step is not None:
             on_step(state)
     return state
+
+
+def _bind(instr: Instruction, slot: str, values: Mapping[str, float]) -> np.ndarray:
+    """The read-only matrix of ``instr`` with its slot named ``slot`` bound."""
+    if slot not in values:
+        raise IrError(f"unbound parameter(s) {[slot]} in {instr.kind.value} {instr.qubits}")
+    matrix = _MATRICES[instr.kind](float(values[slot]))
+    matrix.setflags(write=False)
+    return matrix

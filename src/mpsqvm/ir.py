@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -150,6 +151,6 @@ def flatten(root: CompositeInstruction) -> list[Instruction]:
     return list(root.children)
 
 
-def num_qubits(program: list[Instruction]) -> int:
+def num_qubits(program: Sequence[Instruction]) -> int:
     """Smallest register size covering every qubit index in the program."""
     return 1 + max((q for instr in program for q in instr.qubits), default=0)

@@ -46,6 +46,7 @@ O(shots n) integer work; a block holds ``G x chi`` prefix entries and
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import sqrt
@@ -53,7 +54,9 @@ from typing import Any
 
 import numpy as np
 
-from .gates import SWAP_MATRIX, check_gate, check_pauli, pauli_matrix, real_expectation
+from .gates import (
+    SWAP_MATRIX, check_gate, check_pauli, pauli_matrix, qubits_swapped, real_expectation,
+)
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,17 @@ class MpsState:
         self.peak_entries = self.entries
         self.max_bond_seen = 1
 
+    def copy(self) -> MpsState:
+        """A state that evolves apart from this one.
+
+        The tensor and bond lists are new and the scalar counters copied; the
+        arrays are shared, because no method writes into an array it holds.
+        """
+        other = copy.copy(self)
+        other.site_tensors = list(self.site_tensors)
+        other.bond_vectors = list(self.bond_vectors)
+        return other
+
     def memory_estimate_bytes(self) -> int:
         """16 bytes per complex entry, at the peak over the run so far."""
         return 16 * self.peak_entries
@@ -177,11 +191,8 @@ class MpsState:
         lo, hi = min(q1, q2), max(q1, q2)
         for k in range(hi - 1, lo, -1):
             self.apply_two_qubit_adjacent(SWAP_MATRIX, k)
-        if q1 < q2:
-            g = gate
-        else:  # first listed qubit now sits at lo+1
-            g = SWAP_MATRIX @ gate @ SWAP_MATRIX
-        self.apply_two_qubit_adjacent(g, lo)
+        # the first listed qubit sits at lo+1 if q1 > q2
+        self.apply_two_qubit_adjacent(gate if q1 < q2 else qubits_swapped(gate), lo)
         for k in range(lo + 1, hi):
             self.apply_two_qubit_adjacent(SWAP_MATRIX, k)
 

@@ -1,6 +1,8 @@
 """Variational sweep driver: evaluate <H>(theta) for a one-parameter ansatz.
 
-The ansatz state is prepared once per theta. Expectation values are computed
+The ansatz state is prepared once per theta, by running the kernel's own
+gates with its one formal parameter bound to theta inside the gate loop, so
+no bound copy of the kernel is built. Expectation values are computed
 analytically by default. With ``shots`` set, each Hamiltonian term is instead
 estimated on a copy of that state: the measurement basis is rotated per qubit
 (X -> H, Y -> RZ(-pi/2) then H, Z -> nothing) and the parity of the involved
@@ -9,9 +11,8 @@ qubits is sampled.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .backends import run_program
 from .dense import DenseState
 from .gates import apply_program
 from .hamiltonian import PauliHamiltonian
-from .ir import CompositeInstruction, GateKind, Instruction, bind_parameters, flatten
+from .ir import CompositeInstruction, GateKind, Instruction, IrError
 from .mps import MpsState, TruncationPolicy
 
 
@@ -31,13 +32,15 @@ class SweepResult:
     min_energy: float
 
 
-def _bound_program(ansatz: CompositeInstruction, theta: float) -> list[Instruction]:
+def formal_name(ansatz: CompositeInstruction) -> str:
+    """The one formal parameter of ``ansatz``; a ``ValueError`` if it has
+    another number of them."""
     if len(ansatz.formal_params) != 1:
         raise ValueError(
             f"driver supports exactly one formal parameter, "
             f"kernel '{ansatz.name}' has {len(ansatz.formal_params)}"
         )
-    return flatten(bind_parameters(ansatz, [theta]))
+    return ansatz.formal_params[0]
 
 
 def _basis_rotations(pauli: str) -> list[Instruction]:
@@ -54,7 +57,7 @@ def _basis_rotations(pauli: str) -> list[Instruction]:
 def _sampled_term(
     state: MpsState | DenseState, pauli: str, shots: int, rng: np.random.Generator
 ) -> float:
-    rotated = apply_program(copy.deepcopy(state), _basis_rotations(pauli))
+    rotated = apply_program(state.copy(), _basis_rotations(pauli))
     support = [q for q, label in enumerate(pauli) if label != "I"]
     counts = rotated.sample(shots, rng)
     total = 0
@@ -73,12 +76,16 @@ def energy(
     shots: int | None = None,
     seed: int = 0,
 ) -> float:
-    """<psi(theta)|H|psi(theta)> with the state prepared by the bound ansatz.
+    """<psi(theta)|H|psi(theta)> with the state prepared by the ansatz at ``theta``.
 
-    With ``shots`` set, term ``idx`` is sampled from a generator seeded with
-    ``[seed, idx]``, so equal arguments give equal energies.
+    ``theta`` must be finite. With ``shots`` set, term ``idx`` is sampled
+    from a generator seeded with ``[seed, idx]``, so equal arguments give
+    equal energies.
     """
-    state = run_program(_bound_program(ansatz, theta), hamiltonian.n, backend, policy)
+    name, theta = formal_name(ansatz), float(theta)
+    if not isfinite(theta):
+        raise IrError(f"parameter '{name}' of kernel '{ansatz.name}' is {theta!r}, not finite")
+    state = run_program(ansatz.children, hamiltonian.n, backend, policy, {name: theta})
     if shots is None:
         return sum(c * state.expectation_pauli(p) for c, p in hamiltonian.terms)
     value = 0.0

@@ -18,8 +18,10 @@ from mpsqvm import (
     MpsState,
     RoundCircuitSpec,
     TruncationPolicy,
+    bind_parameters,
     dense_run,
     energy,
+    flatten,
     generate_round_circuit,
     load_hamiltonian,
     parse,
@@ -30,7 +32,7 @@ from mpsqvm import (
 from mpsqvm.gates import apply_program
 from mpsqvm.ir import GateKind
 from mpsqvm.parser import ParseError
-from mpsqvm.vqe import _basis_rotations, _bound_program, _sampled_term, binomial_sigma
+from mpsqvm.vqe import _basis_rotations, _sampled_term, binomial_sigma
 from tests.conftest import (
     ANSATZ_PATH,
     HAM_PATH,
@@ -185,7 +187,7 @@ def test_criterion_7_sampled_mode_consistency():
     hamiltonian = load_hamiltonian(HAM_PATH)
     ansatz = parse(ANSATZ_PATH.read_text()).kernels["ansatz"]
     theta = 0.8
-    program = _bound_program(ansatz, theta)
+    program = flatten(bind_parameters(ansatz, [theta]))
     n = hamiltonian.n
     details = []
     for idx, (coeff, pauli) in enumerate(hamiltonian.terms):

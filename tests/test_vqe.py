@@ -8,7 +8,9 @@ from mpsqvm import (
     GateKind,
     Instruction,
     TruncationPolicy,
+    bind_parameters,
     energy,
+    flatten,
     load_hamiltonian,
     parse,
     parse_hamiltonian,
@@ -102,6 +104,41 @@ class TestEnergy:
         )
         with pytest.raises(ValueError, match="one formal"):
             energy(two, 0.0, ZI)
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_theta_rejected(self, backend, theta):
+        """The message is the one ``bind_parameters`` gives for the value."""
+        with pytest.raises(IrError) as bound:
+            bind_parameters(RX_ANSATZ, [theta])
+        with pytest.raises(IrError) as info:
+            energy(RX_ANSATZ, theta, ZI, backend)
+        assert str(info.value) == str(bound.value)
+        assert str(info.value) == f"parameter 't0' of kernel 'rx' is {theta!r}, not finite"
+
+    @pytest.mark.parametrize("shots", [None, 100])
+    def test_kernel_is_never_rebuilt(self, monkeypatch, shots):
+        """The kernel's own gate tuple is run, as the first positional
+        argument; nothing binds or flattens a copy of it."""
+        from mpsqvm import ir
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("energy rebuilt the kernel")
+
+        for name in ("bind_parameters", "flatten", "inline"):
+            monkeypatch.setattr(ir, name, forbidden)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return run_program(*args, **kwargs)
+
+        monkeypatch.setattr(vqe, "run_program", spy)
+        ansatz, h = fig_ansatz(), load_hamiltonian(HAM_PATH)
+        energy(ansatz, 0.5, h, shots=shots, seed=4)
+        [args] = calls
+        assert args[0] is ansatz.children
+        assert not hasattr(vqe, "bind_parameters") and not hasattr(vqe, "flatten")
 
     def test_width_mismatch_rejected(self):
         wide = CompositeInstruction(
@@ -198,7 +235,7 @@ class TestOnePreparationPerTheta:
         h = load_hamiltonian(HAM_PATH)
         shots, seed = 700, 9
         for theta in (-2.0, 0.3, 1.1):
-            program = vqe._bound_program(fig_ansatz(), theta)
+            program = flatten(bind_parameters(fig_ansatz(), [theta]))
             expected = 0.0
             for idx, (coeff, pauli) in enumerate(h.terms):
                 if set(pauli) == {"I"}:
