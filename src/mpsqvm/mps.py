@@ -27,13 +27,13 @@ are the new ``Lambda_q`` (after truncation per the active policy), ``V+``
 becomes ``B_{q+1}`` and ``theta V / |s|`` becomes ``B_q``, so nothing is
 divided by a singular value (Hastings, J. Math. Phys. 50, 095207 (2009)).
 Should the SVD not converge, ``s`` and ``V+`` come from ``eigh`` of the Gram
-matrix instead. Non-adjacent pairs are routed together with SWAP chains and
-routed back afterwards. Every contraction is a reshape plus a matrix product;
-a Pauli expectation costs O(|support| chi^3) and touches only the string's
-support. Only the two-site update changes tensor sizes, so it keeps the
-stored entry count, its peak (the memory estimate) and the largest bond seen
-up to date in O(1), from the sizes of the two sites and the one bond it
-replaces.
+matrix instead. A non-adjacent pair is brought together by a SWAP chain that
+moves the qubit with the smaller outer bond, and routed back afterwards.
+Every contraction is a reshape plus a matrix product; a Pauli expectation
+costs O(|support| chi^3) and touches only the string's support. Only the
+two-site update changes tensor sizes, so it keeps the stored entry count, its
+peak (the memory estimate) and the largest bond seen up to date in O(1), from
+the sizes of the two sites and the one bond it replaces.
 
 :func:`sample_sequential` is the one sampling routine of both backends: it
 draws one uniform variate per qubit per shot and walks the qubits once for a
@@ -184,16 +184,23 @@ class MpsState:
     def apply_two_qubit_routed(self, gate: np.ndarray, q1: int, q2: int) -> None:
         """Apply a 4x4 unitary to arbitrary sites, SWAP-routing if needed.
 
-        The higher-index qubit is moved down until adjacent to the lower one,
-        the gate is applied, and reverse SWAPs restore the original ordering.
+        At distance ``d > 1`` one qubit is SWAPped next to the other, the gate
+        is applied, and the same SWAPs in reverse restore the order: ``2d-1``
+        adjacent updates, the gate at index ``d-1``. The lower qubit moves up
+        if its left bond is strictly smaller than the upper qubit's right
+        bond, else the upper one moves down: a moving qubit drags its outer
+        correlations across the bonds it passes, so the smaller ones cost less.
         """
         check_gate(gate, (q1, q2), self.n)
         lo, hi = min(q1, q2), max(q1, q2)
-        for k in range(hi - 1, lo, -1):
+        swaps, at = range(hi - 1, lo, -1), lo
+        if hi - lo > 1 and self.site_tensors[lo].shape[0] < self.site_tensors[hi].shape[2]:
+            swaps, at = range(lo, hi - 1), hi - 1
+        for k in swaps:
             self.apply_two_qubit_adjacent(SWAP_MATRIX, k)
-        # the first listed qubit sits at lo+1 if q1 > q2
-        self.apply_two_qubit_adjacent(gate if q1 < q2 else qubits_swapped(gate), lo)
-        for k in range(lo + 1, hi):
+        # either way the lower qubit sits at site `at`: the first listed one if q1 < q2
+        self.apply_two_qubit_adjacent(gate if q1 < q2 else qubits_swapped(gate), at)
+        for k in reversed(swaps):
             self.apply_two_qubit_adjacent(SWAP_MATRIX, k)
 
     # -- queries -------------------------------------------------------------
@@ -313,6 +320,8 @@ def sample_sequential(
         for k in range(n):
             w0, w1, carry0, carry1 = split(k, carry)
             total = w0 + w1
+            # an outcome of weight 0 is never drawn, so a total of 0 needs a
+            # drawn prefix whose weight underflowed: any tie value is as good
             p0 = np.divide(w0, total, out=np.full(total.shape, 0.5), where=total > 0)
             one = draws[:, k] >= p0[group]
             bits[:, k] = one

@@ -94,6 +94,28 @@ def test_writable_copy_of_table_matrix_checked_in_full(make):
     assert str(info.value) == "matrix is not unitary (deviation 3.000e+00)"
 
 
+@pytest.mark.parametrize("make", [lambda: MpsState(2), lambda: DenseState(2)], ids=["mps", "dense"])
+@pytest.mark.parametrize("size", [2, 4])
+def test_unitarity_tolerance_boundary(make, size):
+    """Off unitary by 1e-11 passes, by 1e-8 fails: UNITARY_TOL sits between."""
+    apply = (lambda s, g: s.apply_one_qubit(g, 0)) if size == 2 else (
+        lambda s, g: s.apply_two_qubit_routed(g, 0, 1))
+    for dev, ok in ((1e-11, True), (1e-8, False)):
+        gate = np.eye(size, dtype=complex)
+        gate[0, 0] = np.sqrt(1 + dev)  # U+ U - I has one entry, dev
+        if ok:
+            apply(make(), gate)
+        else:
+            with pytest.raises(ValueError, match="matrix is not unitary"):
+                apply(make(), gate)
+
+
+def test_imaginary_residue_boundary():
+    assert gates.real_expectation(complex(0.25, 1e-11)) == 0.25
+    with pytest.raises(RuntimeError, match="imaginary residue"):
+        gates.real_expectation(complex(0.25, 1e-6))
+
+
 GATE_CALLS = {
     "one-qubit": (gate_matrix(Instruction(GateKind.H, (0,))), lambda s, g: s.apply_one_qubit(g, 1)),
     "routed": (CNOT, lambda s, g: s.apply_two_qubit_routed(g, 2, 0)),

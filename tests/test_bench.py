@@ -82,6 +82,13 @@ class TestRunGrid:
         [record] = run_grid([8], [16], seeds_per_cell=1, policy=EXACT, chi_budget=4)
         assert record.skipped
 
+    def test_chi_budget_boundary(self):
+        """A cell whose chi equals the budget is kept; one above it is skipped."""
+        [kept] = run_grid([5], [2], seeds_per_cell=1, policy=EXACT, chi_budget=4)
+        assert not kept.skipped and kept.max_chi == 4
+        [skipped] = run_grid([5], [2], seeds_per_cell=1, policy=EXACT, chi_budget=3)
+        assert skipped.skipped
+
     def test_time_budget_marks_skipped(self):
         [record] = run_grid([5], [2], seeds_per_cell=2, policy=EXACT, time_budget=0)
         assert record.skipped

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpsqvm import (
+    DenseState,
     GateKind,
     Instruction,
     MpsState,
@@ -17,7 +18,7 @@ from mpsqvm import (
     run_program,
 )
 from mpsqvm import mps as mps_module
-from mpsqvm.gates import apply_program, gate_matrix, pauli_matrix
+from mpsqvm.gates import SWAP_MATRIX, apply_program, gate_matrix, pauli_matrix
 from mpsqvm.ir import IrError
 from mpsqvm.mps import SHOT_BLOCK, sample_sequential
 from tests.conftest import (
@@ -188,6 +189,91 @@ class TestRouting:
     def test_same_site_rejected(self):
         with pytest.raises(ValueError):
             MpsState(3).apply_two_qubit_routed(CNOT, 1, 1)
+
+
+class RecordedMps(MpsState):
+    """Records ``(bond, is_swap)`` for every adjacent update."""
+
+    def __init__(self, n, policy=EXACT):
+        super().__init__(n, policy)
+        self.calls = []
+
+    def apply_two_qubit_adjacent(self, gate, q):
+        self.calls.append((q, gate is SWAP_MATRIX))
+        super().apply_two_qubit_adjacent(gate, q)
+
+
+def _entangled(n: int, bonds) -> RecordedMps:
+    """|0...0> with a Bell pair across each listed bond: that bond is 2, the others 1."""
+    state = RecordedMps(n)
+    for q in bonds:
+        state.apply_one_qubit(H, q)
+        state.apply_two_qubit_adjacent(CNOT, q)
+    state.calls.clear()
+    return state
+
+
+def _random_unitary(rng: np.random.Generator) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestRoutingDirection:
+    """A routed gate moves the lower qubit up when its left bond is strictly
+    smaller than the upper qubit's right bond, and the upper qubit down
+    otherwise; either way it makes 2d-1 adjacent updates, the gate in the middle."""
+
+    @pytest.mark.parametrize("n, bell_bonds, lo, hi, bonds", [
+        # up: bond lo-1 < bond hi, also with lo = 0
+        (5, [3], 0, 3, [0, 1, 2, 1, 0]),
+        (6, [4], 1, 4, [1, 2, 3, 2, 1]),
+        (8, [6], 1, 6, [1, 2, 3, 4, 5, 4, 3, 2, 1]),
+        # down: bond hi < bond lo-1, also with hi = n-1
+        (6, [1], 2, 5, [4, 3, 2, 3, 4]),
+        (7, [0], 1, 4, [3, 2, 1, 2, 3]),
+        # ties move the upper qubit down
+        (6, [], 1, 4, [3, 2, 1, 2, 3]),
+        (6, [0, 4], 1, 4, [3, 2, 1, 2, 3]),
+        (4, [], 0, 3, [2, 1, 0, 1, 2]),
+        # an adjacent gate is not routed, whatever its outer bonds
+        (5, [3], 1, 2, [1]),
+    ], ids=["up-lo0", "up", "up-d5", "down-hi-last", "down", "tie-1", "tie-2", "tie-ends",
+            "adjacent"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["q1<q2", "q1>q2"])
+    def test_adjacent_calls(self, n, bell_bonds, lo, hi, bonds, reverse):
+        state = _entangled(n, bell_bonds)
+        q1, q2 = (hi, lo) if reverse else (lo, hi)
+        state.apply_two_qubit_routed(CNOT, q1, q2)
+        d = hi - lo
+        assert [q for q, _ in state.calls] == bonds
+        assert [swap for _, swap in state.calls] == [i != d - 1 for i in range(2 * d - 1)]
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["q1<q2", "q1>q2"])
+    @pytest.mark.parametrize("gate", ["CNOT", "random"])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_fidelity_vs_oracle(self, direction, reverse, gate, n):
+        """Random gates on every bond except one outer bond, which stays 1 and
+        so picks the direction; then one routed gate across the middle."""
+        lo, hi = 1, n - 2
+        skipped = lo - 1 if direction == "up" else hi
+        rng = np.random.default_rng([n, direction == "up", reverse, gate == "CNOT"])
+        matrix = CNOT if gate == "CNOT" else _random_unitary(rng)
+        mps, dense = RecordedMps(n), DenseState(n)
+        layer = random_program(n, 2 * n, rng, two_qubit_prob=0.0)
+        apply_program(mps, layer)
+        apply_program(dense, layer)
+        for q in [q for q in range(n - 1) if q != skipped] * 2:
+            unitary = _random_unitary(rng)
+            mps.apply_two_qubit_routed(unitary, q, q + 1)
+            dense.apply_two_qubit_routed(unitary, q, q + 1)
+        mps.calls.clear()
+        q1, q2 = (hi, lo) if reverse else (lo, hi)
+        mps.apply_two_qubit_routed(matrix, q1, q2)
+        dense.apply_two_qubit_routed(matrix, q1, q2)
+        assert mps.calls[hi - lo - 1] == ((hi - 1 if direction == "up" else lo), False)
+        fidelity = abs(np.vdot(dense.amps, mps_statevector(mps))) ** 2
+        assert fidelity >= 1 - 1e-12
 
 
 class TestQueries:

@@ -196,6 +196,30 @@ class TestSampledMode:
         )
         assert sampled == pytest.approx(exact, abs=0.05)
 
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_y_sign_against_closed_form(self, backend):
+        """<Y> on RX(theta)|0> is -sin(theta): an odd number of Y factors
+        shows the sign of the Y-basis rotation, which YY terms cancel."""
+        shots = 20_000
+        mean = -np.sin(0.7)
+        sampled = energy(RX_ANSATZ, 0.7, parse_hamiltonian("1.0 Y"), backend, shots=shots, seed=3)
+        assert abs(sampled - mean) <= 5 * np.sqrt((1 - mean**2) / shots)
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_one_y_factor_against_expectation_pauli(self, backend):
+        ansatz = CompositeInstruction("k", ("t0",), (
+            Instruction(GateKind.RX, (0,), ("t0",)),
+            Instruction(GateKind.H, (2,)),
+            Instruction(GateKind.RY, (1,), (0.5,)),
+            Instruction(GateKind.CNOT, (2, 1)),
+            Instruction(GateKind.RY, (2,), ("t0",)),
+        ))
+        shots, theta = 20_000, 0.9
+        mean = run_program(ansatz.children, 3, "mps", EXACT, {"t0": theta}).expectation_pauli("YZX")
+        assert abs(mean) > 0.3
+        sampled = energy(ansatz, theta, parse_hamiltonian("1.0 YZX"), backend, shots=shots, seed=8)
+        assert abs(sampled - mean) <= 5 * np.sqrt((1 - mean**2) / shots)
+
     def test_sampled_deterministic_given_seed(self):
         a = energy(RX_ANSATZ, 0.4, ZI, backend="mps", shots=2000, seed=5)
         b = energy(RX_ANSATZ, 0.4, ZI, backend="mps", shots=2000, seed=5)
