@@ -79,6 +79,15 @@ _SWAPPED = {
 }
 
 
+#: The 2x2 target ``T`` of the table CNOT and CZ, ``|0><0| (x) I + |1><1| (x) T``
+#: with the control first, keyed like ``_TABLE_IDS``: by identity, so the
+#: reversed CNOT, a copy or a view is not listed.
+CONTROLLED_TARGETS = {
+    id(_MATRICES[GateKind.CNOT]): _MATRICES[GateKind.X],
+    id(_MATRICES[GateKind.CZ]): _MATRICES[GateKind.Z],
+}
+
+
 def gate_matrix(instr: Instruction) -> np.ndarray:
     """Unitary matrix of a (bound, non-MEASURE) instruction."""
     entry = _MATRICES.get(instr.kind)

@@ -26,14 +26,23 @@ gate, and takes the SVD of ``diag(Lambda_{q-1}) theta``: its singular values
 are the new ``Lambda_q`` (after truncation per the active policy), ``V+``
 becomes ``B_{q+1}`` and ``theta V / |s|`` becomes ``B_q``, so nothing is
 divided by a singular value (Hastings, J. Math. Phys. 50, 095207 (2009)).
+A table CNOT or CZ, ``|0><0| (x) I + |1><1| (x) T``, has operator-Schmidt
+rank 2, so ``m = diag(Lambda_{q-1}) theta`` has rank at most ``2 dim_m``
+(``dim_m`` the old bond ``q``). When ``side = min(2 dim_l, 2 dim_r)`` is at
+least ``CORE_FLOOR`` and ``2 min(dim_l, dim_m) < side``, the SVD is taken of
+the core ``[R_0 C_0; R_1 C_1]`` instead, with ``R_s`` from the QR of
+``diag(Lambda_{q-1}) B_q[:, s, :]`` and ``C_s = T^s B_{q+1}``: it has the
+singular values and ``V+`` of ``m``, which are padded with exact zeros up to
+``side`` (the QR-based update of Unfried, Hauschild and Pollmann, PRB 107,
+155133 (2023)).
 Should the SVD not converge, ``s`` and ``V+`` come from ``eigh`` of the Gram
 matrix instead. A non-adjacent pair is brought together by a SWAP chain that
 moves the qubit with the smaller outer bond, and routed back afterwards.
-Every contraction is a reshape plus a matrix product; a Pauli expectation
-costs O(|support| chi^3) and touches only the string's support. Only the
-two-site update changes tensor sizes, so it keeps the stored entry count, its
-peak (the memory estimate) and the largest bond seen up to date in O(1), from
-the sizes of the two sites and the one bond it replaces.
+Apart from those QRs, every contraction is a reshape plus a matrix product;
+a Pauli expectation costs O(|support| chi^3) and touches only the string's
+support. Only the two-site update changes tensor sizes, so it keeps the stored
+entry count, its peak (the memory estimate) and the largest bond seen up to
+date in O(1), from the sizes of the two sites and the one bond it replaces.
 
 :func:`sample_sequential` is the one sampling routine of both backends: it
 draws one uniform variate per qubit per shot and walks the qubits once for a
@@ -55,8 +64,13 @@ from typing import Any
 import numpy as np
 
 from .gates import (
-    SWAP_MATRIX, check_gate, check_pauli, pauli_matrix, qubits_swapped, real_expectation,
+    CONTROLLED_TARGETS, SWAP_MATRIX, check_gate, check_pauli, pauli_matrix, qubits_swapped,
+    real_expectation,
 )
+
+#: Smallest ``side`` at which a CNOT or CZ update takes the SVD of its core,
+#: the measured crossover: below it the QR costs more than the smaller SVD saves
+CORE_FLOOR = 32
 
 
 @dataclass(frozen=True)
@@ -143,23 +157,44 @@ class MpsState:
         self.site_tensors[q] = np.matmul(gate, self.site_tensors[q])
 
     def apply_two_qubit_adjacent(self, gate: np.ndarray, q: int) -> None:
-        """Apply a 4x4 unitary to sites ``(q, q+1)`` via contract + SVD."""
+        """Apply a 4x4 unitary to sites ``(q, q+1)`` via contract + SVD.
+
+        A table CNOT or CZ takes the SVD of its rank-2 core when
+        ``side = min(2 dim_l, 2 dim_r) >= CORE_FLOOR`` and
+        ``2 min(dim_l, dim_m) < side``, and pads the spectrum with exact
+        zeros up to ``side``, so cutoff 0 keeps the chi that the whole
+        matrix gives. Every other update takes the SVD of the whole matrix.
+        """
         check_gate(gate, (q, q + 1), self.n)
 
         b_l, b_r = self.site_tensors[q], self.site_tensors[q + 1]
-        dim_l, dim_r = b_l.shape[0], b_r.shape[2]
-        # theta[(l s1), (s2 r)] = gate . B_q B_{q+1}; nothing right of it
-        # enters, because B_{q+1} is right-canonical
-        theta = b_l.reshape(2 * dim_l, -1) @ b_r.reshape(-1, 2 * dim_r)
-        theta = np.matmul(gate, theta.reshape(dim_l, 4, dim_r)).reshape(2 * dim_l, 2 * dim_r)
+        dim_l, dim_m, dim_r = b_l.shape[0], b_r.shape[0], b_r.shape[2]
+        side = 2 * min(dim_l, dim_r)
         lam_l = self.bond_vectors[q - 1] if q > 0 else np.ones(1)
-        # rows of theta are (l, s1): weight row pair l by Lambda_{q-1}[l]; V
-        # then spans every row of theta that carries weight
-        m = np.repeat(lam_l, 2)[:, np.newaxis] * theta
+        core = (side >= CORE_FLOOR and 2 * min(dim_l, dim_m) < side
+                and id(gate) in CONTROLLED_TARGETS)
+        if core:
+            # row block s of diag(Lambda_{q-1}) theta is A_s C_s, with
+            # A_s = diag(Lambda_{q-1}) B_q[:, s, :] and C_s = target^s B_{q+1};
+            # A_s = Q_s R_s leaves s and V+ to the SVD of [R_0 C_0; R_1 C_1]
+            target = CONTROLLED_TARGETS[id(gate)]
+            c = np.stack((b_r, np.matmul(target, b_r))).reshape(2, dim_m, 2 * dim_r)
+            r = np.linalg.qr(lam_l[:, np.newaxis] * b_l.transpose(1, 0, 2), mode="r")
+            m = (r @ c).reshape(-1, 2 * dim_r)
+        else:
+            # theta[(l s1), (s2 r)] = gate . B_q B_{q+1}; nothing right of it
+            # enters, because B_{q+1} is right-canonical
+            theta = b_l.reshape(2 * dim_l, -1) @ b_r.reshape(-1, 2 * dim_r)
+            theta = np.matmul(gate, theta.reshape(dim_l, 4, dim_r)).reshape(2 * dim_l, 2 * dim_r)
+            # rows of theta are (l, s1): weight row pair l by Lambda_{q-1}[l];
+            # V then spans every row of theta that carries weight
+            m = np.repeat(lam_l, 2)[:, np.newaxis] * theta
         try:
             _, s, vh = np.linalg.svd(m, full_matrices=False)
         except np.linalg.LinAlgError:
             s, vh = _svd_from_gram(m, q)
+        if len(s) < side:  # the core: the other singular values are exactly 0
+            s = np.concatenate((s, np.zeros(side - len(s))))
 
         keep = self.policy.keep_count(s)
         if keep < len(s):
@@ -171,9 +206,14 @@ class MpsState:
         vh = vh[:keep]
 
         # B_q = theta V / |s| and B_{q+1} = V+: no division by Lambda
-        b_l = theta @ vh.conj().T
+        if core:  # block s of B_q is B_q[:, s, :] C_s V / |s|
+            if len(vh) < keep:  # kept zeros of the core: rows of weight 0 in B_{q+1}
+                vh = np.concatenate((vh, np.zeros((keep - len(vh), 2 * dim_r), vh.dtype)))
+            b_l = (b_l.transpose(1, 0, 2) @ (c @ vh.conj().T)).transpose(1, 0, 2).copy()
+        else:
+            b_l = (theta @ vh.conj().T).reshape(dim_l, 2, keep)
         b_l /= norm
-        self.site_tensors[q] = b_l.reshape(dim_l, 2, keep)
+        self.site_tensors[q] = b_l
         self.site_tensors[q + 1] = vh.copy().reshape(keep, 2, dim_r)
         # only sites q, q+1 and bond q changed size
         self.entries += 2 * (dim_l + dim_r) * (keep - len(self.bond_vectors[q]))

@@ -276,6 +276,145 @@ class TestRoutingDirection:
         assert fidelity >= 1 - 1e-12
 
 
+CZ = gate_matrix(Instruction(GateKind.CZ, (0, 1)))
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shape of every matrix given to ``numpy.linalg.svd``, in call order."""
+    svd, shapes = np.linalg.svd, []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+def _svd_shape(dim_l: int, dim_m: int, dim_r: int) -> tuple[int, int]:
+    """The documented route rule for a table CNOT or CZ on bonds (dim_l, dim_m, dim_r)."""
+    side, rank = 2 * min(dim_l, dim_r), 2 * min(dim_l, dim_m)
+    return (rank if side >= 32 and rank < side else 2 * dim_l), 2 * dim_r
+
+
+class DimsMps(MpsState):
+    """Records ``(dim_l, dim_m, dim_r)`` before and ``Lambda_q`` after every
+    adjacent update; with ``copies`` it applies a copy of each gate, which a
+    lookup by identity does not recognise."""
+
+    def __init__(self, n, policy=EXACT, copies=False):
+        super().__init__(n, policy)
+        self.copies, self.dims, self.bonds = copies, [], []
+
+    def apply_two_qubit_adjacent(self, gate, q):
+        self.dims.append((self.site_tensors[q].shape[0], *self.site_tensors[q + 1].shape[::2]))
+        super().apply_two_qubit_adjacent(gate.copy() if self.copies else gate, q)
+        self.bonds.append(self.bond_vectors[q])
+
+
+def _brickwork(n: int, rounds: int, kind: GateKind, seed: int) -> list[Instruction]:
+    """A round circuit with rotations, its CNOTs replaced by ``kind``."""
+    spec = RoundCircuitSpec(n, rounds, seed, ("RX", "RY", "RZ"))
+    return [Instruction(kind, i.qubits) if i.kind is GateKind.CNOT else i
+            for i in generate_round_circuit(spec)]
+
+
+def _pair_state(dim_l: int, dim_m: int, dim_r: int, rng: np.random.Generator) -> MpsState:
+    """Four sites whose sites 1 and 2 are random right-canonical tensors on
+    bonds (dim_l, dim_m, dim_r), with a random Lambda_0; sites 0 and 3 only
+    fit the shapes."""
+
+    def rows(count: int, width: int) -> np.ndarray:  # orthonormal rows
+        a = rng.normal(size=(width, count)) + 1j * rng.normal(size=(width, count))
+        return np.linalg.qr(a)[0].T
+
+    state = MpsState(4, EXACT)
+    lam = rng.random(dim_l) + 0.1
+    state.site_tensors = [
+        np.zeros((1, 2, dim_l), complex), rows(dim_l, 2 * dim_m).reshape(dim_l, 2, dim_m),
+        rows(dim_m, 2 * dim_r).reshape(dim_m, 2, dim_r), np.zeros((dim_r, 2, 1), complex),
+    ]
+    state.bond_vectors = [lam / np.linalg.norm(lam), np.ones(dim_m), np.ones(dim_r)]
+    state.entries = state.peak_entries = sum(t.size for t in state.site_tensors)
+    return state
+
+
+def _weighted_pair(state: MpsState) -> np.ndarray:
+    """diag(Lambda_0) B_1 B_2: the part of sites 1 and 2 that carries weight."""
+    b_l, b_r = state.site_tensors[1:3]
+    pair = b_l.reshape(-1, b_l.shape[2]) @ b_r.reshape(b_r.shape[0], -1)
+    return np.repeat(state.bond_vectors[0], 2)[:, np.newaxis] * pair
+
+
+class TestControlledCore:
+    """A table CNOT or CZ with its control on site q takes the SVD of the core
+    [R_0 C_0; R_1 C_1], 2 min(dim_l, dim_m) rows by 2 dim_r, when
+    side = min(2 dim_l, 2 dim_r) >= 32 and 2 min(dim_l, dim_m) < side. Every
+    other update takes the SVD of the whole (2 dim_l, 2 dim_r) matrix."""
+
+    @pytest.mark.parametrize("kind", [GateKind.CNOT, GateKind.CZ])
+    @pytest.mark.parametrize("cutoff, rounds", [(0.0, 8), (1e-4, 16)])
+    def test_same_state_as_the_full_route(self, cutoff, rounds, kind, svd_shapes):
+        n, policy, taken = 12, TruncationPolicy(cutoff), 0
+        for seed in (3, 4):
+            program = _brickwork(n, rounds, kind, seed)
+            svd_shapes.clear()
+            core = apply_program(DimsMps(n, policy), program)
+            core_shapes = svd_shapes[:]
+            svd_shapes.clear()
+            full = apply_program(DimsMps(n, policy, copies=True), program)
+            assert svd_shapes == [(2 * dim_l, 2 * dim_r) for dim_l, _, dim_r in full.dims]
+            assert core_shapes == [_svd_shape(*dims) for dims in core.dims]
+            taken += sum(shape != full_shape for shape, full_shape in zip(core_shapes, svd_shapes))
+
+            assert [len(b) for b in core.bonds] == [len(b) for b in full.bonds]
+            for got, want in zip(core.bonds, full.bonds):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            assert (core.entries, core.peak_entries, core.max_bond_seen) == (
+                full.entries, full.peak_entries, full.max_bond_seen)
+            assert core.trunc_error_sq == pytest.approx(full.trunc_error_sq, abs=1e-12)
+            assert (core.trunc_error_sq > 0) == (cutoff > 0)
+            if cutoff == 0:
+                dense = apply_program(DenseState(n), program)
+                assert abs(np.vdot(dense.amps, mps_statevector(core))) ** 2 >= 1 - 1e-12
+        assert taken >= 3
+
+    @pytest.mark.parametrize("dims", [
+        (16, 8, 16),  # side 32: the floor
+        (15, 8, 15),  # side 30: below it
+        (16, 15, 16),  # 2 dim_m = 30 < side
+        (16, 16, 16),  # 2 min(dim_l, dim_m) = side
+        (32, 16, 16),  # the same, with dim_l > dim_r
+        (16, 8, 32),  # dim_r > dim_l
+        (32, 16, 32),  # side 64
+    ])
+    @pytest.mark.parametrize("gate", ["CNOT", "CZ"])
+    def test_route_rule(self, dims, gate, svd_shapes):
+        rng = np.random.default_rng([*dims, gate == "CZ"])
+        state = _pair_state(*dims, rng)
+        full = copy.deepcopy(state)
+        matrix = CNOT if gate == "CNOT" else CZ
+        state.apply_two_qubit_adjacent(matrix, 1)
+        full.apply_two_qubit_adjacent(matrix.copy(), 1)
+        assert svd_shapes == [_svd_shape(*dims), (2 * dims[0], 2 * dims[2])]
+        np.testing.assert_allclose(state.bond_vectors[1], full.bond_vectors[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_weighted_pair(state), _weighted_pair(full), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("apply, rows", [
+        (lambda state: state.apply_two_qubit_routed(CNOT, 2, 1), 32),
+        (lambda state: state.apply_two_qubit_routed(CZ, 2, 1), 16),  # CZ is its own reverse
+        (lambda state: state.apply_two_qubit_adjacent(SWAP_MATRIX, 1), 32),
+        (lambda state: state.apply_two_qubit_adjacent(CNOT.copy(), 1), 32),
+        (lambda state: state.apply_two_qubit_adjacent(np.array(CZ), 1), 32),
+        (lambda state: state.apply_two_qubit_adjacent(
+            _random_unitary(np.random.default_rng(1)), 1), 32),
+    ], ids=["reversed-CNOT", "reversed-CZ", "SWAP", "CNOT-copy", "CZ-copy", "random"])
+    def test_only_the_table_gates_with_control_first(self, apply, rows, svd_shapes):
+        apply(_pair_state(16, 8, 16, np.random.default_rng(0)))
+        assert svd_shapes == [(rows, 32)]
+
+
 class TestQueries:
     def test_ghz_amplitudes(self):
         state = run_program(ghz3_program(), 3, "mps", EXACT)
@@ -594,6 +733,33 @@ class TestInvariants:
         assert state.max_bond_seen == chi
         assert state.memory_estimate_bytes() == nbytes
 
+    @pytest.mark.parametrize("kind", [GateKind.CNOT, GateKind.CZ])
+    def test_core_route_keeps_exact_zeros_at_cutoff_0(self, kind, svd_shapes):
+        # the padded Schmidt values are exact zeros, counted like the full
+        # route's ~1e-17 ones; canonical form holds on the support of Lambda
+        checked = 0
+
+        class CheckedMps(MpsState):
+            def apply_two_qubit_adjacent(self, gate, q):
+                nonlocal checked
+                held = [(a, a.tobytes()) for a in self.site_tensors[q:q + 2]]
+                full = (2 * self.site_tensors[q].shape[0], 2 * self.site_tensors[q + 1].shape[2])
+                super().apply_two_qubit_adjacent(gate, q)
+                assert all(a.tobytes() == data for a, data in held)
+                if svd_shapes[-1] == full:
+                    return
+                rank, side = svd_shapes[-1][0], min(full)
+                bond = self.bond_vectors[q]
+                assert len(bond) == side and self.max_bond_seen >= side
+                assert np.count_nonzero(bond[:rank]) == rank and not bond[rank:].any()
+                assert self.entries == sum(t.size for t in self.site_tensors)
+                assert self.memory_estimate_bytes() == 16 * self.peak_entries
+                assert_right_canonical(self)
+                checked += 1
+
+        apply_program(CheckedMps(12, EXACT), _brickwork(12, 8, kind, seed=5))
+        assert checked == 3
+
 
 # -- properties of the right-canonical core ------------------------------------
 
@@ -788,6 +954,23 @@ class TestSvdFallback:
             assert state.expectation_pauli(pauli) == pytest.approx(
                 dense.expectation_pauli(pauli), abs=1e-9
             )
+
+    def test_failed_core_svd_keeps_the_update(self, monkeypatch):
+        # the core route falls back on its own (16, 32) core
+        state = _pair_state(16, 8, 16, np.random.default_rng(3))
+        full = copy.deepcopy(state)
+        full.apply_two_qubit_adjacent(CNOT.copy(), 1)
+        shapes = []
+
+        def fail(a, *args, **kwargs):
+            shapes.append(a.shape)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        state.apply_two_qubit_adjacent(CNOT, 1)
+        assert shapes == [(16, 32)]
+        np.testing.assert_allclose(state.bond_vectors[1], full.bond_vectors[1], atol=1e-7)
+        np.testing.assert_allclose(_weighted_pair(state), _weighted_pair(full), atol=1e-7)
 
     def test_failed_fallback_raises(self, monkeypatch):
         def fail(*args, **kwargs):
