@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -83,9 +84,8 @@ def execute(
     else:
         record.memory_estimate_bytes = 16 * state.amps.size
     if targets:
-        rng = np.random.default_rng(seed)
-        full_counts = state.sample(shots, rng)
-        for bits, count in sorted(full_counts.items()):
-            key = "".join(bits[q] for q in targets)
+        key_of = itemgetter(*targets)  # one character, or a tuple of them
+        for bits, count in sorted(state.sample(shots, np.random.default_rng(seed)).items()):
+            key = "".join(key_of(bits))
             record.counts[key] = record.counts.get(key, 0) + count
     return record

@@ -82,9 +82,10 @@ class DenseState:
         """Draw full-register bitstrings with :func:`~mpsqvm.mps.sample_sequential`.
 
         The carry holds each distinct prefix read as an integer (qubit 0 the
-        high bit), starting from the one-row array of the empty prefix; the
-        weights of the two outcomes at qubit ``k`` are prefix marginals of
-        ``|amps|^2`` over qubits ``0..k``. Each marginal is summed from
+        high bit), starting from the one-row array of the empty prefix. Prefix
+        ``p`` extended by ``b`` is ``2p + b``, and its weight at qubit ``k`` is
+        entry ``2p + b`` of the prefix marginal of ``|amps|^2`` over qubits
+        ``0..k``, so ``split`` is one gather. Each marginal is summed from
         ``|amps|^2`` once per call, not once per block of shots; levels
         ``0..n-2`` hold ``2^n - 2`` floats on top of the state, and level
         ``n-1`` is ``|amps|^2`` itself.
@@ -94,8 +95,8 @@ class DenseState:
         marginals.append(probs)
 
         def split(k: int, prefix):
-            marginal = marginals[k]
-            return marginal[2 * prefix], marginal[2 * prefix + 1], 2 * prefix, 2 * prefix + 1
+            rows = (2 * prefix[:, np.newaxis] + (0, 1)).ravel()
+            return marginals[k][rows].reshape(-1, 2), rows
 
         return sample_sequential(self.n, shots, rng, np.zeros(1, dtype=np.intp), split)
 

@@ -47,10 +47,10 @@ date in O(1), from the sizes of the two sites and the one bond it replaces.
 :func:`sample_sequential` is the one sampling routine of both backends: it
 draws one uniform variate per qubit per shot and walks the qubits once for a
 whole block of shots. Shots that drew the same prefix share one prefix row of
-``B`` products, so the matrix work at qubit ``k`` is O(G_k chi^2) for the G_k
-distinct prefixes drawn so far (at most ``min(SHOT_BLOCK, 2^k)``), on top of
-O(shots n) integer work; a block holds ``G x chi`` prefix entries and
-``SHOT_BLOCK x n`` drawn bits at a time.
+``B`` products, so the matrix work at qubit ``k`` is one product of the G_k
+distinct prefixes drawn so far (at most ``min(SHOT_BLOCK, 2^k)``) with ``B_k``,
+O(G_k chi^2), on top of O(shots n) integer work; a block holds ``2G x chi``
+prefix entries and ``SHOT_BLOCK x n`` drawn bits at a time.
 """
 
 from __future__ import annotations
@@ -286,15 +286,17 @@ class MpsState:
         The carry of a distinct prefix is its row ``W = B_0[s_0] ... B_{k-1}[s_{k-1}]``;
         the weight of outcome ``s`` at qubit ``k`` is ``|W B_k[s]|^2``, exact
         because ``W`` is zero, up to rounding, where ``Lambda_{k-1}`` is, and
-        ``B_k`` is right-canonical on the support of ``Lambda``. The carry at
-        qubit ``k`` is a ``(G, chi)`` block with one row per distinct prefix
-        drawn so far.
+        ``B_k`` is right-canonical on the support of ``Lambda``. ``split``
+        multiplies the ``(G, chi)`` carry by ``B_k`` read as a
+        ``(chi_l, 2 chi_r)`` matrix: read as ``(2G, chi_r)``, the product holds
+        the new carry rows ``W B_k[0], W B_k[1]`` of each prefix in turn, and
+        their squared norms are the weights.
         """
 
         def split(k: int, prefix: np.ndarray):
             site = self.site_tensors[k]
-            w0, w1 = prefix @ site[:, 0, :], prefix @ site[:, 1, :]
-            return _row_norm_sq(w0), _row_norm_sq(w1), w0, w1
+            rows = (prefix @ site.reshape(len(site), -1)).reshape(-1, site.shape[2])
+            return _row_norm_sq(rows).reshape(-1, 2), rows
 
         return sample_sequential(self.n, shots, rng, np.ones((1, 1), dtype=complex), split)
 
@@ -330,18 +332,21 @@ def sample_sequential(
     shots: int,
     rng: np.random.Generator,
     start: Any,
-    split: Callable[[int, Any], tuple[np.ndarray, np.ndarray, Any, Any]],
+    split: Callable[[int, Any], tuple[np.ndarray, Any]],
 ) -> dict[str, int]:
     """Sequential conditional sampling of ``shots`` bitstrings over ``n`` qubits.
 
     Shots that have drawn the same prefix share a *group*, and the carry holds
     one row per group, in lexicographic order of the prefixes; ``start`` is
-    the one-row carry of the empty prefix. ``split(k, carry)`` returns, per
-    group, the weights ``w0, w1`` of outcome 0 and 1 at qubit ``k`` given the
-    prefix, and the carry rows of the prefix extended by each outcome. So
-    ``split`` sees at most ``min(block, 2^k)`` rows at qubit ``k`` (one sampling
-    step per distinct prefix, Ferris and Vidal, PRB 85, 165146 (2012)), and
-    per shot only integer work is done. Qubit ``k`` reads 1 when its uniform
+    the one-row carry of the empty prefix. ``split(k, carry)`` returns
+    ``(weights, rows)``: ``weights[g]`` holds the weights ``w0, w1`` of
+    outcome 0 and 1 at qubit ``k`` given the prefix of group ``g``, and
+    ``rows[2g + b]`` the carry row of that prefix extended by ``b``. A shot of
+    group ``g`` that reads ``b`` moves to row ``2g + b``; only when some row
+    went undrawn are the drawn rows kept and renumbered in order. So ``split``
+    sees at most ``min(block, 2^k)`` rows at qubit ``k`` (one sampling step
+    per distinct prefix, Ferris and Vidal, PRB 85, 165146 (2012)), and per
+    shot only integer work is done. Qubit ``k`` reads 1 when its uniform
     variate is at least ``w0 / (w0 + w1)`` (0.5 when both weights are 0).
     Variates are drawn as ``rng.random((block, n))`` for consecutive blocks of
     at most ``SHOT_BLOCK`` shots: one per qubit per shot, shot-major, the same
@@ -353,30 +358,32 @@ def sample_sequential(
         raise ValueError("shots must be >= 1")
     counts: dict[str, int] = {}
     for done in range(0, shots, SHOT_BLOCK):
-        draws = rng.random((min(SHOT_BLOCK, shots - done), n))
+        # one row per qubit, so that each step reads and writes contiguous rows
+        draws = rng.random((min(SHOT_BLOCK, shots - done), n)).T.copy()
         bits = np.empty(draws.shape, dtype=np.uint8)
-        group = np.zeros(len(draws), dtype=np.intp)
+        group = np.zeros(draws.shape[1], dtype=np.intp)
         carry = start
         for k in range(n):
-            w0, w1, carry0, carry1 = split(k, carry)
-            total = w0 + w1
+            weights, carry = split(k, carry)
+            total = weights[:, 0] + weights[:, 1]
             # an outcome of weight 0 is never drawn, so a total of 0 needs a
             # drawn prefix whose weight underflowed: any tie value is as good
-            p0 = np.divide(w0, total, out=np.full(total.shape, 0.5), where=total > 0)
-            one = draws[:, k] >= p0[group]
-            bits[:, k] = one
-            # prefix s + b becomes code 2 * group + b; numbering the codes that
-            # occur in ascending order keeps the groups in lexicographic order
-            code = 2 * group + one
-            seen = np.zeros(2 * len(total), dtype=bool)
-            seen[code] = True
-            group = (np.cumsum(seen) - 1)[code]
-            both = np.stack((carry0, carry1), axis=1)
-            carry = both.reshape(-1, *both.shape[2:])[seen]
+            p0 = np.divide(weights[:, 0], total, out=np.full(total.shape, 0.5), where=total > 0)
+            one = draws[k] >= p0[group]
+            bits[k] = one
+            # prefix s + b is row 2 * group + b of the new carry
+            group = 2 * group + one
+            seen = np.zeros(len(carry), dtype=bool)
+            seen[group] = True
+            if not seen.all():
+                # numbering the drawn rows in ascending order keeps the groups
+                # in lexicographic order
+                group = (np.cumsum(seen) - 1)[group]
+                carry = carry[seen]
         # every shot of a group has the same bits: read one representative
         first = np.empty(len(carry), dtype=np.intp)
         first[group] = np.arange(len(group))
-        keys = (bits[first] + ord("0")).view(f"S{n}").ravel()
+        keys = (bits.T[first] + ord("0")).view(f"S{n}").ravel()
         tallies = np.bincount(group)
         for key, tally in zip(keys.astype(str).tolist(), tallies.tolist()):
             counts[key] = counts.get(key, 0) + tally

@@ -1,4 +1,3 @@
-import itertools
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +54,16 @@ def random_program(n: int, num_gates: int, rng: np.random.Generator,
 
 
 def mps_statevector(state) -> np.ndarray:
-    """Full amplitude vector of a small MPS, ordered like the dense oracle."""
-    return np.array(
-        [state.amplitude("".join(bits)) for bits in itertools.product("01", repeat=state.n)]
-    )
+    """Full amplitude vector of a small MPS, ordered like the dense oracle.
+
+    The site tensors are contracted left to right: row ``2p + s`` of the
+    carry after site ``k`` is prefix ``p`` extended by ``s``, so qubit 0 ends
+    up as the high bit of the flat index.
+    """
+    vec = np.ones((1, 1), dtype=complex)
+    for t in state.site_tensors:
+        vec = (vec @ t.reshape(len(t), -1)).reshape(-1, t.shape[2])
+    return vec.ravel()
 
 
 def max_bond(state) -> int:

@@ -1,4 +1,5 @@
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from mpsqvm import (
     generate_round_circuit,
     run_program,
 )
+from mpsqvm import dense as dense_module
 from mpsqvm import mps as mps_module
 from mpsqvm.gates import SWAP_MATRIX, apply_program, gate_matrix, pauli_matrix
-from mpsqvm.ir import IrError
+from mpsqvm.ir import IrError, num_qubits
 from mpsqvm.mps import SHOT_BLOCK, sample_sequential
 from tests.conftest import (
     ONE_QUBIT_KINDS,
@@ -442,6 +444,18 @@ class TestQueries:
         for old, new in zip(before, state.site_tensors):
             np.testing.assert_array_equal(old, new)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    @pytest.mark.parametrize("policy", [EXACT, TruncationPolicy(cutoff=1e-2, max_bond=2)],
+                             ids=["exact", "truncated"])
+    def test_statevector_helper_is_the_amplitude_vector(self, n, policy):
+        # mps_statevector, the reference of many tests, contracts the chain
+        # site by site; it must equal one amplitude call per bitstring
+        state = run_program(random_program(n, 6 * n, np.random.default_rng(40 + n)), n, "mps",
+                            policy)
+        by_amplitude = [state.amplitude("".join(bits))
+                        for bits in itertools.product("01", repeat=n)]
+        np.testing.assert_allclose(mps_statevector(state), by_amplitude, rtol=0, atol=1e-14)
+
 
 class TestSampling:
     def test_gate_after_measure_rejected(self):
@@ -487,6 +501,22 @@ class TestSampling:
         a = state.sample(500, np.random.default_rng(9))
         b = state.sample(500, np.random.default_rng(9))
         assert a == b
+
+
+def _watch_split(monkeypatch, backend: str, watch) -> None:
+    """Make ``sample`` on ``backend`` call ``watch(carry, weights, rows)``
+    after each call of its ``split``."""
+
+    def spying(n, shots, rng, start, split):
+        def spy(k, carry):
+            weights, rows = split(k, carry)
+            watch(carry, weights, rows)
+            return weights, rows
+
+        return sample_sequential(n, shots, rng, start, spy)
+
+    monkeypatch.setattr(mps_module if backend == "mps" else dense_module, "sample_sequential",
+                        spying)
 
 
 def _per_shot_counts(state, shots: int, rng: np.random.Generator) -> dict[str, int]:
@@ -543,6 +573,28 @@ class TestVectorizedSampler:
         assert sum(counts.values()) == shots
         assert rng.random() == loop_rng.random()  # exactly shots * n variates consumed
 
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    def test_variate_at_the_threshold_reads_one(self, monkeypatch, backend):
+        # qubit k reads 1 exactly when its variate is at least p0 = w0 / (w0 + w1):
+        # just below p0 reads 0 and p0 itself reads 1 on qubit 0, and a variate
+        # of 0.0 reads 1 on qubit 1, whose outcome 0 has weight exactly 0
+        first_weights = []
+        _watch_split(monkeypatch, backend,
+                     lambda carry, weights, rows: first_weights.append(weights[0]))
+        program = [Instruction(GateKind.RY, (0,), (1.1,)), Instruction(GateKind.X, (1,))]
+        state = run_program(program, 2, backend, EXACT)
+        state.sample(1, np.random.default_rng(0))
+        w0, w1 = first_weights[0]
+        p0 = w0 / (w0 + w1)
+        assert 0 < p0 < 1 and first_weights[1][0] == 0
+
+        class FixedVariates:  # stands in for the Generator: hands out these variates
+            def random(self, shape):
+                assert shape == (2, 2)
+                return np.array([[np.nextafter(p0, 0.0), 0.0], [p0, 0.0]])
+
+        assert state.sample(2, FixedVariates()) == {"01": 1, "11": 1}
+
     def test_backends_give_equal_counts(self):
         program = random_program(6, 40, np.random.default_rng(6))
         mps = run_program(program, 6, "mps", EXACT).sample(3000, np.random.default_rng(1))
@@ -575,6 +627,35 @@ class TestPrefixGroups:
         assert counts == {"0" * 30: 9928, "1" * 30: 10072}
         assert len(rows) == 5 * 30  # 5 blocks of at most SHOT_BLOCK shots
         assert max(rows) == 2
+
+    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("every_prefix_drawn", [True, False])
+    def test_split_sees_the_drawn_prefixes(self, monkeypatch, backend, every_prefix_drawn):
+        # at qubit k, split gets one carry row per distinct k-bit prefix drawn;
+        # when every extended prefix was drawn, that carry is the rows split
+        # returned, not a renumbered copy
+        calls: list[tuple[int, bool]] = []
+        returned = [None]
+
+        def watch(carry, weights, rows):
+            calls.append((len(carry), carry is returned[0]))
+            returned[0] = rows
+
+        _watch_split(monkeypatch, backend, watch)
+        if every_prefix_drawn:  # each of the 8 outcomes has probability above 0.04
+            program = [Instruction(GateKind.H, (q,)) for q in range(3)] + [
+                Instruction(GateKind.CNOT, (0, 1)), Instruction(GateKind.RY, (2,), (0.7,)),
+                Instruction(GateKind.CZ, (1, 2)),
+            ]
+        else:
+            program = random_program(8, 40, np.random.default_rng(8))
+        n = num_qubits(program)
+        counts = run_program(program, n, backend, EXACT).sample(SHOT_BLOCK, np.random.default_rng(4))
+        rows = [len({key[:k] for key in counts}) for k in range(n)]
+        assert [size for size, _ in calls] == rows
+        reused = [same for _, same in calls[1:]]
+        assert reused == [rows[k + 1] == 2 * rows[k] for k in range(n - 1)]
+        assert all(reused) == every_prefix_drawn
 
     @pytest.mark.parametrize("backend", ["mps", "dense"])
     def test_key_order_across_blocks(self, backend):
