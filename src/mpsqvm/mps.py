@@ -22,7 +22,10 @@ weight stays 0 under every later gate.
 
 One-qubit gates act on the physical index of one ``B``. A two-qubit gate on
 adjacent sites ``(q, q+1)`` forms ``theta = B_q B_{q+1}``, applies the 4x4
-gate, and takes the SVD of ``diag(Lambda_{q-1}) theta``: its singular values
+gate (``SWAP_MATRIX`` as a transpose of the two physical indices of
+``theta``, which moves entries and computes nothing), and takes the SVD of
+``diag(Lambda_{q-1}) theta`` (of ``theta`` itself at bond 0, where
+``Lambda_{-1} = 1`` and no weight is applied): its singular values
 are the new ``Lambda_q`` (after truncation per the active policy), ``V+``
 becomes ``B_{q+1}`` and ``theta V / |s|`` becomes ``B_q``, so nothing is
 divided by a singular value (Hastings, J. Math. Phys. 50, 095207 (2009)).
@@ -38,8 +41,9 @@ singular values and ``V+`` of ``m``, which are padded with exact zeros up to
 Should the SVD not converge, ``s`` and ``V+`` come from ``eigh`` of the Gram
 matrix instead. A non-adjacent pair is brought together by a SWAP chain that
 moves the qubit with the smaller outer bond, and routed back afterwards.
-Apart from those QRs, every contraction is a reshape plus a matrix product;
-a Pauli expectation costs O(|support| chi^3) and touches only the string's
+Apart from those QRs and the SWAP transpose, every contraction is a reshape
+plus a matrix product, and ``Lambda`` weights rows by one broadcast; a Pauli
+expectation costs O(|support| chi^3) and touches only the string's
 support. Only the two-site update changes tensor sizes, so it keeps the stored
 entry count, its peak (the memory estimate) and the largest bond seen up to
 date in O(1), from the sizes of the two sites and the one bond it replaces.
@@ -159,6 +163,12 @@ class MpsState:
     def apply_two_qubit_adjacent(self, gate: np.ndarray, q: int) -> None:
         """Apply a 4x4 unitary to sites ``(q, q+1)`` via contract + SVD.
 
+        ``theta = B_q B_{q+1}`` takes the gate as a matrix product on its
+        physical pair, except ``SWAP_MATRIX`` (recognised by identity, so a
+        copy takes the product), which transposes the two physical indices.
+        Row pair ``l`` of ``theta`` is then weighted by ``Lambda_{q-1}[l]``,
+        except at bond 0, where ``Lambda_{-1} = 1``.
+
         A table CNOT or CZ takes the SVD of its rank-2 core when
         ``side = min(2 dim_l, 2 dim_r) >= CORE_FLOOR`` and
         ``2 min(dim_l, dim_m) < side``, and pads the spectrum with exact
@@ -170,7 +180,8 @@ class MpsState:
         b_l, b_r = self.site_tensors[q], self.site_tensors[q + 1]
         dim_l, dim_m, dim_r = b_l.shape[0], b_r.shape[0], b_r.shape[2]
         side = 2 * min(dim_l, dim_r)
-        lam_l = self.bond_vectors[q - 1] if q > 0 else np.ones(1)
+        # Lambda_{-1} = 1 weighs nothing; the core needs dim_l >= 16, so never runs at bond 0
+        lam_l = self.bond_vectors[q - 1] if q > 0 else None
         core = (side >= CORE_FLOOR and 2 * min(dim_l, dim_m) < side
                 and id(gate) in CONTROLLED_TARGETS)
         if core:
@@ -185,10 +196,15 @@ class MpsState:
             # theta[(l s1), (s2 r)] = gate . B_q B_{q+1}; nothing right of it
             # enters, because B_{q+1} is right-canonical
             theta = b_l.reshape(2 * dim_l, -1) @ b_r.reshape(-1, 2 * dim_r)
-            theta = np.matmul(gate, theta.reshape(dim_l, 4, dim_r)).reshape(2 * dim_l, 2 * dim_r)
+            if gate is SWAP_MATRIX:  # a permutation of (s1, s2): no arithmetic
+                theta = theta.reshape(dim_l, 2, 2, dim_r).transpose(0, 2, 1, 3)
+            else:
+                theta = np.matmul(gate, theta.reshape(dim_l, 4, dim_r))
+            theta = theta.reshape(2 * dim_l, 2 * dim_r)
             # rows of theta are (l, s1): weight row pair l by Lambda_{q-1}[l];
             # V then spans every row of theta that carries weight
-            m = np.repeat(lam_l, 2)[:, np.newaxis] * theta
+            m = theta if lam_l is None else (
+                theta.reshape(dim_l, -1) * lam_l[:, np.newaxis]).reshape(theta.shape)
         try:
             _, s, vh = np.linalg.svd(m, full_matrices=False)
         except np.linalg.LinAlgError:
@@ -198,12 +214,12 @@ class MpsState:
 
         keep = self.policy.keep_count(s)
         if keep < len(s):
-            self.trunc_error_sq += float(np.sum(s[keep:] ** 2))
-            s = s[:keep]
+            tail = s[keep:]
+            self.trunc_error_sq += float(np.add.reduce(tail * tail))  # np.sum's reduction, same bits
+            s, vh = s[:keep], vh[:keep]
         norm = sqrt(s.dot(s))  # what np.linalg.norm computes for a real vector
         if norm == 0.0:
             raise RuntimeError(f"all singular values truncated on bond {q}")
-        vh = vh[:keep]
 
         # B_q = theta V / |s| and B_{q+1} = V+: no division by Lambda
         if core:  # block s of B_q is B_q[:, s, :] C_s V / |s|

@@ -134,6 +134,17 @@ class TestTwoQubitAdjacent:
         with pytest.raises(ValueError):
             MpsState(2).apply_two_qubit_adjacent(CNOT, 1)
 
+    def test_sites_hold_no_larger_buffer(self, rng):
+        """A truncated update stores a copy of the kept rows of ``V+`` as
+        ``B_{q+1}``, not a view that keeps the SVD's whole output alive."""
+        state = run_program(random_program(6, 40, rng), 6, "mps", TruncationPolicy(0.0, max_bond=2))
+        assert state.trunc_error_sq > 0
+        for tensor in state.site_tensors:
+            root = tensor
+            while root.base is not None:
+                root = root.base
+            assert root.nbytes == tensor.nbytes
+
 
 class TestRouting:
     def test_distant_cnot_product_state(self):
@@ -415,6 +426,94 @@ class TestControlledCore:
     def test_only_the_table_gates_with_control_first(self, apply, rows, svd_shapes):
         apply(_pair_state(16, 8, 16, np.random.default_rng(0)))
         assert svd_shapes == [(rows, 32)]
+
+
+class TestSwapPermutation:
+    """``SWAP_MATRIX`` itself is applied as a transpose of theta's two
+    physical indices; a copy of it takes the 4x4 matrix product, which only
+    adds exact zeros. So both hand the SVD the same values, though an exact
+    zero may differ in sign. Given the same bits, the SVD gives the same
+    state; given a zero of the other sign, LAPACK may round the singular
+    values that are zero in exact arithmetic differently (about 1e-33), so
+    there the two states agree to rounding."""
+
+    @pytest.fixture
+    def svd_inputs(self, monkeypatch):
+        svd, inputs = np.linalg.svd, []
+
+        def recording(a, *args, **kwargs):
+            inputs.append(a.copy())
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        return inputs
+
+    @pytest.mark.parametrize("policy", [
+        EXACT, TruncationPolicy(1e-4), TruncationPolicy(1e-2), TruncationPolicy(0.0, max_bond=2),
+    ], ids=["cutoff0", "cutoff1e-4", "cutoff1e-2", "max_bond2"])
+    def test_same_state_as_the_matrix(self, policy, svd_inputs):
+        n, truncated, same_bits = 6, 0, 0
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 19])
+            state = run_program(random_program(n, 30, rng), n, "mps", EXACT)
+            for q in (0, n // 2, n - 2):
+                perm, matrix = state.copy(), state.copy()
+                perm.policy = matrix.policy = policy
+                svd_inputs.clear()
+                perm.apply_two_qubit_adjacent(SWAP_MATRIX, q)
+                matrix.apply_two_qubit_adjacent(SWAP_MATRIX.copy(), q)
+                got_m, want_m = svd_inputs
+                assert np.array_equal(got_m, want_m)
+                assert (perm.entries, perm.peak_entries, perm.max_bond_seen) == (
+                    matrix.entries, matrix.peak_entries, matrix.max_bond_seen)
+                truncated += perm.trunc_error_sq > 0
+                if got_m.tobytes() != want_m.tobytes():
+                    np.testing.assert_allclose(mps_statevector(perm), mps_statevector(matrix),
+                                               rtol=0, atol=1e-12)
+                    assert perm.trunc_error_sq == pytest.approx(matrix.trunc_error_sq, abs=1e-24)
+                    continue
+                same_bits += 1
+                for got, want in zip(perm.site_tensors + perm.bond_vectors,
+                                     matrix.site_tensors + matrix.bond_vectors):
+                    assert got.shape == want.shape and np.array_equal(got, want)
+                assert perm.trunc_error_sq == matrix.trunc_error_sq
+        assert (truncated > 0) == (policy is not EXACT)
+        assert same_bits >= 50
+
+
+class TracedMps(DimsMps, RecordedMps):
+    """Records ``(bond, is_swap)`` and ``(dim_l, dim_m, dim_r)`` of every adjacent update."""
+
+
+class TestTracerContract:
+    """What the benchmark's tracer derives the SWAP count, the SVD time and
+    the keep ratio from: a routed gate at distance d makes exactly 2d-1
+    ``apply_two_qubit_adjacent`` calls, up or down, and each of them exactly
+    one ``np.linalg.svd`` call, of shape (2 dim_l, 2 dim_r) below the core
+    route's floor."""
+
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["q1<q2", "q1>q2"])
+    @pytest.mark.parametrize("gate", ["CNOT", "random"])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_calls_and_svd_shapes(self, direction, reverse, gate, d, svd_shapes):
+        # random gates on every bond except one outer bond, which stays 1 and so picks the direction
+        n, lo, hi = d + 3, 1, d + 1
+        skipped = lo - 1 if direction == "up" else hi
+        rng = np.random.default_rng([d, direction == "up", reverse, gate == "CNOT"])
+        state = TracedMps(n)
+        for q in [q for q in range(n - 1) if q != skipped] * 2:
+            state.apply_two_qubit_routed(_random_unitary(rng), q, q + 1)
+        for log in (state.calls, state.dims, state.bonds, svd_shapes):
+            log.clear()
+        q1, q2 = (hi, lo) if reverse else (lo, hi)
+        state.apply_two_qubit_routed(CNOT if gate == "CNOT" else _random_unitary(rng), q1, q2)
+        swaps = list(range(lo, hi - 1)) if direction == "up" else list(range(hi - 1, lo, -1))
+        at = hi - 1 if direction == "up" else lo
+        assert state.calls == ([(k, True) for k in swaps] + [(at, False)]
+                               + [(k, True) for k in reversed(swaps)])
+        assert len(svd_shapes) == 2 * d - 1
+        assert svd_shapes == [(2 * dim_l, 2 * dim_r) for dim_l, _, dim_r in state.dims]
 
 
 class TestQueries:
