@@ -66,7 +66,7 @@ def run_program(
 
 
 def execute(
-    program: list[Instruction],
+    program: Sequence[Instruction],
     n: int | None = None,
     backend: str = "mps",
     policy: TruncationPolicy | None = None,

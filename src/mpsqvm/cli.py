@@ -26,7 +26,7 @@ from . import vqe as vqe_mod
 from .backends import BACKENDS, execute
 from .dense import oracle_qubit_cap
 from .hamiltonian import HamiltonianFormatError, parse_hamiltonian
-from .ir import IrError, bind_parameters, flatten, num_qubits
+from .ir import IrError, inline, num_qubits
 from .mps import TruncationPolicy
 from .parser import ParseError, parse
 
@@ -192,12 +192,10 @@ def _cmd_run(args: argparse.Namespace) -> None:
     kernel = _get_kernel(_read_text(args.source), args.kernel)
     # no text passes no values; otherwise every field, empty or not, is one value
     fields = args.args.split(",") if args.args.strip() else []
-    values = [_finite(v, "--args") for v in fields]
-    try:
-        bound = bind_parameters(kernel, values)
+    try:  # --args x,y binds like the call kernel(b, x, y)
+        program = inline(kernel, [_finite(v, "--args") for v in fields])
     except IrError as exc:  # a wrong --args count; the values are finite already
         raise UsageError(str(exc)) from None
-    program = flatten(bound)
     n = args.qubits
     if n is not None and n < num_qubits(program):
         raise UsageError(

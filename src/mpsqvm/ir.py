@@ -2,9 +2,15 @@
 
 A kernel is a :class:`CompositeInstruction`: a name, formal parameters and a
 flat tuple of :class:`Instruction` gates, run in order. All IR values are
-immutable after construction and safe to share. A kernel call is expanded
-into the caller's gates where it is parsed, and binding parameters returns a
-kernel that holds the bound gates.
+immutable after construction and safe to share.
+
+Parameters are bound in one of two places. At parse time, :func:`inline`
+expands a call into the callee's gates with the arguments filled in; a call
+in source and ``mpsqvm run --args`` both bind this way. At run time,
+:func:`~mpsqvm.gates.apply_program` fills named slots from the ``values`` it
+is given, as ``vqe`` does for each theta. :func:`bind_parameters` and
+:func:`flatten` are kept as the tests' reference for in-loop binding and for
+the benchmark harness.
 """
 
 from __future__ import annotations

@@ -158,13 +158,20 @@ class _Parser:
         return name_tok.text, kernel
 
     def parse_statement(self, unit: SourceUnit, formals: list[str]) -> tuple[Instruction, ...]:
-        """The gates of one statement: a gate, or a call expanded in place."""
-        head = self._expect_ident("gate or kernel name")
-        if head.text in _GATE_NAMES:
-            return (self.parse_gate(_GATE_NAMES[head.text], head, formals),)
-        return self.parse_call(head, unit, formals)
+        """The gates of one statement: a gate, or a call expanded in place.
 
-    def parse_gate(self, kind: GateKind, head: Token, formals: list[str]) -> Instruction:
+        An :class:`IrError` from either (a gate's qubits, a call's arity) is
+        reported as a :class:`ParseError` at the statement's head.
+        """
+        head = self._expect_ident("gate or kernel name")
+        try:
+            if head.text in _GATE_NAMES:
+                return (self.parse_gate(_GATE_NAMES[head.text], formals),)
+            return self.parse_call(head, unit, formals)
+        except IrError as exc:
+            raise ParseError(str(exc), head.line, head.col) from None
+
+    def parse_gate(self, kind: GateKind, formals: list[str]) -> Instruction:
         """A gate statement; :class:`Instruction` checks its angles and qubits."""
         params: tuple[ParamSlot, ...] = ()
         if self.cur.kind == "sym" and self.cur.text == "(":
@@ -179,10 +186,7 @@ class _Parser:
             self._expect_sym("[")
             creg = self._expect_uint("classical register index")
             self._expect_sym("]")
-        try:
-            return Instruction(kind, qubits, params, creg)
-        except IrError as exc:
-            raise ParseError(str(exc), head.line, head.col) from None
+        return Instruction(kind, qubits, params, creg)
 
     def parse_call(
         self, head: Token, unit: SourceUnit, formals: list[str]
@@ -197,10 +201,7 @@ class _Parser:
             self._advance()
             args.append(self.parse_expr(formals))
         self._expect_sym(")")
-        try:
-            return inline(callee, args)
-        except IrError as exc:
-            raise ParseError(str(exc), head.line, head.col) from None
+        return inline(callee, args)
 
     def parse_expr(self, formals: list[str]) -> ParamSlot:
         tok = self.cur

@@ -3,8 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpsqvm import GateKind, Instruction
-from mpsqvm.gates import pauli_matrix
+from mpsqvm import DenseState, GateKind, Instruction
+from mpsqvm.gates import apply_program, pauli_matrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 HAM_PATH = REPO_ROOT / "data" / "h2_2q.ham"
@@ -149,6 +149,29 @@ def clifford_expectation(program, pauli: str) -> int:
     factor, else 0."""
     labels, sign = conjugate_pauli(program, pauli)
     return 0 if set(labels) & {"X", "Y"} else sign
+
+
+def light_cone_expectation(program, pauli: str) -> tuple[float, int]:
+    """<0...0| U+ P U |0...0> of a Pauli string on any gate set, from the
+    gates in the backward light cone of P's support, run on a dense state of
+    the cone's width; returns ``(value, width)``.
+
+    Walking the program backwards, a gate that touches the cone joins it and
+    widens it by its qubits; every other gate cancels in U+ P U. So the cost
+    is 2^width, not 2^n (Bravyi, Gosset and Movassagh, Nat. Phys. 17, 337
+    (2021))."""
+    cone = {q for q, label in enumerate(pauli) if label != "I"}
+    kept = []
+    for gate in reversed(program):
+        if gate.kind is not GateKind.MEASURE and cone.intersection(gate.qubits):
+            cone.update(gate.qubits)
+            kept.append(gate)
+    sites = sorted(cone)
+    where = {q: i for i, q in enumerate(sites)}
+    local = [Instruction(g.kind, tuple(where[q] for q in g.qubits), g.params)
+             for g in reversed(kept)]
+    state = apply_program(DenseState(len(sites)), local)
+    return state.expectation_pauli("".join(pauli[q] for q in sites)), len(sites)
 
 
 def exact_ground_energy(hamiltonian) -> float:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,7 @@ import pytest
 
 import mpsqvm
 from mpsqvm import RunRecord, TruncationPolicy, bind_parameters, execute, flatten, parse
-from tests.conftest import ANSATZ_PATH, HAM_PATH
+from tests.conftest import ANSATZ_PATH, HAM_PATH, REPO_ROOT
 
 BELL_SRC = """\
 __qpu__ bell(AcceleratorBuffer b) {
@@ -54,6 +55,21 @@ class TestRunCommand:
         dense = json.loads(run_cli(*base, "--backend", "dense").stdout)
         mps = json.loads(run_cli(*base, "--backend", "mps").stdout)
         assert dense["counts"] == mps["counts"]
+
+    def test_args_bind_like_a_call(self, tmp_path):
+        """``run --kernel term0 --args 0.5`` writes the record of a kernel
+        whose body is the call ``term0(b, 0.5)``."""
+        source = tmp_path / "call.qk"
+        source.write_text(ANSATZ_PATH.read_text()
+                          + "__qpu__ main(AcceleratorBuffer b) {\n  term0(b, 0.5)\n}\n")
+        outs = []
+        for kernel, args in (("term0", "0.5"), ("main", "")):
+            out = tmp_path / f"{kernel}.json"
+            proc = run_cli("run", "--source", str(source), "--kernel", kernel, "--args", args,
+                           "--shots", "1000", "--seed", "7", "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_term0_with_args(self, tmp_path):
         proc = run_cli(
@@ -559,3 +575,21 @@ class TestRuntimeDependencies:
         loaded = self.top_level_modules("import mpsqvm, mpsqvm.cli")
         assert {"mpsqvm", "numpy"} <= loaded - baseline
         assert loaded - baseline - set(sys.stdlib_module_names) - {"mpsqvm", "numpy"} == set()
+
+    def test_every_import_in_the_source_is_stdlib_or_numpy(self):
+        """Every absolute import in ``src/mpsqvm``, including one inside a
+        function that importing the package does not run, names a standard
+        library module or numpy."""
+        allowed = sys.stdlib_module_names | {"numpy"}
+        offenders = []
+        for path in sorted((REPO_ROOT / "src" / "mpsqvm").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                              if name.split(".")[0] not in allowed]
+        assert offenders == []

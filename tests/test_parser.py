@@ -119,6 +119,20 @@ class TestParseErrors:
             parse(src)
         assert (info.value.line, info.value.col) == (2, 9)
 
+    @pytest.mark.parametrize("statement, message", [
+        ("CNOT 1 1", "CNOT qubit indices must be distinct: (1, 1)"),
+        ("callee(b, 0.5, t)", "kernel 'callee' takes 1 argument(s), got 2"),
+    ], ids=["gate", "call"])
+    def test_ir_error_at_the_statement_head(self, statement, message):
+        src = (
+            "__qpu__ callee(AcceleratorBuffer b, double z) {\n  RZ(z) 0\n}\n"
+            f"__qpu__ k(AcceleratorBuffer b, double t) {{\n  H 0\n    {statement}\n  X 1\n}}"
+        )
+        with pytest.raises(ParseError) as info:
+            parse(src)
+        assert (info.value.line, info.value.col) == (6, 5)
+        assert str(info.value) == f"6:5: {message}"
+
     def test_error_carries_position(self):
         try:
             parse("__qpu__ k(AcceleratorBuffer b) {\n  BOGUS 0\n}")
