@@ -1,11 +1,19 @@
-"""Common execution contract over the two interchangeable backends.
+"""Common execution contract over the interchangeable backends.
 
-``run_program`` builds a fresh state on either the MPS simulator or the dense
-oracle and applies a program to it with :func:`~mpsqvm.gates.apply_program`,
-which binds the program's named angle slots from the values it is given, so
-a kernel's gates run as they are at each new value, with nothing rebuilt.
-``execute`` additionally samples the measured qubits and assembles a
-:class:`RunRecord`. Both backends sample through the one function
+A backend is a class in :data:`BACKENDS`, built as ``cls(n, policy)`` for
+``n`` qubits in ``|0...0>`` (``dense`` ignores ``policy``). Its states have
+``apply_one_qubit``, ``apply_two_qubit_routed``, ``expectation_pauli``,
+``sample`` and ``copy``, and the three reads of a :class:`RunRecord`: the
+attributes ``max_bond_seen`` and ``trunc_error_sq`` and the method
+``memory_estimate_bytes()``. Adding a backend takes one entry here and no
+other edit.
+
+``run_program`` builds a fresh state of the named backend and applies a
+program to it with :func:`~mpsqvm.gates.apply_program`, which binds the
+program's named angle slots from the values it is given, so a kernel's gates
+run as they are at each new value, with nothing rebuilt. ``execute``
+additionally samples the measured qubits and assembles a :class:`RunRecord`.
+Both backends sample through the one function
 :func:`~mpsqvm.mps.sample_sequential` (one uniform variate per qubit per
 shot), so a fixed seed yields identical counts across backends when
 truncation is off.
@@ -14,7 +22,7 @@ truncation is off.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -24,7 +32,8 @@ from .gates import apply_program, measured_qubits
 from .ir import Instruction, num_qubits
 from .mps import MpsState, TruncationPolicy
 
-BACKENDS = ("mps", "dense")
+#: Backend name -> state class; ``BACKENDS[name](n, policy)`` is a fresh state
+BACKENDS = {"mps": MpsState, "dense": DenseState}
 
 
 @dataclass
@@ -34,10 +43,10 @@ class RunRecord:
     Equal runs give equal records, so nothing timed belongs here.
     """
 
-    counts: dict[str, int] = field(default_factory=dict)
-    max_bond_seen: int | None = None
-    memory_estimate_bytes: int = 0
-    trunc_error_sq: float = 0.0
+    counts: dict[str, int]
+    max_bond_seen: int | None
+    memory_estimate_bytes: int
+    trunc_error_sq: float
 
 
 def run_program(
@@ -55,14 +64,9 @@ def run_program(
         raise ValueError(
             f"program touches qubit {num_qubits(program) - 1}, register has {n}"
         )
-    state: MpsState | DenseState
-    if backend == "mps":
-        state = MpsState(n, policy)
-    elif backend == "dense":
-        state = DenseState(n)
-    else:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-    return apply_program(state, program, values=values)
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {tuple(BACKENDS)}")
+    return apply_program(BACKENDS[backend](n, policy), program, values=values)
 
 
 def execute(
@@ -76,16 +80,11 @@ def execute(
     """Run the program, sample measured qubits, and collect run statistics."""
     targets = measured_qubits(program)
     state = run_program(program, n, backend, policy)
-    record = RunRecord()
-    if isinstance(state, MpsState):
-        record.max_bond_seen = state.max_bond_seen
-        record.memory_estimate_bytes = state.memory_estimate_bytes()
-        record.trunc_error_sq = state.trunc_error_sq
-    else:
-        record.memory_estimate_bytes = 16 * state.amps.size
+    counts: dict[str, int] = {}
     if targets:
         key_of = itemgetter(*targets)  # one character, or a tuple of them
         for bits, count in sorted(state.sample(shots, np.random.default_rng(seed)).items()):
             key = "".join(key_of(bits))
-            record.counts[key] = record.counts.get(key, 0) + count
-    return record
+            counts[key] = counts.get(key, 0) + count
+    return RunRecord(counts, state.max_bond_seen, state.memory_estimate_bytes(),
+                     state.trunc_error_sq)

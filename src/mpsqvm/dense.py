@@ -19,7 +19,7 @@ import numpy as np
 
 from .gates import apply_program, check_gate, check_pauli, pauli_matrix, real_expectation
 from .ir import Instruction
-from .mps import sample_sequential
+from .mps import TruncationPolicy, sample_sequential
 
 DEFAULT_QUBIT_CAP = 24
 
@@ -38,15 +38,27 @@ def oracle_qubit_cap() -> int:
 
 
 class DenseState:
-    """Full 2^n amplitude vector; flat index has qubit 0 as the high bit."""
+    """Full 2^n amplitude vector; flat index has qubit 0 as the high bit.
 
-    def __init__(self, n: int):
+    Built like :class:`~mpsqvm.mps.MpsState`, as ``DenseState(n, policy)``;
+    nothing is truncated, so ``policy`` is ignored.
+    """
+
+    #: the run-record reads of the backend contract: no bond, nothing discarded
+    max_bond_seen = None
+    trunc_error_sq = 0.0
+
+    def __init__(self, n: int, policy: TruncationPolicy | None = None):
         cap = oracle_qubit_cap()
         if not 1 <= n <= cap:
             raise ValueError(f"dense oracle supports 1..{cap} qubits, got {n}")
         self.n = n
         self.amps = np.zeros(2**n, dtype=complex)
         self.amps[0] = 1.0
+
+    def memory_estimate_bytes(self) -> int:
+        """16 bytes per complex amplitude."""
+        return 16 * self.amps.size
 
     def copy(self) -> DenseState:
         """A state that evolves apart from this one; ``amps`` is shared, because

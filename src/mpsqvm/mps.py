@@ -307,12 +307,26 @@ class MpsState:
         ``(chi_l, 2 chi_r)`` matrix: read as ``(2G, chi_r)``, the product holds
         the new carry rows ``W B_k[0], W B_k[1]`` of each prefix in turn, and
         their squared norms are the weights.
+
+        A prefix's weight is its probability, which shrinks along the chain
+        and would underflow to 0 on a long register. So when the smallest
+        positive weight of a step is below ``_RESCALE_BELOW``, each new carry
+        row is scaled by ``2^(-e//2)``, ``e`` the binary exponent of its own
+        weight: both children of a prefix then carry the same factor, so the
+        ratio ``w0 / (w0 + w1)`` is kept, and a power of two scales exactly,
+        so nothing changes where nothing would have underflowed.
         """
 
         def split(k: int, prefix: np.ndarray):
             site = self.site_tensors[k]
             rows = (prefix @ site.reshape(len(site), -1)).reshape(-1, site.shape[2])
-            return _row_norm_sq(rows).reshape(-1, 2), rows
+            weights = _row_norm_sq(rows)
+            # an outcome of weight 0 is never drawn, so zeros ask for no
+            # rescale; the plain minimum, half the cost, settles most steps
+            if (weights.min() < _RESCALE_BELOW
+                    and weights.min(initial=1.0, where=weights > 0) < _RESCALE_BELOW):
+                rows = rows * np.ldexp(1.0, -(np.frexp(weights)[1] // 2))[:, np.newaxis]
+            return weights.reshape(-1, 2), rows
 
         return sample_sequential(self.n, shots, rng, np.ones((1, 1), dtype=complex), split)
 
@@ -332,6 +346,12 @@ def _svd_from_gram(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(f"SVD failed on bond {q}") from exc
     top = slice(None, -min(m.shape) - 1, -1)
     return np.sqrt(np.clip(evals[top], 0.0, None)), evecs[:, top].conj().T
+
+
+#: Smallest positive prefix weight that :meth:`MpsState.sample` carries
+#: unscaled: far above the subnormal range (below 2^-1022), where weights
+#: start to lose bits
+_RESCALE_BELOW = 2.0**-500
 
 
 def _row_norm_sq(rows: np.ndarray) -> np.ndarray:
@@ -383,7 +403,11 @@ def sample_sequential(
             weights, carry = split(k, carry)
             total = weights[:, 0] + weights[:, 1]
             # an outcome of weight 0 is never drawn, so a total of 0 needs a
-            # drawn prefix whose weight underflowed: any tie value is as good
+            # drawn prefix whose weight underflowed. Neither sampler lets that
+            # happen: MpsState rescales its carry rows before they underflow,
+            # and DenseState reads absolute marginals of |amps|^2, where a
+            # drawn prefix always has a child of positive weight. So the tie
+            # value 0.5 is only a guard against dividing by 0
             p0 = np.divide(weights[:, 0], total, out=np.full(total.shape, 0.5), where=total > 0)
             one = draws[k] >= p0[group]
             bits[k] = one

@@ -17,11 +17,10 @@ from math import isfinite, pi, sqrt
 import numpy as np
 
 from .backends import run_program
-from .dense import DenseState
 from .gates import apply_program
 from .hamiltonian import PauliHamiltonian
 from .ir import CompositeInstruction, GateKind, Instruction, IrError
-from .mps import MpsState, TruncationPolicy
+from .mps import TruncationPolicy
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,7 @@ def _basis_rotations(pauli: str) -> list[Instruction]:
     return rotations
 
 
-def _sampled_term(
-    state: MpsState | DenseState, pauli: str, shots: int, rng: np.random.Generator
-) -> float:
+def _sampled_term(state, pauli: str, shots: int, rng: np.random.Generator) -> float:
     rotated = apply_program(state.copy(), _basis_rotations(pauli))
     support = [q for q, label in enumerate(pauli) if label != "I"]
     counts = rotated.sample(shots, rng)

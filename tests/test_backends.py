@@ -1,5 +1,8 @@
-"""The input contract of the two simulator states: each bad input is rejected
-by both with the same ``ValueError`` message, before the state changes."""
+"""The contract of the simulator states in ``BACKENDS``: each bad input is
+rejected by every backend with the same ``ValueError`` message, before the
+state changes, and each state reports its own run record."""
+
+import ast
 
 import numpy as np
 import pytest
@@ -12,13 +15,15 @@ from mpsqvm import (
     MpsState,
     TruncationPolicy,
     bind_parameters,
+    execute,
     flatten,
     run_program,
 )
 from mpsqvm import gates
+from mpsqvm.backends import BACKENDS
 from mpsqvm.gates import SWAP_MATRIX, apply_program, gate_matrix, pauli_matrix, qubits_swapped
 from mpsqvm.ir import IrError
-from tests.conftest import ghz3_program, mps_statevector, random_program
+from tests.conftest import REPO_ROOT, ghz3_program, mps_statevector, random_program
 
 X = gate_matrix(Instruction(GateKind.X, (0,)))
 CNOT = gate_matrix(Instruction(GateKind.CNOT, (0, 1)))
@@ -52,14 +57,12 @@ def amplitudes(state) -> np.ndarray:
     return state.amps.copy() if isinstance(state, DenseState) else mps_statevector(state)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: MpsState(3, TruncationPolicy(cutoff=0.0)), lambda: DenseState(3)
-], ids=["mps", "dense"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("case", BAD_INPUTS)
-def test_bad_input_rejected_alike(make, case):
+def test_bad_input_rejected_alike(backend, case):
     call, message = BAD_INPUTS[case]
     program = ghz3_program() + [Instruction(GateKind.RY, (2,), (0.3,))]
-    state = apply_program(make(), program)
+    state = apply_program(BACKENDS[backend](3, TruncationPolicy(cutoff=0.0)), program)
     before = amplitudes(state)
     with pytest.raises(ValueError) as info:
         call(state)
@@ -79,10 +82,10 @@ def test_gate_table_is_read_only(matrix):
         matrix.setflags(write=True)
 
 
-@pytest.mark.parametrize("make", [lambda: MpsState(2), lambda: DenseState(2)], ids=["mps", "dense"])
-def test_writable_copy_of_table_matrix_checked_in_full(make):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_writable_copy_of_table_matrix_checked_in_full(backend):
     """Only the table's own objects skip the unitarity test, not equal arrays."""
-    state = make()
+    state = BACKENDS[backend](2)
     with pytest.raises(ValueError) as info:
         state.apply_one_qubit(2 * pauli_matrix("X"), 0)
     assert str(info.value) == "matrix is not unitary (deviation 3.000e+00)"
@@ -94,9 +97,9 @@ def test_writable_copy_of_table_matrix_checked_in_full(make):
     assert str(info.value) == "matrix is not unitary (deviation 3.000e+00)"
 
 
-@pytest.mark.parametrize("make", [lambda: MpsState(2), lambda: DenseState(2)], ids=["mps", "dense"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("size", [2, 4])
-def test_unitarity_tolerance_boundary(make, size):
+def test_unitarity_tolerance_boundary(backend, size):
     """Off unitary by 1e-11 passes, by 1e-8 fails: UNITARY_TOL sits between."""
     apply = (lambda s, g: s.apply_one_qubit(g, 0)) if size == 2 else (
         lambda s, g: s.apply_two_qubit_routed(g, 0, 1))
@@ -104,10 +107,10 @@ def test_unitarity_tolerance_boundary(make, size):
         gate = np.eye(size, dtype=complex)
         gate[0, 0] = np.sqrt(1 + dev)  # U+ U - I has one entry, dev
         if ok:
-            apply(make(), gate)
+            apply(BACKENDS[backend](2), gate)
         else:
             with pytest.raises(ValueError, match="matrix is not unitary"):
-                apply(make(), gate)
+                apply(BACKENDS[backend](2), gate)
 
 
 def test_imaginary_residue_boundary():
@@ -132,7 +135,7 @@ GATE_CALLS = {
 def test_single_non_finite_entry_rejected(backend, call, fill):
     """One NaN or infinity at any position, the rest of a unitary untouched."""
     unitary, apply = GATE_CALLS[call]
-    state = apply_program(MpsState(3) if backend == "mps" else DenseState(3), ghz3_program())
+    state = apply_program(BACKENDS[backend](3), ghz3_program())
     before = amplitudes(state)
     for index in np.ndindex(unitary.shape):
         gate = unitary.copy()
@@ -211,7 +214,7 @@ def random_kernel(rng: np.random.Generator, n: int) -> tuple[CompositeInstructio
 
 
 class TestBindingInTheGateLoop:
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_equals_bound_and_flattened_kernel(self, backend):
         rng = np.random.default_rng(15)
         for trial in range(25):
@@ -238,7 +241,7 @@ class TestBindingInTheGateLoop:
         assert str(new.value) == str(old.value)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("kind", [GateKind.RX, GateKind.RY, GateKind.RZ])
     @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_is_a_value_error(self, backend, kind, angle):
@@ -246,12 +249,11 @@ class TestBindingInTheGateLoop:
         with pytest.raises(ValueError):
             run_program(program, 2, backend, values={"t": angle})
 
-    @pytest.mark.parametrize("make", [lambda: MpsState(3), lambda: DenseState(3)],
-                             ids=["mps", "dense"])
-    def test_on_step_fires_once_per_gate(self, make):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_on_step_fires_once_per_gate(self, backend):
         kernel, values = random_kernel(np.random.default_rng(3), 3)
         steps = []
-        apply_program(make(), kernel.children, steps.append,
+        apply_program(BACKENDS[backend](3), kernel.children, steps.append,
                       dict(zip(kernel.formal_params, values)))
         gate_count = sum(g.kind is not GateKind.MEASURE for g in kernel.children)
         assert len(steps) == gate_count == 40 + 12
@@ -270,7 +272,7 @@ class TestBindingInTheGateLoop:
         assert not any(g.flags.writeable for g in seen)
 
 
-@pytest.mark.parametrize("backend", ["mps", "dense"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_copy_evolves_apart(backend):
     """A gate on the copy leaves the original's amplitudes, expectations and
     counters as they were."""
@@ -288,3 +290,48 @@ def test_copy_evolves_apart(backend):
     assert amplitudes(state).tobytes() == amps.tobytes()
     assert [state.expectation_pauli(p) for p in paulis] == values
     assert _counters(state) == counters
+
+
+class TestBackendTable:
+    """A backend is an entry of ``BACKENDS``, built as ``cls(n, policy)``, and
+    nothing outside its module and the table tells it apart by its class."""
+
+    CONTRACT = ("apply_one_qubit", "apply_two_qubit_routed", "expectation_pauli", "sample",
+                "copy", "memory_estimate_bytes")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_record_is_the_states_own(self, backend):
+        n, policy = 4, TruncationPolicy(cutoff=1e-2, max_bond=2)
+        program = random_program(n, 30, np.random.default_rng(7)) + [
+            Instruction(GateKind.MEASURE, (q,), (), classical_target=q) for q in range(n)
+        ]
+        state = run_program(program, n, backend, policy)
+        assert all(callable(getattr(state, name)) for name in self.CONTRACT)
+        record = execute(program, n, backend, policy, shots=50, seed=1)
+        reads = (record.max_bond_seen, record.memory_estimate_bytes, record.trunc_error_sq)
+        assert reads == (state.max_bond_seen, state.memory_estimate_bytes(),
+                         state.trunc_error_sq)
+        if backend == "dense":
+            assert reads == (None, 16 * 2**n, 0.0)
+        else:
+            assert state.trunc_error_sq > 0  # the truncating policy reached the record
+
+    def test_no_state_class_outside_the_table(self):
+        """No ``isinstance`` against a state class is left in ``src/mpsqvm``,
+        and only the dense module, the table and the package exports name
+        ``DenseState``."""
+        checks, naming = [], set()
+        for path in sorted((REPO_ROOT / "src" / "mpsqvm").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                name = (node.id if isinstance(node, ast.Name) else node.attr
+                        if isinstance(node, ast.Attribute) else node.name
+                        if isinstance(node, ast.alias) else None)
+                if name == "DenseState":
+                    naming.add(path.name)
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance" and len(node.args) == 2
+                        and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                        & {"MpsState", "DenseState"}):
+                    checks.append(f"{path.name}:{node.lineno}")
+        assert checks == []
+        assert naming <= {"dense.py", "backends.py", "__init__.py"}

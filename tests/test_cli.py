@@ -11,6 +11,7 @@ import pytest
 
 import mpsqvm
 from mpsqvm import RunRecord, TruncationPolicy, bind_parameters, execute, flatten, parse
+from mpsqvm.backends import BACKENDS
 from tests.conftest import ANSATZ_PATH, HAM_PATH, REPO_ROOT
 
 BELL_SRC = """\
@@ -136,7 +137,7 @@ class TestRunCommand:
 class TestUsageErrors:
     """Bad flags, environment values and input files exit 1, not 2."""
 
-    @pytest.mark.parametrize("backend", ["dense", "mps"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_non_finite_arg(self, backend):
         proc = run_cli(
             "run", "--source", str(ANSATZ_PATH), "--kernel", "term0",
@@ -351,7 +352,7 @@ class TestClassicalTargets:
         return run_cli("run", "--source", str(src), "--kernel", "k", "--shots", "10",
                        "--backend", backend)
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_key_follows_classical_index(self, tmp_path, backend):
         proc = self.run_measures(tmp_path, backend, "  X 0\n  MEASURE 0 [1]\n  MEASURE 1 [0]\n")
         assert proc.returncode == 0, proc.stderr
@@ -362,7 +363,7 @@ class TestClassicalTargets:
         ("  MEASURE 0 [1]\n", "classical bit 0 is not measured"),
     ], ids=["duplicate", "missing"])
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @BAD_INDEX
     def test_bad_classical_index_exit_2(self, tmp_path, backend, body, message):
         proc = self.run_measures(tmp_path, backend, body)
@@ -370,7 +371,7 @@ class TestClassicalTargets:
         assert message in proc.stderr
 
     @pytest.mark.parametrize("shots", [[], ["--shots", "100"]], ids=["analytic", "sampled"])
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @BAD_INDEX
     def test_vqe_bad_classical_index_exit_2(self, tmp_path, backend, shots, body, message):
         ansatz = tmp_path / "a.qk"
@@ -430,7 +431,7 @@ class TestSamplingStream:
     one uniform variate per qubit per shot, drawn shot by shot, with each
     Hamiltonian term seeded by ``[seed, term index]``."""
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_run_counts(self, backend):
         proc = run_cli(
             "run", "--source", str(ANSATZ_PATH), "--kernel", "term0", "--args", "0.5",
@@ -439,7 +440,7 @@ class TestSamplingStream:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["counts"] == {"0": 937, "1": 63}
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_sampled_vqe_rows(self, backend):
         proc = run_cli(
             "vqe", "--ansatz", str(ANSATZ_PATH), "--kernel", "ansatz", "--ham", str(HAM_PATH),
@@ -526,7 +527,7 @@ class TestDeterminism:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_run_out_is_the_record(self, tmp_path, backend):
         """``run --out`` holds exactly the fields of :class:`RunRecord`, so
         nothing timed can reach the byte-reproducible file."""

@@ -20,6 +20,7 @@ from mpsqvm import (
 )
 from mpsqvm import dense as dense_module
 from mpsqvm import mps as mps_module
+from mpsqvm.backends import BACKENDS
 from mpsqvm.gates import SWAP_MATRIX, apply_program, gate_matrix, pauli_matrix
 from mpsqvm.ir import IrError, num_qubits
 from mpsqvm.mps import SHOT_BLOCK, sample_sequential
@@ -566,7 +567,7 @@ class TestSampling:
         state = run_program([measure, Instruction(GateKind.X, (1,))], 2)
         assert state.amplitude("01") == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shots", [0, -5])
     def test_execute_rejects_non_positive_shots(self, shots, backend):
         program = bell_program() + [Instruction(GateKind.MEASURE, (0,), (), classical_target=0)]
@@ -600,6 +601,51 @@ class TestSampling:
         a = state.sample(500, np.random.default_rng(9))
         b = state.sample(500, np.random.default_rng(9))
         assert a == b
+
+
+class TestLongRegisterSampling:
+    """A prefix's weight is its probability, far below the smallest double on
+    a long register; the sampler rescales its carry rows so that no drawn
+    prefix has weight 0."""
+
+    def test_marginals_hold_to_the_last_qubit(self):
+        # typical prefixes fall below 2^-1074 after about 2500 of these qubits
+        n, shots, p1 = 3000, 2000, np.sin(0.3) ** 2
+        program = [Instruction(GateKind.RY, (q,), (0.6,)) for q in range(n)]
+        counts = run_program(program, n, "mps").sample(shots, np.random.default_rng(0))
+        ones = np.zeros(n)
+        for key, count in counts.items():
+            ones += count * (np.frombuffer(key.encode(), np.uint8) - ord("0"))
+        sigma = np.sqrt(p1 * (1 - p1) / (200 * shots))  # of a mean over 200 qubits
+        for part in (ones[:200], ones[-200:]):
+            assert abs(part.mean() / shots - p1) < 5 * sigma
+
+    def test_underflowing_weights_never_reach_the_tie(self, monkeypatch):
+        # a stand-in split records each step's weights: every prefix of H|0>
+        # qubits has weight 2^-k, which is 0 in doubles from k = 1075 on
+        totals = []
+        _watch_split(monkeypatch, "mps",
+                     lambda carry, weights, rows: totals.append(weights.sum(1).min()))
+        n = 1500
+        state = run_program([Instruction(GateKind.H, (q,)) for q in range(n)], n, "mps")
+        assert sum(state.sample(8, np.random.default_rng(2)).values()) == 8
+        assert len(totals) == n and min(totals) > 0
+
+    @pytest.mark.parametrize("policy", [
+        EXACT, TruncationPolicy(cutoff=1e-2), TruncationPolicy(cutoff=0.0, max_bond=2),
+    ], ids=["exact", "cutoff", "max_bond"])
+    def test_rescaling_every_step_keeps_the_counts(self, monkeypatch, policy):
+        # a power of two scales exactly, so rescaling at every step changes
+        # no bit of the counts, nor their key order
+        rng = np.random.default_rng(12)
+        states = []
+        for _ in range(10):
+            n = int(rng.integers(2, 10))
+            states.append(run_program(random_program(n, 40, rng), n, "mps", policy))
+        plain = [list(s.sample(3000, np.random.default_rng(s.n)).items()) for s in states]
+        monkeypatch.setattr(mps_module, "_RESCALE_BELOW", np.inf)
+        assert [list(s.sample(3000, np.random.default_rng(s.n)).items())
+                for s in states] == plain
 
 
 def _watch_split(monkeypatch, backend: str, watch) -> None:
@@ -646,7 +692,7 @@ class TestVectorizedSampler:
     """``sample`` draws the same stream as the per-shot loop it replaced, so
     its counts are equal to that loop's, not only close in distribution."""
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_per_shot_loop(self, n, backend):
         program = random_program(n, 5 * n, np.random.default_rng(n))
@@ -661,7 +707,7 @@ class TestVectorizedSampler:
         expected = _per_shot_counts(state, 1000, np.random.default_rng(8))
         assert state.sample(1000, np.random.default_rng(8)) == expected
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shots", [1, SHOT_BLOCK, SHOT_BLOCK + 1])
     def test_shot_blocks_continue_the_stream(self, shots, backend):
         state = run_program(random_program(3, 12, np.random.default_rng(3)), 3, backend, EXACT)
@@ -672,7 +718,7 @@ class TestVectorizedSampler:
         assert sum(counts.values()) == shots
         assert rng.random() == loop_rng.random()  # exactly shots * n variates consumed
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_variate_at_the_threshold_reads_one(self, monkeypatch, backend):
         # qubit k reads 1 exactly when its variate is at least p0 = w0 / (w0 + w1):
         # just below p0 reads 0 and p0 itself reads 1 on qubit 0, and a variate
@@ -727,7 +773,7 @@ class TestPrefixGroups:
         assert len(rows) == 5 * 30  # 5 blocks of at most SHOT_BLOCK shots
         assert max(rows) == 2
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("every_prefix_drawn", [True, False])
     def test_split_sees_the_drawn_prefixes(self, monkeypatch, backend, every_prefix_drawn):
         # at qubit k, split gets one carry row per distinct k-bit prefix drawn;
@@ -756,7 +802,7 @@ class TestPrefixGroups:
         assert reused == [rows[k + 1] == 2 * rows[k] for k in range(n - 1)]
         assert all(reused) == every_prefix_drawn
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_key_order_across_blocks(self, backend):
         # each block adds its new keys in sorted order: the last two keys
         # first occur after the first block
@@ -848,7 +894,7 @@ class TestInvariants:
         assert max_bond(state) == 1
         assert state.trunc_error_sq == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_no_method_writes_a_held_array(self, backend):
         # methods may rebind a list slot or ``amps`` but never write into an
         # array the state holds, so a copy of the lists alone forks a state

@@ -18,6 +18,7 @@ from mpsqvm import (
     sweep,
 )
 from mpsqvm import vqe
+from mpsqvm.backends import BACKENDS
 from mpsqvm.gates import check_pauli
 from mpsqvm.hamiltonian import HamiltonianFormatError
 from mpsqvm.ir import IrError
@@ -105,7 +106,7 @@ class TestEnergy:
         with pytest.raises(ValueError, match="one formal"):
             energy(two, 0.0, ZI)
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_theta_rejected(self, backend, theta):
         """The message is the one ``bind_parameters`` gives for the value."""
@@ -196,7 +197,7 @@ class TestSampledMode:
         )
         assert sampled == pytest.approx(exact, abs=0.05)
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_y_sign_against_closed_form(self, backend):
         """<Y> on RX(theta)|0> is -sin(theta): an odd number of Y factors
         shows the sign of the Y-basis rotation, which YY terms cancel."""
@@ -205,7 +206,7 @@ class TestSampledMode:
         sampled = energy(RX_ANSATZ, 0.7, parse_hamiltonian("1.0 Y"), backend, shots=shots, seed=3)
         assert abs(sampled - mean) <= 5 * np.sqrt((1 - mean**2) / shots)
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_one_y_factor_against_expectation_pauli(self, backend):
         ansatz = CompositeInstruction("k", ("t0",), (
             Instruction(GateKind.RX, (0,), ("t0",)),
@@ -225,7 +226,7 @@ class TestSampledMode:
         b = energy(RX_ANSATZ, 0.4, ZI, backend="mps", shots=2000, seed=5)
         assert a == b
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shots", [None, 100])
     def test_gate_after_measure_rejected(self, shots, backend):
         with pytest.raises(IrError, match=r"RY \(0,\) acts on qubit 0 after it was measured"):
@@ -252,7 +253,7 @@ class TestOnePreparationPerTheta:
         energy(fig_ansatz(), 0.5, load_hamiltonian(HAM_PATH), shots=shots, seed=4)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("backend", ["mps", "dense"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_equals_resimulation_per_term(self, backend):
         """The estimate on a rotated copy equals running ``program + rotations``
         from scratch for every term, with the same per-term seeding."""
