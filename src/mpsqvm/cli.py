@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None,
                        help="write result file here instead of stdout")
 
-    run = sub.add_parser("run", parents=[], help="execute one kernel")
+    run = sub.add_parser("run", help="execute one kernel")
     run.add_argument("--source", required=True,
                      help="kernel source file (.qk) or '-' for stdin")
     run.add_argument("--kernel", required=True, help="kernel name to execute")

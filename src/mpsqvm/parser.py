@@ -13,7 +13,9 @@ A source unit holds zero or more kernels::
 Whitespace and newlines are insignificant, ``#`` starts a comment. Angle
 expressions are real literals or declared ``double`` parameter names. Kernel
 calls may only reference kernels defined earlier in the unit. All failures
-raise :class:`ParseError` carrying the source position.
+raise :class:`ParseError` carrying the source position as a 1-based
+``line:column``: only ``\n`` ends a line, and every other character, a tab
+included, is one column.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ _GATE_NAMES = {k.value: k for k in GateKind}
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[^\S\n]+)
-    | (?P<nl>\n)
-    | (?P<comment>\#[^\n]*)
+      (?P<skip>\s+|\#[^\n]*)
     | (?P<number>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<sym>[(){}\[\],])
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -52,8 +53,7 @@ class ParseError(ValueError):
 class Token:
     kind: str  # "number" | "ident" | "sym" | "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # offset into the source
 
 
 @dataclass
@@ -63,30 +63,26 @@ class SourceUnit:
     kernels: dict[str, CompositeInstruction] = field(default_factory=dict)
 
 
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    """The error at offset ``pos`` of ``text``, with its line and column."""
+    return ParseError(message, text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos))
+
+
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        else:
-            tokens.append(Token(kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise _error_at(text, m.start(), f"unexpected character {m.group()!r}")
+        if kind != "skip":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _lex(text)
         self.pos = 0
 
@@ -94,18 +90,25 @@ class _Parser:
     def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def _fail(self, message: str) -> ParseError:
-        return ParseError(message, self.cur.line, self.cur.col)
+    def _fail(self, message: str, tok: Token | None = None) -> ParseError:
+        """The error at ``tok``, by default the current token."""
+        return _error_at(self.text, (tok or self.cur).pos, message)
 
     def _advance(self) -> Token:
         tok = self.cur
         self.pos += 1
         return tok
 
-    def _expect_sym(self, sym: str) -> Token:
-        if self.cur.kind != "sym" or self.cur.text != sym:
+    def _take(self, sym: str) -> bool:
+        """Consume the symbol ``sym`` if it is next; report whether it was."""
+        if self.cur.kind == "sym" and self.cur.text == sym:
+            self.pos += 1
+            return True
+        return False
+
+    def _expect_sym(self, sym: str) -> None:
+        if not self._take(sym):
             raise self._fail(f"expected '{sym}', found {self.cur.text!r}")
-        return self._advance()
 
     def _expect_ident(self, what: str = "identifier", word: str | None = None) -> Token:
         """Consume an identifier; with ``word`` given, only that keyword."""
@@ -116,7 +119,7 @@ class _Parser:
 
     def _expect_uint(self, what: str) -> int:
         tok = self.cur
-        if tok.kind != "number" or not re.fullmatch(r"\d+", tok.text):
+        if tok.kind != "number" or not tok.text.isdigit():
             raise self._fail(f"expected {what}, found {tok.text!r}")
         self._advance()
         return int(tok.text)
@@ -132,29 +135,25 @@ class _Parser:
         self._expect_ident(word="__qpu__")
         name_tok = self._expect_ident("kernel name")
         if name_tok.text in unit.kernels:
-            raise ParseError(
-                f"duplicate kernel name '{name_tok.text}'", name_tok.line, name_tok.col
-            )
+            raise self._fail(f"duplicate kernel name '{name_tok.text}'", name_tok)
         self._expect_sym("(")
         self._expect_ident(word="AcceleratorBuffer")
         self._expect_ident("buffer name")  # parsed and discarded
         formals: list[str] = []
-        while self.cur.kind == "sym" and self.cur.text == ",":
-            self._advance()
+        while self._take(","):
             self._expect_ident(word="double")
             formals.append(self._expect_ident("parameter name").text)
         self._expect_sym(")")
         self._expect_sym("{")
         children: list[Instruction] = []
-        while not (self.cur.kind == "sym" and self.cur.text == "}"):
+        while not self._take("}"):
             if self.cur.kind == "eof":
                 raise self._fail("unexpected end of input inside kernel body")
             children.extend(self.parse_statement(unit, formals))
-        self._expect_sym("}")
         try:
             kernel = CompositeInstruction(name_tok.text, tuple(formals), tuple(children))
         except IrError as exc:
-            raise ParseError(str(exc), name_tok.line, name_tok.col) from None
+            raise self._fail(str(exc), name_tok) from None
         return name_tok.text, kernel
 
     def parse_statement(self, unit: SourceUnit, formals: list[str]) -> tuple[Instruction, ...]:
@@ -169,13 +168,12 @@ class _Parser:
                 return (self.parse_gate(_GATE_NAMES[head.text], formals),)
             return self.parse_call(head, unit, formals)
         except IrError as exc:
-            raise ParseError(str(exc), head.line, head.col) from None
+            raise self._fail(str(exc), head) from None
 
     def parse_gate(self, kind: GateKind, formals: list[str]) -> Instruction:
         """A gate statement; :class:`Instruction` checks its angles and qubits."""
         params: tuple[ParamSlot, ...] = ()
-        if self.cur.kind == "sym" and self.cur.text == "(":
-            self._advance()
+        if self._take("("):
             params = (self.parse_expr(formals),)
             self._expect_sym(")")
         qubits = tuple(
@@ -193,12 +191,11 @@ class _Parser:
     ) -> tuple[Instruction, ...]:
         callee = unit.kernels.get(head.text)
         if callee is None:
-            raise ParseError(f"call to undefined kernel '{head.text}'", head.line, head.col)
+            raise self._fail(f"call to undefined kernel '{head.text}'", head)
         self._expect_sym("(")
         self._expect_ident("buffer argument")  # required, semantically ignored
         args: list[ParamSlot] = []
-        while self.cur.kind == "sym" and self.cur.text == ",":
-            self._advance()
+        while self._take(","):
             args.append(self.parse_expr(formals))
         self._expect_sym(")")
         return inline(callee, args)
@@ -208,12 +205,12 @@ class _Parser:
         if tok.kind == "number":
             value = float(tok.text)
             if not math.isfinite(value):
-                raise ParseError(f"angle literal {tok.text} is not finite", tok.line, tok.col)
+                raise self._fail(f"angle literal {tok.text} is not finite")
             self._advance()
             return value
         if tok.kind == "ident":
             if tok.text not in formals:
-                raise ParseError(f"unknown parameter '{tok.text}'", tok.line, tok.col)
+                raise self._fail(f"unknown parameter '{tok.text}'")
             self._advance()
             return tok.text
         raise self._fail(f"expected angle expression, found {tok.text!r}")

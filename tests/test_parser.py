@@ -1,9 +1,14 @@
+import ast
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpsqvm import GateKind, Instruction, bind_parameters, flatten, parse, unparse
 from mpsqvm.parser import ParseError
-from tests.conftest import CHAIN_SRC
+from tests.conftest import CHAIN_SRC, REPO_ROOT
 
 FULL_SRC = """\
 __qpu__ ansatz(AcceleratorBuffer b,
@@ -181,3 +186,152 @@ class TestUnparse:
         second = parse(unparse(first))
         third = parse(unparse(second))
         assert second.kernels == third.kernels
+
+
+def _reference_lex(text: str) -> list[tuple[str, str, int, int]]:
+    """The lexer's original incremental walk, kept as the position reference:
+    a ``\\n`` starts a new line at column 1, and every other character,
+    whitespace or not, moves one column on. Returns ``(kind, text, line,
+    col)`` per token, ending with ``eof``; raises ``ParseError`` at a
+    character outside the grammar."""
+    token_re = re.compile(
+        r"""
+          (?P<ws>[^\S\n]+)
+        | (?P<nl>\n)
+        | (?P<comment>\#[^\n]*)
+        | (?P<number>[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<sym>[(){}\[\],])
+        """,
+        re.VERBOSE,
+    )
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = token_re.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind, value = m.lastgroup, m.group()
+        if kind == "nl":
+            line, col = line + 1, 1
+        else:
+            if kind not in ("ws", "comment"):
+                tokens.append((kind, value, line, col))
+            col += len(value)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+# Faults after a tab, ``\r\n``, a comment line, ``\xa0``, ``\u2028`` and at end
+# of input: each of these is one column, and only ``\n`` starts a line.
+POSITION_TABLE = [
+    ("unexpected-char", "H\t$", "1:3: unexpected character '$'"),
+    ("unexpected-char-eol", "# c\r\n\xa0\u2028@\n", "2:3: unexpected character '@'"),
+    ("expected-paren", "__qpu__ k\r\n  [", "2:3: expected '(', found '['"),
+    ("expected-qpu", "# header\nkernel", "2:1: expected '__qpu__', found 'kernel'"),
+    ("expected-kernel-name", "__qpu__\xa07", "1:9: expected kernel name, found '7'"),
+    ("expected-kernel-name-eof", "__qpu__", "1:8: expected kernel name, found ''"),
+    ("expected-kernel-name-eof-nl", "__qpu__\n", "2:1: expected kernel name, found ''"),
+    ("expected-qubit", wrap("H\u2028x"), "2:3: expected qubit index, found 'x'"),
+    ("expected-creg", wrap("MEASURE 0 [\t-1]"),
+     "2:13: expected classical register index, found '-1'"),
+    ("end-of-body", "__qpu__ k(AcceleratorBuffer b) {\n  H 0",
+     "2:6: unexpected end of input inside kernel body"),
+    ("end-of-body-nl", "__qpu__ k(AcceleratorBuffer b) {\n  H 0\n",
+     "3:1: unexpected end of input inside kernel body"),
+    ("end-of-body-comment", "__qpu__ k(AcceleratorBuffer b) {\r\n# tail",
+     "2:7: unexpected end of input inside kernel body"),
+    ("duplicate", wrap("H 0") + "\r\n" + wrap("X 0"), "4:9: duplicate kernel name 'k'"),
+    ("repeated-parameter", "\xa0__qpu__ k(AcceleratorBuffer b, double t, double t) {}",
+     "1:10: kernel 'k' declares parameter 't' twice"),
+    ("gate-ir-error", wrap("\tCNOT 1 1"), "2:2: CNOT qubit indices must be distinct: (1, 1)"),
+    ("call-arity", "__qpu__ c(AcceleratorBuffer b) {}\n# call\n"
+     "__qpu__ k(AcceleratorBuffer b) {\u2028c(b, 1.0)}",
+     "3:34: kernel 'c' takes 0 argument(s), got 1"),
+    ("undefined-kernel", wrap("\r\nnope(b)"), "3:1: call to undefined kernel 'nope'"),
+    ("non-finite", wrap("RX(\t1e400) 0"), "2:5: angle literal 1e400 is not finite"),
+    ("unknown-parameter", wrap("RZ(\xa0t1) 0", ", double t0"), "2:5: unknown parameter 't1'"),
+    ("expected-angle", wrap("RZ() 0"), "2:4: expected angle expression, found ')'"),
+    ("expected-angle-eof", "__qpu__ k(AcceleratorBuffer b) {\n  RZ(",
+     "2:6: expected angle expression, found ''"),
+    ("expected-angle-eof-nl", "__qpu__ k(AcceleratorBuffer b) {\n  RZ(\n",
+     "3:1: expected angle expression, found ''"),
+]
+
+
+class TestErrorPositions:
+    @pytest.mark.parametrize("src, expected", [row[1:] for row in POSITION_TABLE],
+                             ids=[row[0] for row in POSITION_TABLE])
+    def test_message_and_position(self, src, expected):
+        with pytest.raises(ParseError) as info:
+            parse(src)
+        assert str(info.value) == expected
+        assert f"{info.value.line}:{info.value.col}: " == expected[: expected.index(" ") + 1]
+
+    SEPARATORS = st.text(" \t\r\n\x0b\x0c\xa0\u2028", min_size=1, max_size=4)
+    STATEMENTS = [["H", "0"], ["CNOT", "1", "0"], ["RX", "(", "0.5", ")", "1"],
+                  ["RZ", "(", "t", ")", "0"], ["MEASURE", "0", "[", "0", "]"],
+                  ["callee", "(", "b", ",", "t", ")"], ["# note\n"]]
+    HEAD = ("__qpu__ callee ( AcceleratorBuffer b , double z ) { RZ ( z ) 0 } "
+            "__qpu__ k ( AcceleratorBuffer b , double t ) {").split()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_positions_match_the_incremental_walk(self, data):
+        """A fault at a random place in a kernel with arbitrary separator runs
+        is reported where the original line-and-column walk puts it."""
+        draw = data.draw
+        statements = draw(st.lists(st.sampled_from(self.STATEMENTS), max_size=6))
+        words = self.HEAD + [w for s in statements for w in s] + ["}"]
+        fault = draw(st.sampled_from(["char", "token", "truncate"]))
+        if fault == "char":
+            at = draw(st.integers(0, len(words)))
+            words.insert(at, draw(st.sampled_from("$@!;:=~?'\"é\x00")))
+        elif fault == "token":
+            # a statement boundary: after the body's '{' or after a statement
+            bounds = [len(self.HEAD)]
+            for s in statements:
+                bounds.append(bounds[-1] + len(s))
+            at = draw(st.sampled_from(bounds))
+            bad = draw(st.sampled_from(["7", "2.5", "-1", ",", "(", ")", "[", "]", "{"]))
+            words.insert(at, bad)
+        else:
+            words.pop()
+        seps = [draw(self.SEPARATORS) for _ in words]
+        cut = draw(st.integers(0, len(seps[0])))
+        text = seps[0][:cut] + "".join(w + s for w, s in zip(words, seps[1:] + [""]))
+        text += draw(st.sampled_from(["", "\n", seps[0]]))
+        try:
+            ref = _reference_lex(text)
+        except ParseError as exc:
+            expected = (exc.line, exc.col, str(exc))
+        else:
+            if fault == "token":
+                kind, _, line, col = [t for t in ref if t[1] == bad or t[0] == "eof"][
+                    sum(w == bad for w in words[:at])]
+                message = f"expected gate or kernel name, found {bad!r}"
+            else:
+                kind, _, line, col = ref[-1]
+                message = "unexpected end of input inside kernel body"
+            expected = (line, col, f"{line}:{col}: {message}")
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.line, info.value.col, str(info.value)) == expected
+
+
+class TestOneErrorConstructor:
+    def test_parse_error_is_built_only_by_the_offset_helper(self):
+        """Every ``ParseError`` in ``src/mpsqvm`` is built by one helper, so
+        one rule turns a source offset into a line and a column."""
+        sites = []
+        for path in sorted((REPO_ROOT / "src" / "mpsqvm").glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "ParseError"):
+                        sites.append(f"{path.name}:{func.name}:{node.lineno}")
+        assert [site.rsplit(":", 1)[0] for site in sites] == ["parser.py:_error_at"], sites
