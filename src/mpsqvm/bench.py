@@ -34,8 +34,10 @@ class RoundCircuitSpec:
             raise ValueError("need at least 2 qubits")
         if self.rounds < 1:
             raise ValueError("need at least 1 round")
-        for name in self.single_qubit_pool:
-            if GateKind(name).num_qubits != 1:
+        if not self.single_qubit_pool:
+            raise ValueError("need at least 1 gate in the pool")
+        for name in self.single_qubit_pool:  # a MEASURE needs a classical target
+            if GateKind(name).num_qubits != 1 or name == "MEASURE":
                 raise ValueError(f"{name} is not a single-qubit gate")
 
 

@@ -1,10 +1,13 @@
 """Command-line entry point: ``run``, ``vqe``, and ``bench`` subcommands.
 
-Exit codes: 0 success, 1 usage/parse error, 2 execution error. Range flags use
-``start:stop:N`` where the third field is a point count for ``vqe --grid`` and
-a step for ``bench --qubits/--rounds``. Environment variables
-``MPSQVM_CUTOFF``, ``MPSQVM_MAX_BOND``, and ``MPSQVM_ORACLE_QUBIT_CAP``
-override defaults; explicit flags win over the environment.
+Exit codes: 0 success; 1 for an error raised while a command reads and checks
+its flags, environment values and input files, and for a path that cannot be
+read or written; 2 for any other error raised once the simulation has started.
+Range flags use ``start:stop:N`` where the third field is a point count for
+``vqe --grid`` and a step for ``bench --qubits/--rounds``. Environment
+variables ``MPSQVM_CUTOFF``, ``MPSQVM_MAX_BOND``, and
+``MPSQVM_ORACLE_QUBIT_CAP`` override defaults; explicit flags win over the
+environment.
 """
 
 from __future__ import annotations
@@ -25,17 +28,13 @@ from . import bench as bench_mod
 from . import vqe as vqe_mod
 from .backends import BACKENDS, execute
 from .dense import oracle_qubit_cap
-from .hamiltonian import HamiltonianFormatError, parse_hamiltonian
-from .ir import IrError, inline, num_qubits
+from .hamiltonian import parse_hamiltonian
+from .ir import inline, num_qubits
 from .mps import TruncationPolicy
-from .parser import ParseError, parse
+from .parser import parse
 
 
 _T = TypeVar("_T")
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +51,7 @@ def _env_number(name: str, kind: type[int] | type[float]) -> int | float | None:
     try:
         return kind(text)
     except ValueError:
-        raise UsageError(f"{name}={text!r} is not a valid {kind.__name__}") from None
+        raise ValueError(f"{name}={text!r} is not a valid {kind.__name__}") from None
 
 
 def _finite(text: str, what: str) -> float:
@@ -62,7 +61,7 @@ def _finite(text: str, what: str) -> float:
             return value
     except ValueError:
         pass
-    raise UsageError(f"{what} value {text.strip()!r} is not a finite number")
+    raise ValueError(f"{what} value {text.strip()!r} is not a finite number")
 
 
 def _flag_type(kind: Callable[[str], _T], accept: Callable[[_T], bool],
@@ -155,13 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
     cutoff = args.cutoff if args.cutoff is not None else _env_number("MPSQVM_CUTOFF", float)
     max_bond = args.max_bond if args.max_bond is not None else _env_number("MPSQVM_MAX_BOND", int)
-    try:
-        return TruncationPolicy(
-            cutoff=TruncationPolicy.cutoff if cutoff is None else cutoff, max_bond=max_bond,
-            relative=args.cutoff_mode == "relative",
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return TruncationPolicy(
+        cutoff=TruncationPolicy.cutoff if cutoff is None else cutoff, max_bond=max_bond,
+        relative=args.cutoff_mode == "relative",
+    )
 
 
 def _read_text(path: str) -> str:
@@ -171,7 +167,7 @@ def _read_text(path: str) -> str:
             return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise UsageError(f"{'<stdin>' if path == '-' else path}: {exc}") from None
+        raise ValueError(f"{'<stdin>' if path == '-' else path}: {exc}") from None
 
 
 def _emit(text: str, out: Path | None) -> None:
@@ -184,98 +180,103 @@ def _emit(text: str, out: Path | None) -> None:
 def _get_kernel(source_text: str, name: str):
     unit = parse(source_text)
     if name not in unit.kernels:
-        raise UsageError(f"kernel '{name}' not found; unit defines {sorted(unit.kernels)}")
+        raise ValueError(f"kernel '{name}' not found; unit defines {sorted(unit.kernels)}")
     return unit.kernels[name]
 
 
-def _cmd_run(args: argparse.Namespace) -> None:
+def _cmd_run(args: argparse.Namespace) -> Callable[[], None]:
     kernel = _get_kernel(_read_text(args.source), args.kernel)
     # no text passes no values; otherwise every field, empty or not, is one value
     fields = args.args.split(",") if args.args.strip() else []
-    try:  # --args x,y binds like the call kernel(b, x, y)
-        program = inline(kernel, [_finite(v, "--args") for v in fields])
-    except IrError as exc:  # a wrong --args count; the values are finite already
-        raise UsageError(str(exc)) from None
+    # --args x,y binds like the call kernel(b, x, y)
+    program = inline(kernel, [_finite(v, "--args") for v in fields])
     n = args.qubits
     if n is not None and n < num_qubits(program):
-        raise UsageError(
+        raise ValueError(
             f"--qubits {n} is smaller than the program's qubit span {num_qubits(program)}"
         )
     policy = _policy_from(args)
-    start = time.perf_counter()
-    record = execute(program, n, args.backend, policy, shots=args.shots, seed=args.seed)
-    wall_time = time.perf_counter() - start
-    _emit(json.dumps(dataclasses.asdict(record), indent=2) + "\n", args.out)
-    print(f"wall_time: {wall_time:.6f} s", file=sys.stderr)
+
+    def simulate() -> None:
+        start = time.perf_counter()
+        record = execute(program, n, args.backend, policy, shots=args.shots, seed=args.seed)
+        wall_time = time.perf_counter() - start
+        _emit(json.dumps(dataclasses.asdict(record), indent=2) + "\n", args.out)
+        print(f"wall_time: {wall_time:.6f} s", file=sys.stderr)
+
+    return simulate
 
 
 def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
     fields = text.split(":")
     if len(fields) != 3:
-        raise UsageError(f"bad {what} range {text!r}, expected start:stop:count")
+        raise ValueError(f"bad {what} range {text!r}, expected start:stop:count")
     try:
         count = int(fields[2])
     except ValueError:
-        raise UsageError(f"bad {what} range {text!r}") from None
+        raise ValueError(f"bad {what} range {text!r}") from None
     if count < 2:
-        raise UsageError(f"bad {what} range {text!r}, need a count of at least 2")
-    return _finite(fields[0], what), _finite(fields[1], what), count
+        raise ValueError(f"bad {what} range {text!r}, need a count of at least 2")
+    start, stop = _finite(fields[0], what), _finite(fields[1], what)
+    if not math.isfinite(stop - start):
+        raise ValueError(f"bad {what} range {text!r}, stop - start is not finite")
+    return start, stop, count
 
 
 def _parse_steps(text: str, what: str, minimum: int) -> list[int]:
     fields = text.split(":")
     if len(fields) != 3:
-        raise UsageError(f"bad {what} range {text!r}, expected start:stop:step")
+        raise ValueError(f"bad {what} range {text!r}, expected start:stop:step")
     try:
         start, stop, step = (int(f) for f in fields)
     except ValueError:
-        raise UsageError(f"bad {what} range {text!r}") from None
+        raise ValueError(f"bad {what} range {text!r}") from None
     if step < 1 or stop < start:
-        raise UsageError(f"bad {what} range {text!r}")
+        raise ValueError(f"bad {what} range {text!r}")
     if start < minimum:
-        raise UsageError(f"bad {what} range {text!r}, need a start of at least {minimum}")
+        raise ValueError(f"bad {what} range {text!r}, need a start of at least {minimum}")
     return list(range(start, stop + 1, step))
 
 
-def _cmd_vqe(args: argparse.Namespace) -> None:
+def _cmd_vqe(args: argparse.Namespace) -> Callable[[], None]:
     if args.ansatz == args.ham == "-":
-        raise UsageError("--ansatz and --ham cannot both read stdin ('-')")
+        raise ValueError("--ansatz and --ham cannot both read stdin ('-')")
     kernel = _get_kernel(_read_text(args.ansatz), args.kernel)
     hamiltonian = parse_hamiltonian(_read_text(args.ham))
-    try:
-        vqe_mod.formal_name(kernel)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    vqe_mod.formal_name(kernel)
     span = num_qubits(kernel.children)
     if span > hamiltonian.n:
-        raise UsageError(
+        raise ValueError(
             f"kernel '{kernel.name}' spans {span} qubit(s), the Hamiltonian {hamiltonian.n}"
         )
     start, stop, count = _parse_grid(args.grid, "--grid")
-    result = vqe_mod.sweep(
-        kernel, hamiltonian, start, stop, count,
-        backend=args.backend, policy=_policy_from(args),
-        shots=args.shots, seed=args.seed,
-    )
-    rows = "".join(f"{t!r},{e!r}\n" for t, e in zip(result.thetas, result.energies))
-    _emit("theta,energy\n" + rows, args.out)
-    print(f"argmin_theta={result.argmin_theta!r} min_energy={result.min_energy!r}",
-          file=sys.stderr)
+    policy = _policy_from(args)
+
+    def simulate() -> None:
+        result = vqe_mod.sweep(kernel, hamiltonian, start, stop, count, backend=args.backend,
+                               policy=policy, shots=args.shots, seed=args.seed)
+        rows = "".join(f"{t!r},{e!r}\n" for t, e in zip(result.thetas, result.energies))
+        _emit("theta,energy\n" + rows, args.out)
+        print(f"argmin_theta={result.argmin_theta!r} min_energy={result.min_energy!r}",
+              file=sys.stderr)
+
+    return simulate
 
 
-def _cmd_bench(args: argparse.Namespace) -> None:
-    records = bench_mod.run_grid(
-        qubits=_parse_steps(args.qubits, "--qubits", 2),
-        rounds=_parse_steps(args.rounds, "--rounds", 1),
-        seeds_per_cell=args.seeds,
-        policy=_policy_from(args),
-        chi_budget=args.chi_cap,
-        time_budget=args.time_budget,
-    )
-    csv_text, plot_text = bench_mod.emit_report(records)
-    _emit(csv_text, args.out)
-    if args.plot_out is not None:
-        args.plot_out.write_text(plot_text, encoding="utf-8")
+def _cmd_bench(args: argparse.Namespace) -> Callable[[], None]:
+    qubits = _parse_steps(args.qubits, "--qubits", 2)
+    rounds = _parse_steps(args.rounds, "--rounds", 1)
+    policy = _policy_from(args)
+
+    def simulate() -> None:
+        records = bench_mod.run_grid(qubits, rounds, args.seeds, policy,
+                                     chi_budget=args.chi_cap, time_budget=args.time_budget)
+        csv_text, plot_text = bench_mod.emit_report(records)
+        _emit(csv_text, args.out)
+        if args.plot_out is not None:
+            args.plot_out.write_text(plot_text, encoding="utf-8")
+
+    return simulate
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -285,19 +286,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
+    simulate = None  # set once the inputs are read and checked
     try:
         if getattr(args, "backend", None) == "dense":
-            # read here so a malformed cap is a usage error, not an execution error
-            try:
-                oracle_qubit_cap()
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-        args.handler(args)
-    except (ParseError, HamiltonianFormatError, UsageError, OSError) as exc:
-        # OSError: a path that cannot be read or written
-        print(f"mpsqvm: error: {exc}", file=sys.stderr)
-        return 1
-    except (IrError, ValueError, RuntimeError) as exc:
+            oracle_qubit_cap()  # read up front, so a malformed cap is a usage error
+        simulate = args.handler(args)
+        simulate()
+    except (ValueError, RuntimeError, OSError) as exc:
+        if simulate is None or isinstance(exc, OSError):  # OSError: an unusable path
+            print(f"mpsqvm: error: {exc}", file=sys.stderr)
+            return 1
         print(f"mpsqvm: execution error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ir import CompositeInstruction, GateKind, Instruction, IrError, ParamSlot, inline
 
@@ -49,8 +50,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "number" | "ident" | "sym" | "eof"
     text: str
     pos: int  # offset into the source

@@ -58,6 +58,14 @@ class TestGenerateRoundCircuit:
         with pytest.raises(ValueError):
             RoundCircuitSpec(4, 0, 0)
 
+    def test_measure_in_pool_is_rejected(self):
+        with pytest.raises(ValueError, match="MEASURE is not a single-qubit gate"):
+            RoundCircuitSpec(3, 1, 0, ("MEASURE",))
+
+    def test_empty_pool_is_rejected(self):
+        with pytest.raises(ValueError, match="pool"):
+            RoundCircuitSpec(3, 1, 0, ())
+
 
 class TestRunGrid:
     def test_cell_count_and_shape(self):

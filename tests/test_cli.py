@@ -24,11 +24,14 @@ __qpu__ bell(AcceleratorBuffer b) {
 """
 
 
+#: The child runs with warnings as errors, like the in-process tests.
+CHILD_ENV = {**os.environ, "PYTHONWARNINGS": "error"}
+
+
 def run_cli(*args, stdin=None, env=None):
     return subprocess.run(
         [sys.executable, "-m", "mpsqvm", *args],
-        input=stdin, capture_output=True, text=True,
-        env=None if env is None else {**os.environ, **env},
+        input=stdin, capture_output=True, text=True, env={**CHILD_ENV, **(env or {})},
     )
 
 
@@ -174,6 +177,14 @@ class TestUsageErrors:
         assert proc.returncode == 1, proc.stderr
         assert "'nan' is not a finite number" in proc.stderr
 
+    def test_overflowing_grid(self):
+        """Finite ends whose distance overflows are a bad flag, not a NaN angle."""
+        proc = run_cli("vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH),
+                       "--grid", "-1e308:1e308:3")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("mpsqvm: error: bad --grid range '-1e308:1e308:3'")
+        assert proc.stderr.count("\n") == 1
+
     def test_max_bond_zero(self, bell_file):
         proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell",
                        "--max-bond", "0")
@@ -248,7 +259,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("case", [
         "run-source-dir", "run-out-dir", "vqe-ham-dir", "run-source-not-utf8",
-        "vqe-ansatz-not-utf8", "vqe-ham-not-utf8",
+        "vqe-ansatz-not-utf8", "vqe-ham-not-utf8", "vqe-out-dir", "bench-out-dir",
+        "bench-plot-out-dir",
     ])
     def test_unreadable_path(self, tmp_path, case):
         """A path that is a directory, or a file that is not UTF-8, is a usage
@@ -258,6 +270,7 @@ class TestUsageErrors:
         run = ["run", "--source", str(ANSATZ_PATH), "--kernel", "term0", "--args", "0.5",
                "--shots", "10"]
         vqe = ["vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH), "--grid", "0:1:2"]
+        bench = ["bench", "--qubits", "5:5:5", "--rounds", "2:2:2", "--seeds", "1"]
         command, flag, path = {
             "run-source-dir": (run, "--source", tmp_path),
             "run-out-dir": (run, "--out", tmp_path),
@@ -265,6 +278,10 @@ class TestUsageErrors:
             "run-source-not-utf8": (run, "--source", binary),
             "vqe-ansatz-not-utf8": (vqe, "--ansatz", binary),
             "vqe-ham-not-utf8": (vqe, "--ham", binary),
+            # written after the simulation, and still a usage error
+            "vqe-out-dir": (vqe, "--out", tmp_path),
+            "bench-out-dir": (bench, "--out", tmp_path),
+            "bench-plot-out-dir": (bench, "--plot-out", tmp_path),
         }[case]
         proc = run_cli(*command, flag, str(path))  # argparse keeps the last value
         assert proc.returncode == 1, proc.stderr
@@ -275,7 +292,8 @@ class TestUsageErrors:
 
     def test_stdin_not_utf8(self):
         proc = subprocess.run([sys.executable, "-m", "mpsqvm", "run", "--source", "-",
-                               "--kernel", "k"], input=b"\xff", capture_output=True)
+                               "--kernel", "k"], input=b"\xff", capture_output=True,
+                              env=CHILD_ENV)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.decode().startswith("mpsqvm: error: <stdin>: 'utf-8' codec")
 
@@ -340,6 +358,35 @@ class TestUsageErrors:
                        "--args", "0,3.14159", "--shots", "10")
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == "mpsqvm: error: 1:9: kernel 'k' declares parameter 't' twice\n"
+
+
+class TestExitStatusByPhase:
+    def test_only_main_maps_errors_to_exit_codes(self):
+        """``cli.py`` names no error class of its own or of the library, and
+        only ``main`` catches the ``RuntimeError`` and ``OSError`` that it maps
+        to an exit status."""
+        tree = ast.parse((REPO_ROOT / "src" / "mpsqvm" / "cli.py").read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update({node.name, node.asname})
+            elif isinstance(node, ast.ClassDef):
+                names.add(node.name)
+        banned = {"UsageError", "ParseError", "HamiltonianFormatError", "IrError"}
+        assert not names & banned, sorted(names & banned)
+
+        def mapped(node: ast.AST) -> list[ast.ExceptHandler]:
+            return [h for h in ast.walk(node) if isinstance(h, ast.ExceptHandler)
+                    and h.type is not None
+                    and {n.id for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+                    & {"RuntimeError", "OSError"}]
+
+        [main] = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main"]
+        assert mapped(main) and mapped(main) == mapped(tree)
 
 
 class TestClassicalTargets:
