@@ -104,12 +104,16 @@ def run_grid(
     time budget, and the statistics of its earlier seeds are dropped; the
     grid goes on with the next cell. The time budget of a seed runs from the
     start of its simulation, after its circuit is generated;
-    ``time_budget=inf`` never fires.
+    ``time_budget=inf`` never fires. ``chi_budget`` must be at least 1 and
+    ``time_budget`` at least 0.
     """
     if not qubits or not rounds:
         raise ValueError("qubit and round lists must be non-empty")
-    if seeds_per_cell < 1:
-        raise ValueError(f"seeds_per_cell must be >= 1, got {seeds_per_cell}")
+    # "not >=" so that NaN, which fails every comparison, is rejected too
+    for name, value, low in (("seeds_per_cell", seeds_per_cell, 1),
+                             ("chi_budget", chi_budget, 1), ("time_budget", time_budget, 0)):
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
     def check_budgets(state: MpsState) -> None:
         if state.max_bond_seen > chi_budget or time.perf_counter() > deadline:

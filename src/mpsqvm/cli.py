@@ -37,13 +37,6 @@ from .parser import parse
 _T = TypeVar("_T")
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _env_number(name: str, kind: type[int] | type[float]) -> int | float | None:
     if name not in os.environ:
         return None
@@ -88,7 +81,7 @@ _seconds = _flag_type(float, lambda v: v > 0, "a number of seconds > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="mpsqvm", description=__doc__)
+    top = argparse.ArgumentParser(prog="mpsqvm", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_backend_flags(p: argparse.ArgumentParser, backends: bool = True) -> None:
@@ -280,18 +273,15 @@ def _cmd_bench(args: argparse.Namespace) -> Callable[[], None]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return int(code) if code is not None else 0
     simulate = None  # set once the inputs are read and checked
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "backend", None) == "dense":
             oracle_qubit_cap()  # read up front, so a malformed cap is a usage error
         simulate = args.handler(args)
         simulate()
+    except SystemExit as exc:  # from argparse: 0 after --help, 2 for a rejected command line
+        return 1 if exc.code else 0
     except (ValueError, RuntimeError, OSError) as exc:
         if simulate is None or isinstance(exc, OSError):  # OSError: an unusable path
             print(f"mpsqvm: error: {exc}", file=sys.stderr)

@@ -12,10 +12,10 @@ A source unit holds zero or more kernels::
 
 Whitespace and newlines are insignificant, ``#`` starts a comment. Angle
 expressions are real literals or declared ``double`` parameter names. Kernel
-calls may only reference kernels defined earlier in the unit. All failures
-raise :class:`ParseError` carrying the source position as a 1-based
-``line:column``: only ``\n`` ends a line, and every other character, a tab
-included, is one column.
+calls may only reference kernels defined earlier in the unit, and a kernel may
+not take a gate's name. All failures raise :class:`ParseError` carrying the
+source position as a 1-based ``line:column``: only ``\n`` ends a line, and
+every other character, a tab included, is one column.
 """
 
 from __future__ import annotations
@@ -136,6 +136,8 @@ class _Parser:
         name_tok = self._expect_ident("kernel name")
         if name_tok.text in unit.kernels:
             raise self._fail(f"duplicate kernel name '{name_tok.text}'", name_tok)
+        if name_tok.text in _GATE_NAMES:  # a statement with a gate's name is the gate
+            raise self._fail(f"kernel name '{name_tok.text}' is a gate name", name_tok)
         self._expect_sym("(")
         self._expect_ident(word="AcceleratorBuffer")
         self._expect_ident("buffer name")  # parsed and discarded

@@ -388,6 +388,40 @@ class TestExitStatusByPhase:
         [main] = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "main"]
         assert mapped(main) and mapped(main) == mapped(tree)
 
+        # argparse's own exits are mapped there too: no parser subclass
+        # overrides them, and no other code names SystemExit
+        subclassed = [c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                      and any(ast.unparse(b).endswith("ArgumentParser") for b in c.bases)]
+        assert not subclassed, subclassed
+
+        def system_exits(node: ast.AST) -> int:
+            return sum(isinstance(n, ast.Name) and n.id == "SystemExit" for n in ast.walk(node))
+
+        assert system_exits(main) and system_exits(main) == system_exits(tree)
+
+    @pytest.mark.parametrize("args, status, stream, digest", [
+        ([], 1, "stderr", "a4ec141344beb7da9d9626be263f80d4"),
+        (["frob"], 1, "stderr", "3eee1924ff8be83c63b902f7fd6a34e3"),
+        (["run"], 1, "stderr", "54499ce63a9263ad101643438dc44c62"),
+        (["run", "--source", "x", "--kernel", "k", "--backend", "gpu"], 1, "stderr",
+         "2a0f9ba3e284ee836316b71a8b1b0a4a"),
+        (["bench", "--seed", "3"], 1, "stderr", "7c3714b01dbeeaafb07f2bba41aae5e8"),
+        (["--help"], 0, "stdout", "f7259abef4a4be55439b0bf238dba88c"),
+        (["run", "--help"], 0, "stdout", "364151087cbfe228b7dbf1145feaa832"),
+        (["vqe", "--help"], 0, "stdout", "10defb0e6139836020c6ca7a754eb5a9"),
+        (["bench", "--help"], 0, "stdout", "279dc4531a1d55a72c37bcfba9c70c6d"),
+    ], ids=["no-command", "unknown-command", "missing-flags", "bad-choice", "unknown-flag",
+            "help", "run-help", "vqe-help", "bench-help"])
+    def test_argparse_exits_pinned(self, args, status, stream, digest):
+        """A command line that argparse rejects exits 1 and prints only to
+        stderr; ``--help`` exits 0 and prints only to stdout. COLUMNS is fixed
+        because argparse wraps its usage lines to the terminal width."""
+        proc = run_cli(*args, env={"COLUMNS": "80"})
+        assert proc.returncode == status, proc.stderr
+        other = "stdout" if stream == "stderr" else "stderr"
+        assert getattr(proc, other) == ""
+        assert hashlib.md5(getattr(proc, stream).encode()).hexdigest() == digest
+
 
 class TestClassicalTargets:
     """Count keys hold one bit per classical index, in index order."""

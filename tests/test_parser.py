@@ -243,6 +243,8 @@ POSITION_TABLE = [
     ("end-of-body-comment", "__qpu__ k(AcceleratorBuffer b) {\r\n# tail",
      "2:7: unexpected end of input inside kernel body"),
     ("duplicate", wrap("H 0") + "\r\n" + wrap("X 0"), "4:9: duplicate kernel name 'k'"),
+    ("gate-named-kernel", "__qpu__ H(AcceleratorBuffer b) { X 0 }",
+     "1:9: kernel name 'H' is a gate name"),
     ("repeated-parameter", "\xa0__qpu__ k(AcceleratorBuffer b, double t, double t) {}",
      "1:10: kernel 'k' declares parameter 't' twice"),
     ("gate-ir-error", wrap("\tCNOT 1 1"), "2:2: CNOT qubit indices must be distinct: (1, 1)"),

@@ -24,6 +24,18 @@ REJECTED = {
         lambda: run_grid([], [2], 1),
         ValueError, "qubit and round lists must be non-empty",
     ),
+    "nan-time-budget": (
+        lambda: run_grid([2], [1], 1, time_budget=math.nan),
+        ValueError, "time_budget must be >= 0, got nan",
+    ),
+    "nan-chi-budget": (
+        lambda: run_grid([2], [1], 1, chi_budget=math.nan),
+        ValueError, "chi_budget must be >= 1, got nan",
+    ),
+    "zero-chi-budget": (
+        lambda: run_grid([2], [1], 1, chi_budget=0),
+        ValueError, "chi_budget must be >= 1, got 0",
+    ),
     "empty-report": (
         lambda: emit_report([]),
         ValueError, "no records to report",
