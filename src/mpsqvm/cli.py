@@ -21,6 +21,7 @@ import re
 import sys
 import time
 from collections.abc import Callable
+from functools import partial
 from pathlib import Path
 from typing import TypeVar
 
@@ -37,47 +38,37 @@ from .parser import parse
 _T = TypeVar("_T")
 
 
-def _env_number(name: str, kind: type[int] | type[float]) -> int | float | None:
-    if name not in os.environ:
-        return None
-    text = os.environ[name]
+def _number(text: str, kind: Callable[[str], _T], expected: str,
+            accept: Callable[[_T], bool] = lambda _: True, source: str = "") -> _T:
+    """``kind(text)`` if ``accept`` holds for it, else the one complaint about
+    a number, ``expected <expected>, got '<text>'``, as an
+    ``ArgumentTypeError``: argparse shows that type's message after the flag's
+    name. Every other caller names its flag or variable as ``source``."""
     try:
-        return kind(text)
-    except ValueError:
-        raise ValueError(f"{name}={text!r} is not a valid {kind.__name__}") from None
-
-
-def _finite(text: str, what: str) -> float:
-    try:
-        value = float(text)
-        if math.isfinite(value):
+        value = kind(text)
+        if accept(value):
             return value
     except ValueError:
         pass
-    raise ValueError(f"{what} value {text.strip()!r} is not a finite number")
+    prefix = f"{source}: " if source else ""
+    raise argparse.ArgumentTypeError(f"{prefix}expected {expected}, got {text!r}")
 
 
-def _flag_type(kind: Callable[[str], _T], accept: Callable[[_T], bool],
-               expected: str) -> Callable[[str], _T]:
-    """argparse type: ``kind(text)`` if ``accept`` holds for it, else a usage
-    error that names ``expected``."""
-
-    def parse(text: str) -> _T:
-        try:
-            value = kind(text)
-            if accept(value):
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-
-    return parse
+def _flag_or_env(value: _T | None, name: str, kind: Callable[[str], _T],
+                 expected: str) -> _T | None:
+    """A flag's ``value`` if it was given, else the number that environment
+    variable ``name`` holds, else None."""
+    text = os.environ.get(name)
+    if value is not None or text is None:
+        return value
+    return _number(text, kind, expected, source=name)
 
 
-_count = _flag_type(int, lambda v: v >= 1, "an integer >= 1")  # shots, seeds per cell, chi cap
-_seed = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
+# shots, seeds per cell, chi cap
+_count = partial(_number, kind=int, expected="an integer >= 1", accept=lambda v: v >= 1)
+_seed = partial(_number, kind=int, expected="an integer >= 0", accept=lambda v: v >= 0)
 # a positive duration; inf means no limit, and NaN fails the comparison
-_seconds = _flag_type(float, lambda v: v > 0, "a number of seconds > 0")
+_seconds = partial(_number, kind=float, expected="a number of seconds > 0", accept=lambda v: v > 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
-    cutoff = args.cutoff if args.cutoff is not None else _env_number("MPSQVM_CUTOFF", float)
-    max_bond = args.max_bond if args.max_bond is not None else _env_number("MPSQVM_MAX_BOND", int)
+    cutoff = _flag_or_env(args.cutoff, "MPSQVM_CUTOFF", float, "a number")
+    max_bond = _flag_or_env(args.max_bond, "MPSQVM_MAX_BOND", int, "an integer")
     return TruncationPolicy(
         cutoff=TruncationPolicy.cutoff if cutoff is None else cutoff, max_bond=max_bond,
         relative=args.cutoff_mode == "relative",
@@ -182,7 +173,8 @@ def _cmd_run(args: argparse.Namespace) -> Callable[[], None]:
     # no text passes no values; otherwise every field, empty or not, is one value
     fields = args.args.split(",") if args.args.strip() else []
     # --args x,y binds like the call kernel(b, x, y)
-    program = inline(kernel, [_finite(v, "--args") for v in fields])
+    program = inline(kernel, [_number(v, float, "a finite number", math.isfinite, "--args")
+                              for v in fields])
     n = args.qubits
     if n is not None and n < num_qubits(program):
         raise ValueError(
@@ -204,13 +196,11 @@ def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
     fields = text.split(":")
     if len(fields) != 3:
         raise ValueError(f"bad {what} range {text!r}, expected start:stop:count")
-    try:
-        count = int(fields[2])
-    except ValueError:
-        raise ValueError(f"bad {what} range {text!r}") from None
+    count = _number(fields[2], int, "an integer", source=what)
     if count < 2:
         raise ValueError(f"bad {what} range {text!r}, need a count of at least 2")
-    start, stop = _finite(fields[0], what), _finite(fields[1], what)
+    start, stop = (_number(f, float, "a finite number", math.isfinite, what)
+                   for f in fields[:2])
     if not math.isfinite(stop - start):
         raise ValueError(f"bad {what} range {text!r}, stop - start is not finite")
     return start, stop, count
@@ -220,10 +210,7 @@ def _parse_steps(text: str, what: str, minimum: int) -> list[int]:
     fields = text.split(":")
     if len(fields) != 3:
         raise ValueError(f"bad {what} range {text!r}, expected start:stop:step")
-    try:
-        start, stop, step = (int(f) for f in fields)
-    except ValueError:
-        raise ValueError(f"bad {what} range {text!r}") from None
+    start, stop, step = (_number(f, int, "an integer", source=what) for f in fields)
     if step < 1 or stop < start:
         raise ValueError(f"bad {what} range {text!r}")
     if start < minimum:
@@ -282,7 +269,8 @@ def main(argv: list[str] | None = None) -> int:
         simulate()
     except SystemExit as exc:  # from argparse: 0 after --help, 2 for a rejected command line
         return 1 if exc.code else 0
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, RuntimeError, OSError,
+            MemoryError) as exc:
         if simulate is None or isinstance(exc, OSError):  # OSError: an unusable path
             print(f"mpsqvm: error: {exc}", file=sys.stderr)
             return 1

@@ -134,7 +134,7 @@ class TestRunCommand:
             "--shots", "10", "--seed", "0", env={"MPSQVM_CUTOFF": "not-a-number"},
         )
         assert proc.returncode == 1  # env var is consulted; a bad value is a usage error
-        assert "MPSQVM_CUTOFF='not-a-number'" in proc.stderr
+        assert "MPSQVM_CUTOFF: expected a number, got 'not-a-number'" in proc.stderr
 
 
 class TestUsageErrors:
@@ -147,7 +147,7 @@ class TestUsageErrors:
             "--args", "1e400", "--backend", backend, "--shots", "10",
         )
         assert proc.returncode == 1, proc.stderr
-        assert "'1e400' is not a finite number" in proc.stderr
+        assert "--args: expected a finite number, got '1e400'" in proc.stderr
 
     def test_arg_count_mismatch(self):
         proc = run_cli("run", "--source", str(ANSATZ_PATH), "--kernel", "term0",
@@ -164,7 +164,7 @@ class TestUsageErrors:
         proc = run_cli("run", "--source", str(source), "--kernel", "k",
                        "--args", values, "--shots", "10")
         assert proc.returncode == 1, proc.stderr
-        assert proc.stderr == "mpsqvm: error: --args value '' is not a finite number\n"
+        assert proc.stderr == "mpsqvm: error: --args: expected a finite number, got ''\n"
 
     def test_default_args_on_kernel_without_parameters(self, bell_file):
         proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell", "--shots", "10")
@@ -175,7 +175,7 @@ class TestUsageErrors:
         proc = run_cli("vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH),
                        "--grid", "nan:1:3")
         assert proc.returncode == 1, proc.stderr
-        assert "'nan' is not a finite number" in proc.stderr
+        assert "--grid: expected a finite number, got 'nan'" in proc.stderr
 
     def test_overflowing_grid(self):
         """Finite ends whose distance overflows are a bad flag, not a NaN angle."""
@@ -251,6 +251,46 @@ class TestUsageErrors:
         proc = run_cli("run", "--source", str(empty), "--kernel", "k", "--qubits", value)
         assert proc.returncode == 1, proc.stderr
         assert f"argument --qubits: expected an integer >= 1, got '{value}'" in proc.stderr
+
+    RUN = ("run", "--source", str(ANSATZ_PATH), "--kernel", "term0")
+    VQE = ("vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH))
+    BENCH = ("bench", "--qubits", "5:5:5", "--rounds", "2:2:2", "--seeds", "1")
+
+    @pytest.mark.parametrize("args, env, last_line", [
+        ((*RUN, "--args", "inf"), {},
+         "mpsqvm: error: --args: expected a finite number, got 'inf'"),
+        ((*VQE, "--grid", "0:1:2.5"), {},
+         "mpsqvm: error: --grid: expected an integer, got '2.5'"),
+        ((*VQE, "--grid", "x:1:3"), {},
+         "mpsqvm: error: --grid: expected a finite number, got 'x'"),
+        ((*VQE, "--grid", "0:-inf:3"), {},
+         "mpsqvm: error: --grid: expected a finite number, got '-inf'"),
+        ((*BENCH, "--qubits", "5:x:5"), {},
+         "mpsqvm: error: --qubits: expected an integer, got 'x'"),
+        ((*BENCH, "--rounds", "2:2:0.5"), {},
+         "mpsqvm: error: --rounds: expected an integer, got '0.5'"),
+        ((*RUN, "--args", "0.5"), {"MPSQVM_CUTOFF": "1e-3x"},
+         "mpsqvm: error: MPSQVM_CUTOFF: expected a number, got '1e-3x'"),
+        ((*RUN, "--args", "0.5"), {"MPSQVM_MAX_BOND": "8.0"},
+         "mpsqvm: error: MPSQVM_MAX_BOND: expected an integer, got '8.0'"),
+        ((*RUN, "--args", "0.5", "--shots", "2.5"), {},
+         "mpsqvm run: error: argument --shots: expected an integer >= 1, got '2.5'"),
+        ((*RUN, "--args", "0.5", "--seed", "x"), {},
+         "mpsqvm run: error: argument --seed: expected an integer >= 0, got 'x'"),
+        ((*BENCH, "--time-budget", "0"), {},
+         "mpsqvm bench: error: argument --time-budget: expected a number of seconds > 0, "
+         "got '0'"),
+    ], ids=["args", "grid-count", "grid-start", "grid-stop", "qubits", "rounds",
+            "env-cutoff", "env-max-bond", "shots", "seed", "time-budget"])
+    def test_one_message_for_a_bad_number(self, args, env, last_line):
+        """Every place that reads a number words its rejection the same way.
+        argparse names the flag of its own types, and every other place names
+        its flag or environment variable."""
+        proc = run_cli(*args, env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines()[-1] == last_line
+        if last_line.startswith("mpsqvm: "):  # argparse alone prints its usage first
+            assert proc.stderr == last_line + "\n"
 
     def test_register_smaller_than_program(self, bell_file):
         proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell", "--qubits", "1")
@@ -484,6 +524,16 @@ class TestVqeCommand:
         proc = run_cli("vqe", "--ansatz", str(ANSATZ_PATH))
         assert proc.returncode == 1
         assert "usage" in proc.stderr.lower()
+
+    def test_unallocatable_grid_exit_2(self):
+        """A grid of 1e18 points needs 8e18 bytes, more than any 64-bit address
+        space holds, so numpy raises MemoryError before it allocates: an
+        execution error, on one line."""
+        proc = run_cli("vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH),
+                       "--grid", "0:1:1000000000000000000")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("mpsqvm: execution error: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_ansatz_and_ham_both_stdin_exit_1(self):
         proc = run_cli("vqe", "--ansatz", "-", "--ham", "-", "--grid", "0:1:2",

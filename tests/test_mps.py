@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -203,6 +204,41 @@ class TestRouting:
     def test_same_site_rejected(self):
         with pytest.raises(ValueError):
             MpsState(3).apply_two_qubit_routed(CNOT, 1, 1)
+
+
+def long_range_program(n: int) -> list[Instruction]:
+    """The ``run`` benchmark's circuit family at ``t0 = 0.37``: per qubit an
+    ``RY`` at a seeded angle and an ``RZ(0.37)``, a CNOT ladder, the
+    wrap-around ``CNOT n-1 0``, then ``CZ 0 k`` for every ``k``."""
+    rng = np.random.default_rng(n)
+    program = []
+    for q in range(n):
+        program += [Instruction(GateKind.RY, (q,), (float(rng.uniform(0.0, 2.0 * np.pi)),)),
+                    Instruction(GateKind.RZ, (q,), (0.37,))]
+    program += [Instruction(GateKind.CNOT, (a, a + 1)) for a in range(n - 1)]
+    program.append(Instruction(GateKind.CNOT, (n - 1, 0)))
+    return program + [Instruction(GateKind.CZ, (0, k)) for k in range(1, n)]
+
+
+class TestMirroredRouting:
+    """An exact check of non-Clifford routing above the dense cap. Mapping
+    every qubit ``q`` to ``n-1-q`` must map the value of every Pauli string to
+    that of the reversed string. The mirror sends each routed gate down the
+    other branch of the router (the upper qubit moves down instead of the
+    lower one moving up), so the two branches check each other."""
+
+    @pytest.mark.parametrize("n", [12, 28, 40, 60])
+    def test_mirrored_program_gives_reversed_strings(self, n):
+        program = long_range_program(n)
+        mirrored = [dataclasses.replace(g, qubits=tuple(n - 1 - q for q in g.qubits))
+                    for g in program]
+        policy = TruncationPolicy(cutoff=1e-12)
+        state, image = (run_program(p, n, "mps", policy) for p in (program, mirrored))
+        for a in range(n - 1):
+            for label in "ZXY":
+                pauli = "I" * a + label + "Z" + "I" * (n - a - 2)
+                assert image.expectation_pauli(pauli[::-1]) == pytest.approx(
+                    state.expectation_pauli(pauli), abs=1e-12), pauli
 
 
 class RecordedMps(MpsState):

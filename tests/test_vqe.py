@@ -7,6 +7,7 @@ from mpsqvm import (
     CompositeInstruction,
     GateKind,
     Instruction,
+    PauliHamiltonian,
     TruncationPolicy,
     bind_parameters,
     energy,
@@ -275,3 +276,59 @@ class TestOnePreparationPerTheta:
                 )
                 expected += coeff * (parity / shots)
             assert energy(fig_ansatz(), theta, h, backend, shots=shots, seed=seed) == expected
+
+
+def heisenberg(n: int, rng: np.random.Generator) -> PauliHamiltonian:
+    """XX+YY+ZZ on each neighbour pair at a seeded coupling, plus a seeded Z
+    field: 3(n-1)+n terms."""
+    terms = []
+    for a in range(n - 1):
+        coupling = float(rng.uniform(0.5, 1.5))
+        terms += [(coupling, "I" * a + 2 * label + "I" * (n - a - 2)) for label in "XYZ"]
+    terms += [(float(rng.uniform(-1.0, 1.0)), "I" * q + "Z" + "I" * (n - q - 1))
+              for q in range(n)]
+    return PauliHamiltonian(tuple(terms))
+
+
+def trig_design(thetas: np.ndarray, k: int) -> np.ndarray:
+    """Columns 1, cos(j theta) and sin(j theta) for j = 1..k."""
+    j = np.outer(thetas, np.arange(1, k + 1))
+    return np.hstack([np.ones((len(thetas), 1)), np.cos(j), np.sin(j)])
+
+
+class TestTrigonometricOracle:
+    """An oracle for energies above the dense cap. When the formal parameter
+    fills k rotation slots, each exp(-i theta P / 2), the exact energy is a
+    trigonometric polynomial of degree k in theta. So the energies at 2k+1
+    equally spaced thetas predict the energy at every other theta. A slot
+    bound to a multiple of theta raises the degree and breaks the fit; a
+    fault that does not depend on theta, such as one in routing, does not."""
+
+    @staticmethod
+    def ansatz(n: int, k: int, rng: np.random.Generator) -> CompositeInstruction:
+        """An RY layer, RX(t0) on k distinct qubits, a CNOT ladder, CZ 0 q for
+        every third q (routed), then an RZ layer."""
+        gates = [Instruction(GateKind.RY, (q,), (float(rng.uniform(0.0, 2 * pi)),))
+                 for q in range(n)]
+        gates += [Instruction(GateKind.RX, (int(q),), ("t0",))
+                  for q in rng.choice(n, size=k, replace=False)]
+        gates += [Instruction(GateKind.CNOT, (a, a + 1)) for a in range(n - 1)]
+        gates += [Instruction(GateKind.CZ, (0, q)) for q in range(3, n, 3)]
+        gates += [Instruction(GateKind.RZ, (q,), (float(rng.uniform(0.0, 2 * pi)),))
+                  for q in range(n)]
+        return CompositeInstruction("oracle", ("t0",), gates)
+
+    @pytest.mark.parametrize("n, k", [(16, 3), (40, 3), (40, 5)])
+    def test_fit_predicts_new_thetas(self, n, k):
+        rng = np.random.default_rng([n, k])
+        ansatz, h = self.ansatz(n, k, rng), heisenberg(n, rng)
+        policy = TruncationPolicy(cutoff=1e-12)
+        fit_thetas = -pi + 2 * pi * np.arange(2 * k + 1) / (2 * k + 1)
+        new_thetas = rng.uniform(-pi, pi, 9)
+        fit_energies, new_energies = (
+            np.array([energy(ansatz, float(t), h, policy=policy) for t in thetas])
+            for thetas in (fit_thetas, new_thetas)
+        )
+        coeffs = np.linalg.lstsq(trig_design(fit_thetas, k), fit_energies, rcond=None)[0]
+        np.testing.assert_allclose(trig_design(new_thetas, k) @ coeffs, new_energies,
+                                   rtol=0, atol=1e-11)
