@@ -12,11 +12,13 @@ other edit.
 program to it with :func:`~mpsqvm.gates.apply_program`, which binds the
 program's named angle slots from the values it is given, so a kernel's gates
 run as they are at each new value, with nothing rebuilt. ``execute``
-additionally samples the measured qubits and assembles a :class:`RunRecord`.
-Both backends sample through the one function
-:func:`~mpsqvm.mps.sample_sequential` (one uniform variate per qubit per
-shot), so a fixed seed yields identical counts across backends when
-truncation is off.
+additionally samples the whole register, cuts each sampled key down to the
+MEASURE targets with :func:`readout`, and assembles a :class:`RunRecord`.
+:func:`readout` is the one projection of sampled bits: the sampled VQE
+estimator reads each term's parity through it too. Both backends sample
+through the one function :func:`~mpsqvm.mps.sample_sequential` (one uniform
+variate per qubit per shot), so a fixed seed yields identical counts across
+backends when truncation is off.
 """
 
 from __future__ import annotations
@@ -47,6 +49,21 @@ class RunRecord:
     max_bond_seen: int | None
     memory_estimate_bytes: int
     trunc_error_sq: float
+
+
+def readout(counts: Mapping[str, int], qubits: Sequence[int]) -> dict[str, int]:
+    """Full-register ``counts`` cut down to the bits of ``qubits``, in that order.
+
+    Keys are walked in sorted order, and each cut key keeps the place where
+    it first appears, so equal samples give equal dicts, key order included.
+    ``qubits`` must not be empty.
+    """
+    key_of = itemgetter(*qubits)  # one character, or a tuple of them
+    cut: dict[str, int] = {}
+    for bits, count in sorted(counts.items()):
+        key = "".join(key_of(bits))
+        cut[key] = cut.get(key, 0) + count
+    return cut
 
 
 def run_program(
@@ -80,11 +97,6 @@ def execute(
     """Run the program, sample measured qubits, and collect run statistics."""
     targets = measured_qubits(program)
     state = run_program(program, n, backend, policy)
-    counts: dict[str, int] = {}
-    if targets:
-        key_of = itemgetter(*targets)  # one character, or a tuple of them
-        for bits, count in sorted(state.sample(shots, np.random.default_rng(seed)).items()):
-            key = "".join(key_of(bits))
-            counts[key] = counts.get(key, 0) + count
+    counts = readout(state.sample(shots, np.random.default_rng(seed)), targets) if targets else {}
     return RunRecord(counts, state.max_bond_seen, state.memory_estimate_bytes(),
                      state.trunc_error_sq)

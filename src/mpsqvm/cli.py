@@ -28,7 +28,7 @@ from typing import TypeVar
 from . import bench as bench_mod
 from . import vqe as vqe_mod
 from .backends import BACKENDS, execute
-from .dense import oracle_qubit_cap
+from .dense import check_register
 from .hamiltonian import parse_hamiltonian
 from .ir import inline, num_qubits
 from .mps import TruncationPolicy
@@ -54,16 +54,17 @@ def _number(text: str, kind: Callable[[str], _T], expected: str,
     raise argparse.ArgumentTypeError(f"{prefix}expected {expected}, got {text!r}")
 
 
-def _flag_or_env(value: _T | None, name: str, kind: Callable[[str], _T],
-                 expected: str) -> _T | None:
+def _flag_or_env(value: _T | None, name: str, read: Callable[..., _T]) -> _T | None:
     """A flag's ``value`` if it was given, else the number that environment
-    variable ``name`` holds, else None."""
-    text = os.environ.get(name)
-    if value is not None or text is None:
-        return value
-    return _number(text, kind, expected, source=name)
+    variable ``name`` holds, read by the flag's own type, else None."""
+    if value is None and name in os.environ:
+        return read(os.environ[name], source=name)
+    return value
 
 
+# --cutoff and --max-bond; TruncationPolicy checks their ranges
+_real = partial(_number, kind=float, expected="a number")
+_integer = partial(_number, kind=int, expected="an integer")
 # shots, seeds per cell, chi cap
 _count = partial(_number, kind=int, expected="an integer >= 1", accept=lambda v: v >= 1)
 _seed = partial(_number, kind=int, expected="an integer >= 0", accept=lambda v: v >= 0)
@@ -78,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_backend_flags(p: argparse.ArgumentParser, backends: bool = True) -> None:
         if backends:  # bench runs only the MPS backend
             p.add_argument("--backend", choices=BACKENDS, default="mps")
-        p.add_argument("--cutoff", type=float, default=None,
+        p.add_argument("--cutoff", type=_real, default=None,
                        help="singular-value truncation threshold "
                             f"(default {TruncationPolicy.cutoff:g})")
-        p.add_argument("--max-bond", type=int, default=None,
+        p.add_argument("--max-bond", type=_integer, default=None,
                        help="hard bond-dimension cap (default unlimited)")
         p.add_argument("--cutoff-mode", choices=("relative", "absolute"),
                        default="relative")
@@ -136,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _policy_from(args: argparse.Namespace) -> TruncationPolicy:
-    cutoff = _flag_or_env(args.cutoff, "MPSQVM_CUTOFF", float, "a number")
-    max_bond = _flag_or_env(args.max_bond, "MPSQVM_MAX_BOND", int, "an integer")
+    cutoff = _flag_or_env(args.cutoff, "MPSQVM_CUTOFF", _real)
+    max_bond = _flag_or_env(args.max_bond, "MPSQVM_MAX_BOND", _integer)
     return TruncationPolicy(
         cutoff=TruncationPolicy.cutoff if cutoff is None else cutoff, max_bond=max_bond,
         relative=args.cutoff_mode == "relative",
@@ -180,6 +181,8 @@ def _cmd_run(args: argparse.Namespace) -> Callable[[], None]:
         raise ValueError(
             f"--qubits {n} is smaller than the program's qubit span {num_qubits(program)}"
         )
+    if args.backend == "dense":
+        check_register(num_qubits(program) if n is None else n)
     policy = _policy_from(args)
 
     def simulate() -> None:
@@ -229,6 +232,8 @@ def _cmd_vqe(args: argparse.Namespace) -> Callable[[], None]:
         raise ValueError(
             f"kernel '{kernel.name}' spans {span} qubit(s), the Hamiltonian {hamiltonian.n}"
         )
+    if args.backend == "dense":
+        check_register(hamiltonian.n)
     start, stop, count = _parse_grid(args.grid, "--grid")
     policy = _policy_from(args)
 
@@ -263,8 +268,6 @@ def main(argv: list[str] | None = None) -> int:
     simulate = None  # set once the inputs are read and checked
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "backend", None) == "dense":
-            oracle_qubit_cap()  # read up front, so a malformed cap is a usage error
         simulate = args.handler(args)
         simulate()
     except SystemExit as exc:  # from argparse: 0 after --help, 2 for a rejected command line

@@ -1,9 +1,12 @@
 """Dense statevector simulator, the ground-truth oracle for the MPS backend.
 
 Optimized for obviousness, not speed. The qubit count is capped (default 24,
-override with ``MPSQVM_ORACLE_QUBIT_CAP``) so the oracle stays desk-scale.
-:class:`DenseState` names its gate methods like :class:`~mpsqvm.mps.MpsState`,
-so :func:`~mpsqvm.gates.apply_program` drives both backends alike, and samples
+override with ``MPSQVM_ORACLE_QUBIT_CAP``) so the oracle stays desk-scale;
+:func:`check_register` is the one check against it, for the state and for
+the CLI, which runs it while it reads its inputs.
+:class:`DenseState` names its gate methods like :class:`~mpsqvm.mps.MpsState`
+(both names are its one ``apply_gate``), so :func:`~mpsqvm.gates.apply_program`
+drives both backends alike, and samples
 through the same :func:`~mpsqvm.mps.sample_sequential` with prefix marginals of
 ``|amps|^2`` as weights. Gates and the factors of a Pauli string all go through
 one contraction, ``np.tensordot`` of the gate with the qubits' axes of the
@@ -37,6 +40,14 @@ def oracle_qubit_cap() -> int:
     return cap
 
 
+def check_register(n: int) -> None:
+    """A ``ValueError`` unless ``n`` is in ``1..``:func:`oracle_qubit_cap`, the
+    registers that :class:`DenseState` holds."""
+    cap = oracle_qubit_cap()
+    if not 1 <= n <= cap:
+        raise ValueError(f"dense oracle supports 1..{cap} qubits, got {n}")
+
+
 class DenseState:
     """Full 2^n amplitude vector; flat index has qubit 0 as the high bit.
 
@@ -49,9 +60,7 @@ class DenseState:
     trunc_error_sq = 0.0
 
     def __init__(self, n: int, policy: TruncationPolicy | None = None):
-        cap = oracle_qubit_cap()
-        if not 1 <= n <= cap:
-            raise ValueError(f"dense oracle supports 1..{cap} qubits, got {n}")
+        check_register(n)
         self.n = n
         self.amps = np.zeros(2**n, dtype=complex)
         self.amps[0] = 1.0
@@ -72,14 +81,13 @@ class DenseState:
                            axes=(list(range(k, 2 * k)), list(qubits)))
         return np.moveaxis(psi, list(range(k)), list(qubits)).reshape(-1)
 
-    def apply_one_qubit(self, gate: np.ndarray, q: int) -> None:
-        check_gate(gate, (q,), self.n)
-        self.amps = self._apply(self.amps, gate, (q,))
+    def apply_gate(self, gate: np.ndarray, *qubits: int) -> None:
+        """Apply a one- or two-qubit gate to any qubits; a statevector needs
+        no routing, so this is both gate methods of the backend contract."""
+        check_gate(gate, qubits, self.n)
+        self.amps = self._apply(self.amps, gate, qubits)
 
-    def apply_two_qubit_routed(self, gate: np.ndarray, q1: int, q2: int) -> None:
-        """Apply a two-qubit gate to any pair; a statevector needs no routing."""
-        check_gate(gate, (q1, q2), self.n)
-        self.amps = self._apply(self.amps, gate, (q1, q2))
+    apply_one_qubit = apply_two_qubit_routed = apply_gate
 
     def expectation_pauli(self, pauli: str) -> float:
         """<psi|P|psi>, applying ``P`` factor by factor to new arrays; ``amps`` is kept."""

@@ -205,10 +205,11 @@ class MpsState:
             # V then spans every row of theta that carries weight
             m = theta if lam_l is None else (
                 theta.reshape(dim_l, -1) * lam_l[:, np.newaxis]).reshape(theta.shape)
-        try:
-            _, s, vh = np.linalg.svd(m, full_matrices=False)
+        try:  # U is never used: drop it, and m, before the new tensors are built
+            s, vh = np.linalg.svd(m, full_matrices=False)[1:]
         except np.linalg.LinAlgError:
             s, vh = _svd_from_gram(m, q)
+        del m
         if len(s) < side:  # the core: the other singular values are exactly 0
             s = np.concatenate((s, np.zeros(side - len(s))))
 

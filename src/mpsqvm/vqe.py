@@ -5,8 +5,9 @@ gates with its one formal parameter bound to theta inside the gate loop, so
 no bound copy of the kernel is built. Expectation values are computed
 analytically by default. With ``shots`` set, each Hamiltonian term is instead
 estimated on a copy of that state: the measurement basis is rotated per qubit
-(X -> H, Y -> RZ(-pi/2) then H, Z -> nothing) and the parity of the involved
-qubits is sampled.
+(X -> H, Y -> RZ(-pi/2) then H, Z -> nothing), the state is sampled, and
+:func:`~mpsqvm.backends.readout`, the projection behind ``execute``'s counts,
+cuts each key to the term's support; the key's parity is its count of 1s.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import isfinite, pi, sqrt
 
 import numpy as np
 
-from .backends import run_program
+from .backends import readout, run_program
 from .gates import apply_program
 from .hamiltonian import PauliHamiltonian
 from .ir import CompositeInstruction, GateKind, Instruction, IrError
@@ -56,12 +57,8 @@ def _basis_rotations(pauli: str) -> list[Instruction]:
 def _sampled_term(state, pauli: str, shots: int, rng: np.random.Generator) -> float:
     rotated = apply_program(state.copy(), _basis_rotations(pauli))
     support = [q for q, label in enumerate(pauli) if label != "I"]
-    counts = rotated.sample(shots, rng)
-    total = 0
-    for bits, count in counts.items():
-        parity = sum(int(bits[q]) for q in support) % 2
-        total += count if parity == 0 else -count
-    return total / shots
+    counts = readout(rotated.sample(shots, rng), support)
+    return sum(-c if key.count("1") % 2 else c for key, c in counts.items()) / shots
 
 
 def energy(

@@ -3,6 +3,7 @@ rejected by every backend with the same ``ValueError`` message, before the
 state changes, and each state reports its own run record."""
 
 import ast
+import json
 
 import numpy as np
 import pytest
@@ -17,10 +18,11 @@ from mpsqvm import (
     bind_parameters,
     execute,
     flatten,
+    parse,
     run_program,
 )
 from mpsqvm import gates
-from mpsqvm.backends import BACKENDS
+from mpsqvm.backends import BACKENDS, readout
 from mpsqvm.gates import SWAP_MATRIX, apply_program, gate_matrix, pauli_matrix, qubits_swapped
 from mpsqvm.ir import IrError
 from tests.conftest import REPO_ROOT, ghz3_program, mps_statevector, random_program
@@ -335,3 +337,33 @@ class TestBackendTable:
                     checks.append(f"{path.name}:{node.lineno}")
         assert checks == []
         assert naming <= {"dense.py", "backends.py", "__init__.py"}
+
+
+class TestReadout:
+    """``readout`` is the one projection of sampled full-register keys: the
+    ``run`` counts and the sampled VQE term parities both come from it."""
+
+    OUT_OF_ORDER = """__qpu__ k(AcceleratorBuffer b) {
+  H 0
+  RY(1.1) 1
+  H 2
+  CNOT 0 1
+  MEASURE 2 [0]
+  MEASURE 0 [1]
+}
+"""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_execute_key_order_pinned(self, backend):
+        """MEASUREs out of qubit order, and 5000 shots over two sampler
+        blocks: the counts, key order included, are the pinned ones."""
+        program = flatten(bind_parameters(parse(self.OUT_OF_ORDER).kernels["k"], []))
+        record = execute(program, backend=backend, policy=TruncationPolicy(cutoff=0.0),
+                         shots=5000, seed=3)
+        assert json.dumps(record.counts) == '{"00": 1291, "10": 1229, "01": 1240, "11": 1240}'
+
+    def test_cuts_sorted_keys_and_keeps_first_appearance(self):
+        counts = {"110": 1, "011": 2, "000": 4, "101": 8}
+        assert list(readout(counts, [2, 0]).items()) == [("00", 4), ("10", 2), ("11", 8), ("01", 1)]
+        assert readout(counts, [1]) == {"0": 12, "1": 3}
+        assert readout(counts, [0, 0]) == {"00": 6, "11": 9}

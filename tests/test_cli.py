@@ -273,6 +273,10 @@ class TestUsageErrors:
          "mpsqvm: error: MPSQVM_CUTOFF: expected a number, got '1e-3x'"),
         ((*RUN, "--args", "0.5"), {"MPSQVM_MAX_BOND": "8.0"},
          "mpsqvm: error: MPSQVM_MAX_BOND: expected an integer, got '8.0'"),
+        ((*RUN, "--args", "0.5", "--cutoff", "x"), {},
+         "mpsqvm run: error: argument --cutoff: expected a number, got 'x'"),
+        ((*RUN, "--args", "0.5", "--max-bond", "8.0"), {},
+         "mpsqvm run: error: argument --max-bond: expected an integer, got '8.0'"),
         ((*RUN, "--args", "0.5", "--shots", "2.5"), {},
          "mpsqvm run: error: argument --shots: expected an integer >= 1, got '2.5'"),
         ((*RUN, "--args", "0.5", "--seed", "x"), {},
@@ -281,7 +285,8 @@ class TestUsageErrors:
          "mpsqvm bench: error: argument --time-budget: expected a number of seconds > 0, "
          "got '0'"),
     ], ids=["args", "grid-count", "grid-start", "grid-stop", "qubits", "rounds",
-            "env-cutoff", "env-max-bond", "shots", "seed", "time-budget"])
+            "env-cutoff", "env-max-bond", "cutoff", "max-bond", "shots", "seed",
+            "time-budget"])
     def test_one_message_for_a_bad_number(self, args, env, last_line):
         """Every place that reads a number words its rejection the same way.
         argparse names the flag of its own types, and every other place names
@@ -353,6 +358,24 @@ class TestUsageErrors:
         assert proc.stderr == (
             f"mpsqvm: error: MPSQVM_ORACLE_QUBIT_CAP={value!r} is not an integer >= 1\n"
         )
+
+    @pytest.mark.parametrize("command, env, last_line", [
+        ((*RUN, "--args", "0.5", "--qubits", "30"), {},
+         "mpsqvm: error: dense oracle supports 1..24 qubits, got 30"),
+        ((*RUN, "--args", "0.5"), {"MPSQVM_ORACLE_QUBIT_CAP": "1"},
+         "mpsqvm: error: dense oracle supports 1..1 qubits, got 2"),
+        (("vqe", "--ansatz", str(ANSATZ_PATH), "--grid", "0:1:2"), {},
+         "mpsqvm: error: dense oracle supports 1..24 qubits, got 25"),
+    ], ids=["run-qubits", "run-cap", "vqe-hamiltonian"])
+    def test_dense_register_over_the_cap(self, tmp_path, command, env, last_line):
+        """A dense register the oracle cannot hold is known once the inputs
+        are read, so it is a usage error, not an execution error."""
+        ham = tmp_path / "wide.txt"
+        ham.write_text("1.0 " + "Z" * 25 + "\n")
+        extra = ["--ham", str(ham)] if command[0] == "vqe" else []
+        proc = run_cli(*command, *extra, "--backend", "dense", env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == last_line + "\n"
 
     def test_vqe_kernel_without_parameter(self, bell_file):
         proc = run_cli("vqe", "--ansatz", str(bell_file), "--kernel", "bell",

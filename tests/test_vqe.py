@@ -39,6 +39,21 @@ MEASURE_THEN_RY = CompositeInstruction(
     ),
 )
 
+#: RY(t0) on 12 qubits, a CNOT ladder 0 -> 1 -> ... -> 11, then RX(t0) on each
+LADDER12 = CompositeInstruction(
+    "ladder12", ("t0",),
+    tuple(Instruction(GateKind.RY, (q,), ("t0",)) for q in range(12))
+    + tuple(Instruction(GateKind.CNOT, (q, q + 1)) for q in range(11))
+    + tuple(Instruction(GateKind.RX, (q,), ("t0",)) for q in range(12)),
+)
+LADDER12_HAM = PauliHamiltonian((
+    (0.5, "I" * 12),
+    (0.7, "X" + "I" * 11),
+    (-0.4, "I" * 11 + "Y"),
+    (1.3, "Y" + "Z" * 10 + "X"),
+    (0.9, "XZIIZIIYIIZZ"),
+))
+
 
 def fig_ansatz():
     return parse(ANSATZ_PATH.read_text()).kernels["ansatz"]
@@ -255,13 +270,22 @@ class TestOnePreparationPerTheta:
         assert len(calls) == 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_equals_resimulation_per_term(self, backend):
+    @pytest.mark.parametrize("case", ["h2", "ladder12"])
+    def test_equals_resimulation_per_term(self, backend, case):
         """The estimate on a rotated copy equals running ``program + rotations``
-        from scratch for every term, with the same per-term seeding."""
-        h = load_hamiltonian(HAM_PATH)
-        shots, seed = 700, 9
+        from scratch for every term, with the same per-term seeding, and
+        reading each shot's parity off the full-register key by qubit.
+
+        ``ladder12`` entangles 12 qubits through a CNOT ladder and samples
+        5000 shots, so the readout cuts many distinct keys from two sampler
+        blocks down to terms with an X or a Y on an end qubit."""
+        if case == "h2":
+            ansatz, h, shots = fig_ansatz(), load_hamiltonian(HAM_PATH), 700
+        else:
+            ansatz, h, shots = LADDER12, LADDER12_HAM, 5000
+        seed = 9
         for theta in (-2.0, 0.3, 1.1):
-            program = flatten(bind_parameters(fig_ansatz(), [theta]))
+            program = flatten(bind_parameters(ansatz, [theta]))
             expected = 0.0
             for idx, (coeff, pauli) in enumerate(h.terms):
                 if set(pauli) == {"I"}:
@@ -275,7 +299,7 @@ class TestOnePreparationPerTheta:
                     for bits, c in counts.items()
                 )
                 expected += coeff * (parity / shots)
-            assert energy(fig_ansatz(), theta, h, backend, shots=shots, seed=seed) == expected
+            assert energy(ansatz, theta, h, backend, shots=shots, seed=seed) == expected
 
 
 def heisenberg(n: int, rng: np.random.Generator) -> PauliHamiltonian:
