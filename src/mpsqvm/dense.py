@@ -29,14 +29,15 @@ DEFAULT_QUBIT_CAP = 24
 
 def oracle_qubit_cap() -> int:
     """``MPSQVM_ORACLE_QUBIT_CAP`` if set, else :data:`DEFAULT_QUBIT_CAP`; a
-    value that is not an integer >= 1 is a ``ValueError`` naming the variable."""
+    value that is not an integer >= 1 is a ``ValueError`` naming the variable,
+    worded like the CLI's complaint about ``MPSQVM_CUTOFF`` or ``MPSQVM_MAX_BOND``."""
     text = os.environ.get("MPSQVM_ORACLE_QUBIT_CAP", str(DEFAULT_QUBIT_CAP))
     try:
         cap = int(text)
     except ValueError:
         cap = 0
     if cap < 1:
-        raise ValueError(f"MPSQVM_ORACLE_QUBIT_CAP={text!r} is not an integer >= 1")
+        raise ValueError(f"MPSQVM_ORACLE_QUBIT_CAP: expected an integer >= 1, got {text!r}")
     return cap
 
 

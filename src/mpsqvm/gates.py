@@ -226,6 +226,10 @@ def measured_qubits(program: Sequence[Instruction]) -> list[int]:
         raise IrError(f"classical bit {exc.args[0]} is not measured") from None
 
 
+#: The kinds that :func:`apply_program` routes to ``apply_two_qubit_routed``
+_TWO_QUBIT_KINDS = frozenset(kind for kind in GateKind if kind.num_qubits == 2)
+
+
 def apply_program(
     state: _State,
     program: Sequence[Instruction],
@@ -246,6 +250,7 @@ def apply_program(
     ``ValueError``, from the rotation or from :func:`check_gate`.
     """
     measured_qubits(program)
+    one_qubit, two_qubit = state.apply_one_qubit, state.apply_two_qubit_routed
     bound: dict[tuple[GateKind, str], np.ndarray] = {}
     for instr in program:
         if instr.kind is GateKind.MEASURE:
@@ -257,10 +262,10 @@ def apply_program(
                 matrix = bound[instr.kind, slot] = _bind(instr, slot, values or {})
         else:
             matrix = gate_matrix(instr)
-        if instr.kind.num_qubits == 1:
-            state.apply_one_qubit(matrix, instr.qubits[0])
+        if instr.kind in _TWO_QUBIT_KINDS:
+            two_qubit(matrix, *instr.qubits)
         else:
-            state.apply_two_qubit_routed(matrix, instr.qubits[0], instr.qubits[1])
+            one_qubit(matrix, instr.qubits[0])
         if on_step is not None:
             on_step(state)
     return state

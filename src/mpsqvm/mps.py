@@ -12,7 +12,7 @@ bond needs no contraction.
 
 A row ``l`` of ``B_k`` whose ``Lambda_{k-1}[l]`` is exactly zero need not be
 orthonormal, and nothing reads it: it enters a query only through
-``Lambda_{k-1}[l]`` (the ``diag(Lambda^2)`` start of
+``Lambda_{k-1}[l]`` (the ``Lambda^2`` row weight that starts
 :meth:`MpsState.expectation_pauli`, the ``diag(Lambda) theta`` of the next
 update) or through column ``l`` of ``B_{k-1}`` (the products of
 :meth:`MpsState.amplitude` and :meth:`MpsState.sample`), and that column is
@@ -42,11 +42,14 @@ Should the SVD not converge, ``s`` and ``V+`` come from ``eigh`` of the Gram
 matrix instead. A non-adjacent pair is brought together by a SWAP chain that
 moves the qubit with the smaller outer bond, and routed back afterwards.
 Apart from those QRs and the SWAP transpose, every contraction is a reshape
-plus a matrix product, and ``Lambda`` weights rows by one broadcast; a Pauli
-expectation costs O(|support| chi^3) and touches only the string's
-support. Only the two-site update changes tensor sizes, so it keeps the stored
-entry count, its peak (the memory estimate) and the largest bond seen up to
-date in O(1), from the sizes of the two sites and the one bond it replaces.
+plus a matrix product, and ``Lambda`` weights rows by one broadcast. A Pauli
+expectation weights the rows of its first site by ``Lambda^2`` and applies
+each factor by moving entries of the site tensor, which is exact because a
+Pauli matrix is a permutation with signs and phases; it costs
+O(|support| chi^3) and touches only the string's support. Only the two-site
+update changes tensor sizes, so it keeps the stored entry count, its peak (the
+memory estimate) and the largest bond seen up to date in O(1), from the sizes
+of the two sites and the one bond it replaces.
 
 :func:`sample_sequential` is the one sampling routine of both backends: it
 draws one uniform variate per qubit per shot and walks the qubits once for a
@@ -63,13 +66,13 @@ import copy
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import sqrt
+from numbers import Integral
 from typing import Any
 
 import numpy as np
 
 from .gates import (
-    CONTROLLED_TARGETS, SWAP_MATRIX, check_gate, check_pauli, pauli_matrix, qubits_swapped,
-    real_expectation,
+    CONTROLLED_TARGETS, SWAP_MATRIX, check_gate, check_pauli, qubits_swapped, real_expectation,
 )
 
 #: Smallest ``side`` at which a CNOT or CZ update takes the SVD of its core,
@@ -95,8 +98,11 @@ class TruncationPolicy:
     def __post_init__(self) -> None:
         if not 0 <= self.cutoff < np.inf:
             raise ValueError(f"cutoff must be a finite number >= 0, got {self.cutoff!r}")
-        if self.max_bond is not None and self.max_bond < 1:
-            raise ValueError(f"max_bond must be >= 1, got {self.max_bond!r}")
+        if self.max_bond is not None:
+            if isinstance(self.max_bond, bool) or not isinstance(self.max_bond, Integral):
+                raise ValueError(f"max_bond must be an integer, got {self.max_bond!r}")
+            if self.max_bond < 1:
+                raise ValueError(f"max_bond must be >= 1, got {self.max_bond!r}")
 
     def keep_count(self, singular_values: np.ndarray) -> int:
         threshold = self.cutoff * (singular_values[0] if self.relative else 1.0)
@@ -106,13 +112,18 @@ class TruncationPolicy:
         return keep
 
 
-def _transfer(env: np.ndarray, b: np.ndarray, op: np.ndarray | None = None) -> np.ndarray:
-    """Carry a left environment ``env[a, a']`` over one site:
-    ``sum conj(b[a, s, r]) env[a, a'] (op b)[a', s, r']`` as two matmuls."""
-    dim_l, _, dim_r = b.shape
-    ket = b if op is None else np.matmul(op, b)
-    half = (env @ ket.reshape(dim_l, 2 * dim_r)).reshape(2 * dim_l, dim_r)
-    return b.reshape(2 * dim_l, dim_r).conj().T @ half
+#: ``P b`` for each Pauli label ``P``, by moving entries along the physical
+#: axis of the site tensor ``b``: X reverses it, Z negates the ``s = 1`` slice,
+#: and Y does both with phases ``-i`` and ``+i``. The factors are complex, so
+#: no call casts them.
+_Y_PHASES = np.array([[-1j], [1j]])
+_Z_SIGNS = np.array([[1], [-1]], dtype=complex)
+_PAULI_MOVES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "I": lambda b: b,
+    "X": lambda b: b[:, ::-1],
+    "Y": lambda b: b[:, ::-1] * _Y_PHASES,
+    "Z": lambda b: b * _Z_SIGNS,
+}
 
 
 class MpsState:
@@ -275,27 +286,39 @@ class MpsState:
         """<psi|P|psi> for a Pauli string (one of IXYZ per qubit).
 
         Only sites ``first..last`` of the string's support are contracted,
-        starting from ``diag(Lambda_{first-1}^2)`` on the left and closing
-        with a trace, because the tensors are right-canonical on the support
-        of ``Lambda``, which makes the rest of the chain an identity:
-        O(|support| chi^3) instead of O(n chi^4). That form holds exactly at
-        cutoff 0.
+        starting from ``Lambda_{first-1}^2`` as a weight on the rows of site
+        ``first`` and closing with a trace, because the tensors are
+        right-canonical on the support of ``Lambda``, which makes the rest of
+        the chain an identity: O(|support| chi^3) instead of O(n chi^4). That
+        form holds exactly at cutoff 0.
         After truncation both ends miss the discarded part, so the value
         deviates from the full normalised contraction of the stored tensors
         by up to about twice the discarded weight ``trunc_error_sq``
         (``2w / (1 - w)`` for a single truncation of weight ``w``).
+
+        Each factor ``P`` acts on the physical axis of its site by moving
+        entries (``_PAULI_MOVES``), not by a matrix product: a Pauli matrix
+        is a permutation with signs and phases, so every entry of ``P B`` is
+        an entry of ``B`` times 1, -1, i or -i, the same float either way.
+        Likewise the row weight leaves out only the zero terms of a product
+        with ``diag(Lambda^2)``. So the value is the float that the matrix
+        products give.
         """
         check_pauli(pauli, self.n)
-        support = [k for k, label in enumerate(pauli) if label != "I"]
-        if not support:
+        body = pauli.lstrip("I")
+        if not body:
             return 1.0
-        first, last = support[0], support[-1]
+        first = self.n - len(body)
         lam = self.bond_vectors[first - 1] if first > 0 else np.ones(1)
-        env = np.diag(lam**2)
-        for k in range(first, last + 1):
-            op = None if pauli[k] == "I" else pauli_matrix(pauli[k])
-            env = _transfer(env, self.site_tensors[k], op)
-        return real_expectation(complex(np.trace(env)))
+        env = None
+        # env[r, r'] = sum conj(b[a, s, r]) env[a, a'] (P b)[a', s, r'], two
+        # matmuls a site; at the first site Lambda^2 weights the rows of P b
+        for label, b in zip(body.rstrip("I"), self.site_tensors[first:]):
+            dim_l, _, dim_r = b.shape
+            ket = _PAULI_MOVES[label](b).reshape(dim_l, 2 * dim_r)
+            half = (lam * lam)[:, np.newaxis] * ket if env is None else env @ ket
+            env = b.reshape(2 * dim_l, dim_r).conj().T @ half.reshape(2 * dim_l, dim_r)
+        return real_expectation(complex(env.trace()))
 
     def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
         """Draw full-register bitstrings with :func:`sample_sequential`.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpsqvm import DenseState, GateKind, Instruction
-from mpsqvm.gates import apply_program, pauli_matrix
+from mpsqvm.gates import apply_program, check_pauli, pauli_matrix, real_expectation
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 HAM_PATH = REPO_ROOT / "data" / "h2_2q.ham"
@@ -86,6 +86,27 @@ def max_right_canonical_deviation(state) -> float:
 
 def assert_right_canonical(state) -> None:
     assert max_right_canonical_deviation(state) <= 1e-12
+
+
+def reference_expectation(state, pauli: str) -> float:
+    """<psi|P|psi> of an MPS by matrix products: ``diag(Lambda_{first-1}^2)``
+    on the left, then per site of the support ``env @ (P B)`` with ``P B`` a
+    batched ``np.matmul`` of ``pauli_matrix``, ``B+`` on the other side, and
+    a trace. :meth:`MpsState.expectation_pauli` must give the same float."""
+    check_pauli(pauli, state.n)
+    support = [k for k, label in enumerate(pauli) if label != "I"]
+    if not support:
+        return 1.0
+    first, last = support[0], support[-1]
+    lam = state.bond_vectors[first - 1] if first > 0 else np.ones(1)
+    env = np.diag(lam**2)
+    for k in range(first, last + 1):
+        b = state.site_tensors[k]
+        dim_l, _, dim_r = b.shape
+        ket = b if pauli[k] == "I" else np.matmul(pauli_matrix(pauli[k]), b)
+        half = (env @ ket.reshape(dim_l, 2 * dim_r)).reshape(2 * dim_l, dim_r)
+        env = b.reshape(2 * dim_l, dim_r).conj().T @ half
+    return real_expectation(complex(np.trace(env)))
 
 
 def conjugate_pauli(program, pauli: str, forward: bool = False) -> tuple[str, int]:

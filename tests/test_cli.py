@@ -347,7 +347,9 @@ class TestUsageErrors:
                        "--backend", "dense", "--shots", "10",
                        env={"MPSQVM_ORACLE_QUBIT_CAP": "abc"})
         assert proc.returncode == 1, proc.stderr
-        assert "MPSQVM_ORACLE_QUBIT_CAP='abc'" in proc.stderr
+        assert proc.stderr == (
+            "mpsqvm: error: MPSQVM_ORACLE_QUBIT_CAP: expected an integer >= 1, got 'abc'\n"
+        )
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_env_var_oracle_qubit_cap_below_1(self, bell_file, value):
@@ -356,7 +358,7 @@ class TestUsageErrors:
                        env={"MPSQVM_ORACLE_QUBIT_CAP": value})
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == (
-            f"mpsqvm: error: MPSQVM_ORACLE_QUBIT_CAP={value!r} is not an integer >= 1\n"
+            f"mpsqvm: error: MPSQVM_ORACLE_QUBIT_CAP: expected an integer >= 1, got {value!r}\n"
         )
 
     @pytest.mark.parametrize("command, env, last_line", [

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from tests.conftest import (
     max_bond,
     mps_statevector,
     random_program,
+    reference_expectation,
 )
 
 EXACT = TruncationPolicy(cutoff=0.0)
@@ -593,6 +595,49 @@ class TestQueries:
         np.testing.assert_allclose(mps_statevector(state), by_amplitude, rtol=0, atol=1e-14)
 
 
+class TestExpectationBits:
+    """``expectation_pauli`` weights by a broadcast and moves entries where
+    the reference multiplies matrices; each value must be the same float,
+    signed zeros included, so ``repr`` is compared."""
+
+    @pytest.mark.parametrize("clifford", [False, True], ids=["all-gates", "clifford"])
+    @pytest.mark.parametrize("policy", [
+        EXACT, TruncationPolicy(1e-4), TruncationPolicy(1e-2), TruncationPolicy(0.0, max_bond=2),
+    ], ids=["cutoff0", "cutoff1e-4", "cutoff1e-2", "max_bond2"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_same_float_as_the_matrix_products(self, n, policy, clifford):
+        rng = np.random.default_rng(300 + n)
+        program = random_program(n, 6 * n, rng)
+        if clifford:  # exact zeros, where only the sign of 0 could differ
+            program = [g for g in program if not g.params]
+        state = run_program(program, n, "mps", policy)
+        if n <= 4:
+            strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+        else:
+            strings = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(200)]
+        for pauli in strings:
+            assert repr(state.expectation_pauli(pauli)) == repr(
+                reference_expectation(state, pauli)), pauli
+
+    @pytest.mark.parametrize("pauli", [
+        "ZIIIII", "IIIIIX", "IIYIII", "IYIXII", "IIXIIY", "YIIIIY", "IIIIII",
+    ], ids=["at-0", "at-last", "one-site", "y-gap", "x-gap-y", "ends", "identity"])
+    def test_edges_and_gaps(self, pauli):
+        state = run_program(random_program(6, 40, np.random.default_rng(8)), 6, "mps",
+                            TruncationPolicy(1e-3))
+        assert repr(state.expectation_pauli(pauli)) == repr(reference_expectation(state, pauli))
+        if pauli == "IIIIII":
+            assert state.expectation_pauli(pauli) == 1.0
+
+    @pytest.mark.parametrize("pauli", ["ZZ", "ZIA", "ZIz", ""])
+    def test_bad_string_same_message(self, pauli):
+        state = run_program(ghz3_program(), 3, "mps", EXACT)
+        with pytest.raises(ValueError) as expected:
+            reference_expectation(state, pauli)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            state.expectation_pauli(pauli)
+
+
 class TestSampling:
     def test_gate_after_measure_rejected(self):
         measure = Instruction(GateKind.MEASURE, (0,), (), classical_target=0)
@@ -929,6 +974,11 @@ class TestInvariants:
         state.apply_two_qubit_adjacent(CNOT, 0)
         assert max_bond(state) == 1
         assert state.trunc_error_sq == pytest.approx(0.5)
+
+    def test_policy_takes_any_integral_max_bond(self):
+        assert TruncationPolicy(max_bond=np.int64(3)).keep_count(np.ones(5)) == 3
+        with pytest.raises(ValueError, match="max_bond must be an integer, got 2.0"):
+            TruncationPolicy(max_bond=2.0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_no_method_writes_a_held_array(self, backend):

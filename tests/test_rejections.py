@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from mpsqvm import GateKind, Instruction, run_program
+from mpsqvm import GateKind, Instruction, TruncationPolicy, run_program
 from mpsqvm.bench import RoundCircuitSpec, emit_report, run_grid
 from mpsqvm.gates import gate_matrix
 from mpsqvm.hamiltonian import HamiltonianFormatError, PauliHamiltonian, parse_hamiltonian
@@ -35,6 +35,18 @@ REJECTED = {
     "zero-chi-budget": (
         lambda: run_grid([2], [1], 1, chi_budget=0),
         ValueError, "chi_budget must be >= 1, got 0",
+    ),
+    "nan-max-bond": (
+        lambda: TruncationPolicy(max_bond=math.nan),
+        ValueError, "max_bond must be an integer, got nan",
+    ),
+    "fractional-max-bond": (
+        lambda: TruncationPolicy(max_bond=2.5),
+        ValueError, "max_bond must be an integer, got 2.5",
+    ),
+    "bool-max-bond": (
+        lambda: TruncationPolicy(max_bond=True),
+        ValueError, "max_bond must be an integer, got True",
     ),
     "empty-report": (
         lambda: emit_report([]),
