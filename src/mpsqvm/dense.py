@@ -5,7 +5,7 @@ override with ``MPSQVM_ORACLE_QUBIT_CAP``) so the oracle stays desk-scale;
 :func:`check_register` is the one check against it, for the state and for
 the CLI, which runs it while it reads its inputs.
 :class:`DenseState` names its gate methods like :class:`~mpsqvm.mps.MpsState`
-(both names are its one ``apply_gate``), so :func:`~mpsqvm.gates.apply_program`
+(all three name its one ``apply_gate``), so :func:`~mpsqvm.gates.apply_program`
 drives both backends alike, and samples
 through the same :func:`~mpsqvm.mps.sample_sequential` with prefix marginals of
 ``|amps|^2`` as weights. Gates and the factors of a Pauli string all go through
@@ -84,11 +84,16 @@ class DenseState:
 
     def apply_gate(self, gate: np.ndarray, *qubits: int) -> None:
         """Apply a one- or two-qubit gate to any qubits; a statevector needs
-        no routing, so this is both gate methods of the backend contract."""
+        no routing, so this is ``apply_one_qubit`` and ``apply_two_qubit_routed``
+        of the backend contract."""
         check_gate(gate, qubits, self.n)
         self.amps = self._apply(self.amps, gate, qubits)
 
     apply_one_qubit = apply_two_qubit_routed = apply_gate
+
+    def apply_two_qubit_adjacent(self, gate: np.ndarray, q: int) -> None:
+        """``apply_gate`` on the neighbour pair ``(q, q+1)``."""
+        self.apply_gate(gate, q, q + 1)
 
     def expectation_pauli(self, pauli: str) -> float:
         """<psi|P|psi>, applying ``P`` factor by factor to new arrays; ``amps`` is kept."""
@@ -99,8 +104,11 @@ class DenseState:
                 phi = self._apply(phi, pauli_matrix(label), (q,))
         return real_expectation(complex(np.vdot(self.amps, phi)))
 
-    def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
-        """Draw full-register bitstrings with :func:`~mpsqvm.mps.sample_sequential`.
+    def sample(
+        self, shots: int, rng: np.random.Generator, upto: int | None = None
+    ) -> dict[str, int]:
+        """Draw bitstrings of qubits ``0..upto-1`` (default: the whole
+        register) with :func:`~mpsqvm.mps.sample_sequential`.
 
         The carry holds each distinct prefix read as an integer (qubit 0 the
         high bit), starting from the one-row array of the empty prefix. Prefix
@@ -119,7 +127,7 @@ class DenseState:
             rows = (2 * prefix[:, np.newaxis] + (0, 1)).ravel()
             return marginals[k][rows].reshape(-1, 2), rows
 
-        return sample_sequential(self.n, shots, rng, np.zeros(1, dtype=np.intp), split)
+        return sample_sequential(self.n, shots, rng, np.zeros(1, dtype=np.intp), split, upto)
 
 
 def dense_run(program: list[Instruction], n: int) -> DenseState:

@@ -9,10 +9,11 @@ input is rejected with the same message whichever backend runs it.
 
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
 qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
-drives either backend through the same two methods, ``apply_one_qubit`` and
-``apply_two_qubit_routed``, so it never branches on which backend it runs, and
-binds a kernel's named angle slots as it goes, so a kernel runs at new
-parameter values without being rebuilt.
+drives either backend through the same three methods, so it never branches on
+which backend it runs: ``apply_one_qubit``, ``apply_two_qubit_adjacent`` for
+a forward neighbour pair ``(q, q+1)``, and ``apply_two_qubit_routed`` for
+every other pair. It binds a kernel's named angle slots as it goes, so a
+kernel runs at new parameter values without being rebuilt.
 """
 
 from __future__ import annotations
@@ -33,12 +34,18 @@ _SQ2 = 1.0 / sqrt(2.0)
 
 def rx(theta: float) -> np.ndarray:
     c, s = cos(theta / 2), sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+    matrix = np.empty((2, 2), dtype=complex)
+    matrix[0, 0] = matrix[1, 1] = c
+    matrix[0, 1] = matrix[1, 0] = -1j * s
+    return matrix
 
 
 def ry(theta: float) -> np.ndarray:
     c, s = cos(theta / 2), sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    matrix = np.empty((2, 2), dtype=complex)
+    matrix[0, 0] = matrix[1, 1] = c
+    matrix[0, 1], matrix[1, 0] = -s, s
+    return matrix
 
 
 def rz(theta: float) -> np.ndarray:
@@ -146,12 +153,17 @@ def check_gate(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> None:
     infinite entry; a 2x2 matrix that passes it in closed form skips the
     matrix product.
     """
-    for q in qubits:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n} qubits")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"gate needs distinct qubits, got {qubits}")
-    d = 2 ** len(qubits)
+    if len(qubits) == 1:  # one range test; one qubit cannot repeat
+        d = 2
+        if not 0 <= qubits[0] < n:
+            raise ValueError(f"qubit {qubits[0]} out of range for {n} qubits")
+    else:
+        for q in qubits:
+            if not 0 <= q < n:
+                raise ValueError(f"qubit {q} out of range for {n} qubits")
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"gate needs distinct qubits, got {qubits}")
+        d = 2 ** len(qubits)
     if matrix.shape != (d, d):
         raise ValueError(
             f"expected a {d}x{d} matrix on qubits {qubits}, got shape {matrix.shape}"
@@ -181,11 +193,13 @@ def _is_unitary_2x2(matrix: np.ndarray) -> bool:
 
 
 def check_pauli(pauli: str, n: int) -> None:
-    """Reject a Pauli string that is not ``n`` labels from ``IXYZ``."""
+    """Reject a Pauli string that is not ``n`` labels from ``IXYZ``; of
+    several bad labels, the message names the first in sorted order."""
     if len(pauli) != n:
         raise ValueError(f"Pauli string length {len(pauli)} != qubit count {n}")
-    for label in sorted(set(pauli)):
-        pauli_matrix(label)
+    if pauli.strip("IXYZ"):  # empty exactly when every label is in IXYZ
+        for label in sorted(set(pauli)):
+            pauli_matrix(label)
 
 
 def real_expectation(value: complex) -> float:
@@ -226,10 +240,6 @@ def measured_qubits(program: Sequence[Instruction]) -> list[int]:
         raise IrError(f"classical bit {exc.args[0]} is not measured") from None
 
 
-#: The kinds that :func:`apply_program` routes to ``apply_two_qubit_routed``
-_TWO_QUBIT_KINDS = frozenset(kind for kind in GateKind if kind.num_qubits == 2)
-
-
 def apply_program(
     state: _State,
     program: Sequence[Instruction],
@@ -239,8 +249,10 @@ def apply_program(
     """Apply the program's gates to ``state`` in order and return it.
 
     :func:`measured_qubits` checks the readout before the first gate, and
-    MEASUREs then apply nothing. ``on_step(state)`` runs after every gate and
-    may raise to abort the run.
+    MEASUREs then apply nothing. A two-qubit gate on a forward neighbour pair
+    ``(q, q+1)`` goes straight to ``apply_two_qubit_adjacent(matrix, q)``;
+    a reversed or a long-range pair goes to ``apply_two_qubit_routed``.
+    ``on_step(state)`` runs after every gate and may raise to abort the run.
 
     A gate whose angle slot is a formal-parameter name is bound here, from
     ``values`` (name to angle): its matrix is built once per run for each
@@ -250,7 +262,9 @@ def apply_program(
     ``ValueError``, from the rotation or from :func:`check_gate`.
     """
     measured_qubits(program)
-    one_qubit, two_qubit = state.apply_one_qubit, state.apply_two_qubit_routed
+    one_qubit, adjacent, routed = (
+        state.apply_one_qubit, state.apply_two_qubit_adjacent, state.apply_two_qubit_routed
+    )
     bound: dict[tuple[GateKind, str], np.ndarray] = {}
     for instr in program:
         if instr.kind is GateKind.MEASURE:
@@ -262,10 +276,13 @@ def apply_program(
                 matrix = bound[instr.kind, slot] = _bind(instr, slot, values or {})
         else:
             matrix = gate_matrix(instr)
-        if instr.kind in _TWO_QUBIT_KINDS:
-            two_qubit(matrix, *instr.qubits)
+        qubits = instr.qubits
+        if len(qubits) == 1:
+            one_qubit(matrix, qubits[0])
+        elif qubits[1] == qubits[0] + 1:
+            adjacent(matrix, qubits[0])
         else:
-            one_qubit(matrix, instr.qubits[0])
+            routed(matrix, *qubits)
         if on_step is not None:
             on_step(state)
     return state

@@ -320,8 +320,11 @@ class MpsState:
             env = b.reshape(2 * dim_l, dim_r).conj().T @ half.reshape(2 * dim_l, dim_r)
         return real_expectation(complex(env.trace()))
 
-    def sample(self, shots: int, rng: np.random.Generator) -> dict[str, int]:
-        """Draw full-register bitstrings with :func:`sample_sequential`.
+    def sample(
+        self, shots: int, rng: np.random.Generator, upto: int | None = None
+    ) -> dict[str, int]:
+        """Draw bitstrings of qubits ``0..upto-1`` (default: the whole
+        register) with :func:`sample_sequential`.
 
         The carry of a distinct prefix is its row ``W = B_0[s_0] ... B_{k-1}[s_{k-1}]``;
         the weight of outcome ``s`` at qubit ``k`` is ``|W B_k[s]|^2``, exact
@@ -352,7 +355,7 @@ class MpsState:
                 rows = rows * np.ldexp(1.0, -(np.frexp(weights)[1] // 2))[:, np.newaxis]
             return weights.reshape(-1, 2), rows
 
-        return sample_sequential(self.n, shots, rng, np.ones((1, 1), dtype=complex), split)
+        return sample_sequential(self.n, shots, rng, np.ones((1, 1), dtype=complex), split, upto)
 
 
 def _svd_from_gram(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -393,8 +396,10 @@ def sample_sequential(
     rng: np.random.Generator,
     start: Any,
     split: Callable[[int, Any], tuple[np.ndarray, Any]],
+    upto: int | None = None,
 ) -> dict[str, int]:
-    """Sequential conditional sampling of ``shots`` bitstrings over ``n`` qubits.
+    """Sequential conditional sampling of ``shots`` bitstrings over qubits
+    ``0..upto-1`` of ``n`` (by default all ``n``).
 
     Shots that have drawn the same prefix share a *group*, and the carry holds
     one row per group, in lexicographic order of the prefixes; ``start`` is
@@ -410,20 +415,27 @@ def sample_sequential(
     variate is at least ``w0 / (w0 + w1)`` (0.5 when both weights are 0).
     Variates are drawn as ``rng.random((block, n))`` for consecutive blocks of
     at most ``SHOT_BLOCK`` shots: one per qubit per shot, shot-major, the same
-    stream as one ``rng.random()`` call per qubit per shot. Keys of the
-    returned counts are bitstrings with position ``k`` for qubit ``k``; each
+    stream as one ``rng.random()`` call per qubit per shot. The walk stops
+    after qubit ``upto - 1``, but every block still draws all ``n`` variates
+    of each shot, and bit ``k`` depends only on its own variate and the bits
+    before it: so a short walk draws the prefixes that the full walk draws,
+    and the generator ends in the same place. Keys of the returned counts are
+    bitstrings of length ``upto`` with position ``k`` for qubit ``k``; each
     block adds its keys in sorted order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    walk = n if upto is None else upto
+    if not 1 <= walk <= n:
+        raise ValueError(f"upto must be in 1..{n}, got {upto}")
     counts: dict[str, int] = {}
     for done in range(0, shots, SHOT_BLOCK):
         # one row per qubit, so that each step reads and writes contiguous rows
-        draws = rng.random((min(SHOT_BLOCK, shots - done), n)).T.copy()
+        draws = rng.random((min(SHOT_BLOCK, shots - done), n)).T[:walk].copy()
         bits = np.empty(draws.shape, dtype=np.uint8)
         group = np.zeros(draws.shape[1], dtype=np.intp)
         carry = start
-        for k in range(n):
+        for k in range(walk):
             weights, carry = split(k, carry)
             total = weights[:, 0] + weights[:, 1]
             # an outcome of weight 0 is never drawn, so a total of 0 needs a
@@ -447,7 +459,7 @@ def sample_sequential(
         # every shot of a group has the same bits: read one representative
         first = np.empty(len(carry), dtype=np.intp)
         first[group] = np.arange(len(group))
-        keys = (bits.T[first] + ord("0")).view(f"S{n}").ravel()
+        keys = (bits.T[first] + ord("0")).view(f"S{walk}").ravel()
         tallies = np.bincount(group)
         for key, tally in zip(keys.astype(str).tolist(), tallies.tolist()):
             counts[key] = counts.get(key, 0) + tally

@@ -5,9 +5,12 @@ gates with its one formal parameter bound to theta inside the gate loop, so
 no bound copy of the kernel is built. Expectation values are computed
 analytically by default. With ``shots`` set, each Hamiltonian term is instead
 estimated on a copy of that state: the measurement basis is rotated per qubit
-(X -> H, Y -> RZ(-pi/2) then H, Z -> nothing), the state is sampled, and
-:func:`~mpsqvm.backends.readout`, the projection behind ``execute``'s counts,
-cuts each key to the term's support; the key's parity is its count of 1s.
+(X -> H, Y -> RZ(-pi/2) then H, Z -> nothing), the state is sampled up to
+the term's last support qubit, and :func:`~mpsqvm.backends.readout`, the
+projection behind ``execute``'s counts, cuts each key to the term's support;
+the key's parity is its count of 1s. A qubit after the last support qubit
+cannot change the bits before it, so the short walk gives the counts that a
+walk over the whole register gives.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ def _basis_rotations(pauli: str) -> list[Instruction]:
 def _sampled_term(state, pauli: str, shots: int, rng: np.random.Generator) -> float:
     rotated = apply_program(state.copy(), _basis_rotations(pauli))
     support = [q for q, label in enumerate(pauli) if label != "I"]
-    counts = readout(rotated.sample(shots, rng), support)
+    counts = readout(rotated.sample(shots, rng, support[-1] + 1), support)
     return sum(-c if key.count("1") % 2 else c for key, c in counts.items()) / shots
 
 

@@ -34,6 +34,12 @@ BAD_INPUTS = {
     "qubit-out-of-range": (
         lambda s: s.apply_one_qubit(X, 3), "qubit 3 out of range for 3 qubits"
     ),
+    "negative-qubit": (
+        lambda s: s.apply_one_qubit(X, -1), "qubit -1 out of range for 3 qubits"
+    ),
+    "adjacent-past-the-end": (
+        lambda s: s.apply_two_qubit_adjacent(CNOT, 2), "qubit 3 out of range for 3 qubits"
+    ),
     "repeated-qubit": (
         lambda s: s.apply_two_qubit_routed(CNOT, 1, 1), "gate needs distinct qubits, got (1, 1)"
     ),
@@ -52,6 +58,16 @@ BAD_INPUTS = {
         lambda s: s.expectation_pauli("ZZ"), "Pauli string length 2 != qubit count 3"
     ),
     "pauli-label": (lambda s: s.expectation_pauli("XQZ"), "unknown Pauli label 'Q'"),
+    "pauli-label-first": (lambda s: s.expectation_pauli("QXZ"), "unknown Pauli label 'Q'"),
+    "pauli-label-middle": (lambda s: s.expectation_pauli("XQX"), "unknown Pauli label 'Q'"),
+    "pauli-lower-case": (lambda s: s.expectation_pauli("xyz"), "unknown Pauli label 'x'"),
+    # of two bad labels, the first in sorted order is named, not the first in place
+    "pauli-two-bad-labels": (
+        lambda s: s.expectation_pauli("ZQA"), "unknown Pauli label 'A'"
+    ),
+    "pauli-upper-before-lower": (
+        lambda s: s.expectation_pauli("xZQ"), "unknown Pauli label 'Q'"
+    ),
 }
 
 
@@ -132,7 +148,7 @@ GATE_CALLS = {
 @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
 @pytest.mark.parametrize("backend, call", [
     ("mps", "one-qubit"), ("mps", "routed"), ("mps", "adjacent"),
-    ("dense", "one-qubit"), ("dense", "routed"),  # a statevector has no adjacent method
+    ("dense", "one-qubit"), ("dense", "routed"), ("dense", "adjacent"),
 ])
 def test_single_non_finite_entry_rejected(backend, call, fill):
     """One NaN or infinity at any position, the rest of a unitary untouched."""
@@ -274,6 +290,51 @@ class TestBindingInTheGateLoop:
         assert not any(g.flags.writeable for g in seen)
 
 
+class TestNeighbourDispatch:
+    """``apply_program`` sends a forward neighbour pair ``(q, q+1)`` straight
+    to ``apply_two_qubit_adjacent``; only reversed and long-range pairs reach
+    ``apply_two_qubit_routed``, and the state is the one the router gives."""
+
+    PROGRAM = [
+        Instruction(GateKind.H, (0,)), Instruction(GateKind.H, (1,)),
+        Instruction(GateKind.RY, (2,), (0.3,)), Instruction(GateKind.RX, (3,), (0.7,)),
+        Instruction(GateKind.CNOT, (0, 1)), Instruction(GateKind.CNOT, (2, 1)),
+        Instruction(GateKind.CZ, (1, 2)), Instruction(GateKind.CZ, (3, 2)),
+        Instruction(GateKind.SWAP, (2, 3)), Instruction(GateKind.SWAP, (1, 0)),
+        Instruction(GateKind.CNOT, (3, 0)), Instruction(GateKind.RY, (1,), (1.1,)),
+        Instruction(GateKind.CNOT, (1, 2)), Instruction(GateKind.RX, (0,), (0.4,)),
+        Instruction(GateKind.CNOT, (0, 3)),
+    ]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("policy", [
+        TruncationPolicy(cutoff=0.0), TruncationPolicy(cutoff=1e-2, max_bond=2),
+    ], ids=["exact", "max_bond"])
+    def test_only_reversed_and_long_range_pairs_are_routed(self, monkeypatch, backend, policy):
+        state = BACKENDS[backend](4, policy)
+        routed, route = [], state.apply_two_qubit_routed
+
+        def recording(gate, q1, q2):
+            routed.append((q1, q2))
+            route(gate, q1, q2)
+
+        monkeypatch.setattr(state, "apply_two_qubit_routed", recording)
+        steps = []
+        apply_program(state, self.PROGRAM, steps.append)
+        assert routed == [(2, 1), (3, 2), (1, 0), (3, 0), (0, 3)]
+        assert len(steps) == len(self.PROGRAM)
+
+        reference = BACKENDS[backend](4, policy)
+        for instr in self.PROGRAM:
+            if len(instr.qubits) == 1:
+                reference.apply_one_qubit(gate_matrix(instr), *instr.qubits)
+            else:
+                reference.apply_two_qubit_routed(gate_matrix(instr), *instr.qubits)
+        assert_states_identical(state, reference)
+        if backend == "mps" and policy.max_bond:
+            assert state.trunc_error_sq > 0  # the truncating policy acted
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_copy_evolves_apart(backend):
     """A gate on the copy leaves the original's amplitudes, expectations and
@@ -298,8 +359,8 @@ class TestBackendTable:
     """A backend is an entry of ``BACKENDS``, built as ``cls(n, policy)``, and
     nothing outside its module and the table tells it apart by its class."""
 
-    CONTRACT = ("apply_one_qubit", "apply_two_qubit_routed", "expectation_pauli", "sample",
-                "copy", "memory_estimate_bytes")
+    CONTRACT = ("apply_one_qubit", "apply_two_qubit_adjacent", "apply_two_qubit_routed",
+                "expectation_pauli", "sample", "copy", "memory_estimate_bytes")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_record_is_the_states_own(self, backend):

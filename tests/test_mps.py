@@ -22,7 +22,7 @@ from mpsqvm import (
 )
 from mpsqvm import dense as dense_module
 from mpsqvm import mps as mps_module
-from mpsqvm.backends import BACKENDS
+from mpsqvm.backends import BACKENDS, readout
 from mpsqvm.gates import SWAP_MATRIX, apply_program, gate_matrix, pauli_matrix
 from mpsqvm.ir import IrError, num_qubits
 from mpsqvm.mps import SHOT_BLOCK, sample_sequential
@@ -684,6 +684,42 @@ class TestSampling:
         assert a == b
 
 
+class TestShortWalk:
+    """``sample(shots, rng, upto)`` walks qubits ``0..upto-1`` only. Bit ``k``
+    depends only on its own variate and the bits before it, and every shot
+    still draws all ``n`` variates, so the short walk gives the full walk's
+    counts cut to those qubits, and leaves the generator where it leaves it."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shots", [700, SHOT_BLOCK + 900], ids=["one-block", "two-blocks"])
+    def test_prefix_of_the_full_walk(self, backend, shots):
+        rng = np.random.default_rng(21)
+        for trial in range(6):
+            n = int(rng.integers(2, 8))
+            policy = EXACT if trial % 2 else TruncationPolicy(cutoff=1e-2)
+            state = run_program(random_program(n, 30, rng), n, backend, policy)
+            full_rng = np.random.default_rng(trial)
+            full = state.sample(shots, full_rng)
+            after = full_rng.random()
+            for upto in range(1, n + 1):
+                short_rng = np.random.default_rng(trial)
+                short = state.sample(shots, short_rng, upto)
+                cut = readout(full, range(upto))
+                assert short == cut
+                if shots <= SHOT_BLOCK:  # one block adds its keys in sorted order
+                    assert list(short.items()) == list(cut.items())
+                assert short_rng.random() == after
+            assert list(state.sample(shots, np.random.default_rng(trial), n).items()) == list(
+                full.items())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("upto", [0, 4, -1])
+    def test_walk_length_out_of_range(self, backend, upto):
+        with pytest.raises(ValueError) as info:
+            BACKENDS[backend](3).sample(10, np.random.default_rng(0), upto)
+        assert str(info.value) == f"upto must be in 1..3, got {upto}"
+
+
 class TestLongRegisterSampling:
     """A prefix's weight is its probability, far below the smallest double on
     a long register; the sampler rescales its carry rows so that no drawn
@@ -733,13 +769,13 @@ def _watch_split(monkeypatch, backend: str, watch) -> None:
     """Make ``sample`` on ``backend`` call ``watch(carry, weights, rows)``
     after each call of its ``split``."""
 
-    def spying(n, shots, rng, start, split):
+    def spying(n, shots, rng, start, split, upto=None):
         def spy(k, carry):
             weights, rows = split(k, carry)
             watch(carry, weights, rows)
             return weights, rows
 
-        return sample_sequential(n, shots, rng, start, spy)
+        return sample_sequential(n, shots, rng, start, spy, upto)
 
     monkeypatch.setattr(mps_module if backend == "mps" else dense_module, "sample_sequential",
                         spying)
@@ -837,12 +873,12 @@ class TestPrefixGroups:
     def test_ghz_splits_at_most_two_prefixes(self, monkeypatch):
         rows: list[int] = []
 
-        def spying(n, shots, rng, start, split):
+        def spying(n, shots, rng, start, split, upto=None):
             def spy(k, carry):
                 rows.append(len(carry))
                 return split(k, carry)
 
-            return sample_sequential(n, shots, rng, start, spy)
+            return sample_sequential(n, shots, rng, start, spy, upto)
 
         monkeypatch.setattr(mps_module, "sample_sequential", spying)
         ghz = [Instruction(GateKind.H, (0,))] + [

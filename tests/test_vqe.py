@@ -302,6 +302,47 @@ class TestOnePreparationPerTheta:
             assert energy(ansatz, theta, h, backend, shots=shots, seed=seed) == expected
 
 
+class TestShortWalk:
+    """Each sampled term walks the register only up to its last support
+    qubit; the energies equal (``==``) those of a walk over every qubit."""
+
+    #: terms whose last support qubit is the first, one in the middle and the last
+    EDGES12 = PauliHamiltonian((
+        (1.0, "Z" + "I" * 11),
+        (0.3, "IXY" + "I" * 9),
+        (-0.6, "I" * 5 + "ZZ" + "I" * 5),
+        (0.2, "I" * 11 + "Z"),
+        (-0.8, "X" + "I" * 10 + "X"),
+    ))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_equals_the_full_walk(self, monkeypatch, backend):
+        cls = BACKENDS[backend]
+        sample, walks = cls.sample, []
+
+        def short(self, shots, rng, upto=None):
+            walks.append(upto)
+            return sample(self, shots, rng, upto)
+
+        def full(self, shots, rng, upto=None):
+            return sample(self, shots, rng)
+
+        cases = [
+            (fig_ansatz(), load_hamiltonian(HAM_PATH), 700, None),
+            (LADDER12, LADDER12_HAM, 5000, None),
+            (LADDER12, self.EDGES12, 1500, TruncationPolicy(cutoff=1e-2)),
+        ]
+        for ansatz, h, shots, policy in cases:
+            for seed in (0, 9):
+                for theta in (-2.0, 0.3, 1.1):
+                    energies = []
+                    for walk in (short, full):
+                        monkeypatch.setattr(cls, "sample", walk)
+                        energies.append(energy(ansatz, theta, h, backend, policy, shots, seed))
+                    assert energies[0] == energies[1]
+        assert {1, 3, 7, 12} <= set(walks)
+
+
 def heisenberg(n: int, rng: np.random.Generator) -> PauliHamiltonian:
     """XX+YY+ZZ on each neighbour pair at a seeded coupling, plus a seeded Z
     field: 3(n-1)+n terms."""
