@@ -17,8 +17,10 @@ other edit.
 program to it with :func:`~mpsqvm.gates.apply_program`, which binds the
 program's named angle slots from the values it is given, so a kernel's gates
 run as they are at each new value, with nothing rebuilt. ``execute``
-additionally samples the whole register, cuts each sampled key down to the
-MEASURE targets with :func:`readout`, and assembles a :class:`RunRecord`.
+additionally samples qubits ``0..t`` up to its last MEASURE target ``t``
+(a bit depends only on its own variate and the bits before it, so this gives
+the counts of a walk over the whole register), cuts each sampled key down to
+the MEASURE targets with :func:`readout`, and assembles a :class:`RunRecord`.
 :func:`readout` is the one projection of sampled bits: the sampled VQE
 estimator reads each term's parity through it too. Both backends sample
 through the one function :func:`~mpsqvm.mps.sample_sequential` (one uniform
@@ -35,7 +37,7 @@ from operator import itemgetter
 import numpy as np
 
 from .dense import DenseState
-from .gates import apply_program, measured_qubits
+from .gates import apply_program, check_shots, measured_qubits
 from .ir import Instruction, num_qubits
 from .mps import MpsState, TruncationPolicy
 
@@ -99,9 +101,12 @@ def execute(
     shots: int = 1024,
     seed: int | None = None,
 ) -> RunRecord:
-    """Run the program, sample measured qubits, and collect run statistics."""
+    """Run the program, sample up to its last measured qubit, and collect run
+    statistics; ``shots`` is checked before any gate is applied."""
+    check_shots(shots)
     targets = measured_qubits(program)
     state = run_program(program, n, backend, policy)
-    counts = readout(state.sample(shots, np.random.default_rng(seed)), targets) if targets else {}
+    rng = np.random.default_rng(seed)
+    counts = readout(state.sample(shots, rng, max(targets) + 1), targets) if targets else {}
     return RunRecord(counts, state.max_bond_seen, state.memory_estimate_bytes(),
                      state.trunc_error_sq)

@@ -5,8 +5,9 @@ override with ``MPSQVM_ORACLE_QUBIT_CAP``) so the oracle stays desk-scale;
 :func:`check_register` is the one check against it, for the state and for
 the CLI, which runs it while it reads its inputs.
 :class:`DenseState` names its gate methods like :class:`~mpsqvm.mps.MpsState`
-(all three name its one ``apply_gate``), so :func:`~mpsqvm.gates.apply_program`
-drives both backends alike, and samples
+(``apply_one_qubit`` and ``apply_two_qubit_routed`` name its one ``apply_gate``,
+and ``apply_two_qubit_adjacent`` calls it on ``(q, q+1)``), so
+:func:`~mpsqvm.gates.apply_program` drives both backends alike, and samples
 through the same :func:`~mpsqvm.mps.sample_sequential` with prefix marginals of
 ``|amps|^2`` as weights. Gates and the factors of a Pauli string all go through
 one contraction, ``np.tensordot`` of the gate with the qubits' axes of the

@@ -6,6 +6,8 @@ Both backends call :func:`check_gate` from each public gate method,
 :func:`check_pauli` and :func:`real_expectation` from ``expectation_pauli``,
 and every executed program passes :func:`measured_qubits`, so the same
 input is rejected with the same message whichever backend runs it.
+:func:`check_shots` guards the sampler and, before the first gate, every
+sampled run.
 
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
 qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
@@ -200,6 +202,12 @@ def check_pauli(pauli: str, n: int) -> None:
     if pauli.strip("IXYZ"):  # empty exactly when every label is in IXYZ
         for label in sorted(set(pauli)):
             pauli_matrix(label)
+
+
+def check_shots(shots: int) -> None:
+    """Reject a shot count below 1; a sampled run calls this before its first gate."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
 
 
 def real_expectation(value: complex) -> float:

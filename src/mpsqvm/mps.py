@@ -47,9 +47,11 @@ expectation weights the rows of its first site by ``Lambda^2`` and applies
 each factor by moving entries of the site tensor, which is exact because a
 Pauli matrix is a permutation with signs and phases; it costs
 O(|support| chi^3) and touches only the string's support. Only the two-site
-update changes tensor sizes, so it keeps the stored entry count, its peak (the
-memory estimate) and the largest bond seen up to date in O(1), from the sizes
-of the two sites and the one bond it replaces.
+update changes tensor sizes. It is a pure factorisation, :func:`_two_site`,
+that reads the two sites and the bond to their left and writes nothing, and
+then one commit, the only code that writes the two sites, the bond and the
+four counters: the discarded weight, the stored entry count, its peak (the
+memory estimate) and the largest bond seen, each in O(1).
 
 :func:`sample_sequential` is the one sampling routine of both backends: it
 draws one uniform variate per qubit per shot and walks the qubits once for a
@@ -72,7 +74,8 @@ from typing import Any
 import numpy as np
 
 from .gates import (
-    CONTROLLED_TARGETS, SWAP_MATRIX, check_gate, check_pauli, qubits_swapped, real_expectation,
+    CONTROLLED_TARGETS, SWAP_MATRIX, check_gate, check_pauli, check_shots, qubits_swapped,
+    real_expectation,
 )
 
 #: Smallest ``side`` at which a CNOT or CZ update takes the SVD of its core,
@@ -144,7 +147,7 @@ class MpsState:
         ]
         self.bond_vectors = [np.ones(1) for _ in range(n - 1)]
         self.trunc_error_sq = 0.0
-        # sizes change only in apply_two_qubit_adjacent, which updates these
+        # sizes change only in the commit of apply_two_qubit_adjacent, which updates these
         self.entries = 2 * n  # complex entries held in the site tensors now
         self.peak_entries = self.entries
         self.max_bond_seen = 1
@@ -174,80 +177,22 @@ class MpsState:
     def apply_two_qubit_adjacent(self, gate: np.ndarray, q: int) -> None:
         """Apply a 4x4 unitary to sites ``(q, q+1)`` via contract + SVD.
 
-        ``theta = B_q B_{q+1}`` takes the gate as a matrix product on its
-        physical pair, except ``SWAP_MATRIX`` (recognised by identity, so a
-        copy takes the product), which transposes the two physical indices.
-        Row pair ``l`` of ``theta`` is then weighted by ``Lambda_{q-1}[l]``,
-        except at bond 0, where ``Lambda_{-1} = 1``.
-
-        A table CNOT or CZ takes the SVD of its rank-2 core when
-        ``side = min(2 dim_l, 2 dim_r) >= CORE_FLOOR`` and
-        ``2 min(dim_l, dim_m) < side``, and pads the spectrum with exact
-        zeros up to ``side``, so cutoff 0 keeps the chi that the whole
-        matrix gives. Every other update takes the SVD of the whole matrix.
+        :func:`_two_site` computes the new ``B_q``, ``B_{q+1}`` and
+        ``Lambda_q`` and the discarded weight without writing anything; only
+        then does the commit below write the two sites, the bond and the
+        four counters, so an update that raises leaves the state as it was.
         """
         check_gate(gate, (q, q + 1), self.n)
-
-        b_l, b_r = self.site_tensors[q], self.site_tensors[q + 1]
-        dim_l, dim_m, dim_r = b_l.shape[0], b_r.shape[0], b_r.shape[2]
-        side = 2 * min(dim_l, dim_r)
-        # Lambda_{-1} = 1 weighs nothing; the core needs dim_l >= 16, so never runs at bond 0
-        lam_l = self.bond_vectors[q - 1] if q > 0 else None
-        core = (side >= CORE_FLOOR and 2 * min(dim_l, dim_m) < side
-                and id(gate) in CONTROLLED_TARGETS)
-        if core:
-            # row block s of diag(Lambda_{q-1}) theta is A_s C_s, with
-            # A_s = diag(Lambda_{q-1}) B_q[:, s, :] and C_s = target^s B_{q+1};
-            # A_s = Q_s R_s leaves s and V+ to the SVD of [R_0 C_0; R_1 C_1]
-            target = CONTROLLED_TARGETS[id(gate)]
-            c = np.stack((b_r, np.matmul(target, b_r))).reshape(2, dim_m, 2 * dim_r)
-            r = np.linalg.qr(lam_l[:, np.newaxis] * b_l.transpose(1, 0, 2), mode="r")
-            m = (r @ c).reshape(-1, 2 * dim_r)
-        else:
-            # theta[(l s1), (s2 r)] = gate . B_q B_{q+1}; nothing right of it
-            # enters, because B_{q+1} is right-canonical
-            theta = b_l.reshape(2 * dim_l, -1) @ b_r.reshape(-1, 2 * dim_r)
-            if gate is SWAP_MATRIX:  # a permutation of (s1, s2): no arithmetic
-                theta = theta.reshape(dim_l, 2, 2, dim_r).transpose(0, 2, 1, 3)
-            else:
-                theta = np.matmul(gate, theta.reshape(dim_l, 4, dim_r))
-            theta = theta.reshape(2 * dim_l, 2 * dim_r)
-            # rows of theta are (l, s1): weight row pair l by Lambda_{q-1}[l];
-            # V then spans every row of theta that carries weight
-            m = theta if lam_l is None else (
-                theta.reshape(dim_l, -1) * lam_l[:, np.newaxis]).reshape(theta.shape)
-        try:  # U is never used: drop it, and m, before the new tensors are built
-            s, vh = np.linalg.svd(m, full_matrices=False)[1:]
-        except np.linalg.LinAlgError:
-            s, vh = _svd_from_gram(m, q)
-        del m
-        if len(s) < side:  # the core: the other singular values are exactly 0
-            s = np.concatenate((s, np.zeros(side - len(s))))
-
-        keep = self.policy.keep_count(s)
-        if keep < len(s):
-            tail = s[keep:]
-            self.trunc_error_sq += float(np.add.reduce(tail * tail))  # np.sum's reduction, same bits
-            s, vh = s[:keep], vh[:keep]
-        norm = sqrt(s.dot(s))  # what np.linalg.norm computes for a real vector
-        if norm == 0.0:
-            raise RuntimeError(f"all singular values truncated on bond {q}")
-
-        # B_q = theta V / |s| and B_{q+1} = V+: no division by Lambda
-        if core:  # block s of B_q is B_q[:, s, :] C_s V / |s|
-            if len(vh) < keep:  # kept zeros of the core: rows of weight 0 in B_{q+1}
-                vh = np.concatenate((vh, np.zeros((keep - len(vh), 2 * dim_r), vh.dtype)))
-            b_l = (b_l.transpose(1, 0, 2) @ (c @ vh.conj().T)).transpose(1, 0, 2).copy()
-        else:
-            b_l = (theta @ vh.conj().T).reshape(dim_l, 2, keep)
-        b_l /= norm
-        self.site_tensors[q] = b_l
-        self.site_tensors[q + 1] = vh.copy().reshape(keep, 2, dim_r)
-        # only sites q, q+1 and bond q changed size
-        self.entries += 2 * (dim_l + dim_r) * (keep - len(self.bond_vectors[q]))
+        b_l, b_r, bond, discarded = _two_site(
+            gate, self.site_tensors[q], self.site_tensors[q + 1],
+            self.bond_vectors[q - 1] if q > 0 else None, self.policy, q)
+        # the commit: only sites q, q+1 and bond q changed size
+        self.site_tensors[q], self.site_tensors[q + 1] = b_l, b_r
+        self.trunc_error_sq += discarded
+        self.entries += 2 * (len(b_l) + b_r.shape[2]) * (len(bond) - len(self.bond_vectors[q]))
         self.peak_entries = max(self.peak_entries, self.entries)
-        self.max_bond_seen = max(self.max_bond_seen, keep)
-        self.bond_vectors[q] = s / norm
+        self.max_bond_seen = max(self.max_bond_seen, len(bond))
+        self.bond_vectors[q] = bond
 
     def apply_two_qubit_routed(self, gate: np.ndarray, q1: int, q2: int) -> None:
         """Apply a 4x4 unitary to arbitrary sites, SWAP-routing if needed.
@@ -358,6 +303,79 @@ class MpsState:
         return sample_sequential(self.n, shots, rng, np.ones((1, 1), dtype=complex), split, upto)
 
 
+def _two_site(
+    gate: np.ndarray, b_l: np.ndarray, b_r: np.ndarray, lam_l: np.ndarray | None,
+    policy: TruncationPolicy, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The factorisation of :meth:`MpsState.apply_two_qubit_adjacent`: the new
+    ``B_q``, ``B_{q+1}`` and ``Lambda_q`` from ``gate``, ``b_l = B_q``,
+    ``b_r = B_{q+1}`` and ``lam_l = Lambda_{q-1}`` (``None`` at bond 0), and the
+    discarded weight, 0.0 when nothing is truncated. It reads only its
+    arguments and writes none of them; ``q`` only names the bond in errors.
+
+    ``theta = B_q B_{q+1}`` takes the gate as a matrix product on its
+    physical pair, except ``SWAP_MATRIX`` (recognised by identity, so a
+    copy takes the product), which transposes the two physical indices.
+    Row pair ``l`` of ``theta`` is then weighted by ``Lambda_{q-1}[l]``,
+    except at bond 0. A table CNOT or CZ takes the SVD of its rank-2 core when
+    ``side = min(2 dim_l, 2 dim_r) >= CORE_FLOOR`` and
+    ``2 min(dim_l, dim_m) < side``, and pads the spectrum with exact
+    zeros up to ``side``, so cutoff 0 keeps the chi that the whole
+    matrix gives. Every other update takes the SVD of the whole matrix.
+    """
+    dim_l, dim_m, dim_r = b_l.shape[0], b_r.shape[0], b_r.shape[2]
+    side = 2 * min(dim_l, dim_r)
+    # Lambda_{-1} = 1 weighs nothing; the core needs dim_l >= 16, so never runs at bond 0
+    core = (side >= CORE_FLOOR and 2 * min(dim_l, dim_m) < side
+            and id(gate) in CONTROLLED_TARGETS)
+    if core:
+        # row block s of diag(Lambda_{q-1}) theta is A_s C_s, with
+        # A_s = diag(Lambda_{q-1}) B_q[:, s, :] and C_s = target^s B_{q+1};
+        # A_s = Q_s R_s leaves s and V+ to the SVD of [R_0 C_0; R_1 C_1]
+        target = CONTROLLED_TARGETS[id(gate)]
+        c = np.stack((b_r, np.matmul(target, b_r))).reshape(2, dim_m, 2 * dim_r)
+        r = np.linalg.qr(lam_l[:, np.newaxis] * b_l.transpose(1, 0, 2), mode="r")
+        m = (r @ c).reshape(-1, 2 * dim_r)
+    else:
+        # theta[(l s1), (s2 r)] = gate . B_q B_{q+1}; nothing right of it
+        # enters, because B_{q+1} is right-canonical
+        theta = b_l.reshape(2 * dim_l, -1) @ b_r.reshape(-1, 2 * dim_r)
+        if gate is SWAP_MATRIX:  # a permutation of (s1, s2): no arithmetic
+            theta = theta.reshape(dim_l, 2, 2, dim_r).transpose(0, 2, 1, 3)
+        else:
+            theta = np.matmul(gate, theta.reshape(dim_l, 4, dim_r))
+        theta = theta.reshape(2 * dim_l, 2 * dim_r)
+        # rows of theta are (l, s1): weight row pair l by Lambda_{q-1}[l];
+        # V then spans every row of theta that carries weight
+        m = theta if lam_l is None else (
+            theta.reshape(dim_l, -1) * lam_l[:, np.newaxis]).reshape(theta.shape)
+    try:  # U is never used: drop it, and m, before the new tensors are built
+        s, vh = np.linalg.svd(m, full_matrices=False)[1:]
+    except np.linalg.LinAlgError:
+        s, vh = _svd_from_gram(m, q)
+    del m
+    if len(s) < side:  # the core: the other singular values are exactly 0
+        s = np.concatenate((s, np.zeros(side - len(s))))
+
+    keep, discarded = policy.keep_count(s), 0.0
+    if keep < len(s):
+        tail = s[keep:]
+        discarded = float(np.add.reduce(tail * tail))  # np.sum's reduction, same bits
+        s, vh = s[:keep], vh[:keep]
+    norm = sqrt(s.dot(s))  # what np.linalg.norm computes for a real vector
+    if norm == 0.0:
+        raise RuntimeError(f"all singular values truncated on bond {q}")
+
+    # B_q = theta V / |s| and B_{q+1} = V+: no division by Lambda
+    if core:  # block s of B_q is B_q[:, s, :] C_s V / |s|
+        if len(vh) < keep:  # kept zeros of the core: rows of weight 0 in B_{q+1}
+            vh = np.concatenate((vh, np.zeros((keep - len(vh), 2 * dim_r), vh.dtype)))
+        b_l = (b_l.transpose(1, 0, 2) @ (c @ vh.conj().T)).transpose(1, 0, 2).copy()
+    else:
+        b_l = (theta @ vh.conj().T).reshape(dim_l, 2, keep)
+    b_l /= norm
+    return b_l, vh.copy().reshape(keep, 2, dim_r), s / norm, discarded
+
+
 def _svd_from_gram(m: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and ``V+`` of ``m`` from ``eigh`` of its Gram matrix
     ``m+ m``, for when the SVD of bond ``q`` fails to converge.
@@ -423,8 +441,7 @@ def sample_sequential(
     bitstrings of length ``upto`` with position ``k`` for qubit ``k``; each
     block adds its keys in sorted order.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    check_shots(shots)
     walk = n if upto is None else upto
     if not 1 <= walk <= n:
         raise ValueError(f"upto must be in 1..{n}, got {upto}")

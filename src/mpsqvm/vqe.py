@@ -21,7 +21,7 @@ from math import isfinite, pi, sqrt
 import numpy as np
 
 from .backends import readout, run_program
-from .gates import apply_program
+from .gates import apply_program, check_shots
 from .hamiltonian import PauliHamiltonian
 from .ir import CompositeInstruction, GateKind, Instruction, IrError
 from .mps import TruncationPolicy
@@ -75,13 +75,16 @@ def energy(
 ) -> float:
     """<psi(theta)|H|psi(theta)> with the state prepared by the ansatz at ``theta``.
 
-    ``theta`` must be finite. With ``shots`` set, term ``idx`` is sampled
-    from a generator seeded with ``[seed, idx]``, so equal arguments give
-    equal energies.
+    ``theta`` must be finite, and ``shots``, if set, at least 1; both are
+    checked before the state is prepared. With ``shots`` set, term ``idx`` is
+    sampled from a generator seeded with ``[seed, idx]``, so equal arguments
+    give equal energies.
     """
     name, theta = formal_name(ansatz), float(theta)
     if not isfinite(theta):
         raise IrError(f"parameter '{name}' of kernel '{ansatz.name}' is {theta!r}, not finite")
+    if shots is not None:
+        check_shots(shots)
     state = run_program(ansatz.children, hamiltonian.n, backend, policy, {name: theta})
     if shots is None:
         return sum(c * state.expectation_pauli(p) for c, p in hamiltonian.terms)

@@ -423,6 +423,40 @@ class TestReadout:
                          shots=5000, seed=3)
         assert json.dumps(record.counts) == '{"00": 1291, "10": 1229, "01": 1240, "11": 1240}'
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("cutoff", [0.0, 1e-2])
+    def test_execute_walks_to_the_last_target(self, monkeypatch, backend, cutoff):
+        """``execute`` samples qubits up to its last MEASURE target only, and
+        its counts, key order included, are the full walk's cut by
+        ``readout``: random MEASURE subsets, one shot to two sampler blocks."""
+        cls = BACKENDS[backend]
+        sample, walks = cls.sample, []
+
+        def spy(self, shots, rng, upto=None):
+            walks.append(upto)
+            return sample(self, shots, rng, upto)
+
+        monkeypatch.setattr(cls, "sample", spy)
+        rng, policy = np.random.default_rng([31, int(cutoff > 0)]), TruncationPolicy(cutoff)
+        short = 0  # programs whose last target is not the last qubit
+        for _ in range(12):
+            n = int(rng.integers(2, 9))
+            targets = rng.permutation(n)[:rng.integers(1, n + 1)].tolist()
+            program = random_program(n, 20, rng) + [
+                Instruction(GateKind.MEASURE, (q,), (), classical_target=bit)
+                for bit, q in enumerate(targets)
+            ]
+            state = run_program(program, n, backend, policy)
+            short += max(targets) + 1 < n
+            for shots in (1, 100, 4097, 9000):
+                seed = int(rng.integers(2**31))
+                walks.clear()
+                record = execute(program, n, backend, policy, shots, seed)
+                assert walks == [max(targets) + 1]
+                full = readout(sample(state, shots, np.random.default_rng(seed)), targets)
+                assert json.dumps(record.counts) == json.dumps(full)
+        assert short >= 3
+
     def test_cuts_sorted_keys_and_keeps_first_appearance(self):
         counts = {"110": 1, "011": 2, "000": 4, "101": 8}
         assert list(readout(counts, [2, 0]).items()) == [("00", 4), ("10", 2), ("11", 8), ("01", 1)]

@@ -1324,9 +1324,80 @@ class TestSvdFallback:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("did not converge")
 
+        # a state whose sites, bonds and counters are not those of |000>
+        state = run_program(random_program(3, 20, np.random.default_rng(4)), 3, "mps",
+                            TruncationPolicy(cutoff=1e-2))
+        state.apply_one_qubit(H, 1)
+        before = _snapshot(state)
         monkeypatch.setattr(np.linalg, "svd", fail)
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        state = MpsState(3)
-        state.apply_one_qubit(H, 1)
         with pytest.raises(RuntimeError, match="SVD failed on bond 1"):
             state.apply_two_qubit_adjacent(CNOT, 1)
+        # the commit never ran: no tensor, bond or counter was written
+        assert _snapshot(state) == before
+
+
+def _snapshot(state: MpsState) -> tuple:
+    """Every site tensor and bond by its bytes, and the four counters."""
+    return ([(a.shape, a.tobytes()) for a in state.site_tensors + state.bond_vectors],
+            state.trunc_error_sq, state.entries, state.peak_entries, state.max_bond_seen)
+
+
+class TestOneWriter:
+    """``apply_two_qubit_adjacent`` is ``check_gate``, the pure factorisation
+    ``_two_site`` and one commit. On every route ``_two_site`` runs on
+    read-only inputs, leaves the state as it was, and returns exactly what
+    the commit then writes."""
+
+    @pytest.mark.parametrize("route, shape", [
+        ("full", (32, 32)),
+        ("swap", (32, 32)),  # the transpose of theta's physical indices
+        ("core-cnot", (16, 32)),
+        ("core-cz", (16, 32)),
+        ("gram", (32, 32)),  # the SVD fails, and eigh of the Gram matrix stands in
+        ("truncating", (32, 32)),
+        ("bond-0", (2, 8)),  # no Lambda to the left
+    ])
+    def test_compute_returns_what_the_commit_writes(self, monkeypatch, route, shape):
+        rng = np.random.default_rng(list(route.encode()))
+        if route == "bond-0":
+            state, q = run_program(random_program(4, 30, rng), 4, "mps", EXACT), 0
+        else:
+            state, q = _pair_state(16, 8, 16, rng), 1
+        if route == "truncating":
+            state.policy = TruncationPolicy(cutoff=0.0, max_bond=4)
+        gate = {"swap": SWAP_MATRIX, "core-cnot": CNOT, "core-cz": CZ}.get(route)
+        if gate is None:
+            gate = _random_unitary(rng)
+            gate.setflags(write=False)
+        for a in state.site_tensors + state.bond_vectors:
+            a.setflags(write=False)  # a write into an input raises
+        svd, shapes = np.linalg.svd, []
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            if route == "gram":
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        compute, computed = mps_module._two_site, []
+
+        def watched(*args):
+            before = _snapshot(state)
+            computed.append(compute(*args))
+            assert _snapshot(state) == before
+            return computed[-1]
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        monkeypatch.setattr(mps_module, "_two_site", watched)
+        before = state.trunc_error_sq
+        state.apply_two_qubit_adjacent(gate, q)
+        assert len(computed) == 1 and shapes == [shape]
+        (b_l, b_r, bond, discarded), = computed
+        written = state.site_tensors[q], state.site_tensors[q + 1], state.bond_vectors[q]
+        assert [(a.shape, a.tobytes()) for a in (b_l, b_r, bond)] == [
+            (a.shape, a.tobytes()) for a in written]
+        assert state.trunc_error_sq == before + discarded
+        assert (discarded > 0) == (route == "truncating")
+        assert state.entries == sum(t.size for t in state.site_tensors)
+        assert state.max_bond_seen >= len(bond)

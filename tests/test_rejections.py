@@ -3,9 +3,13 @@ exact exception type and the exact message."""
 
 import math
 
+import numpy as np
 import pytest
 
-from mpsqvm import GateKind, Instruction, TruncationPolicy, run_program
+from mpsqvm import (
+    CompositeInstruction, GateKind, Instruction, TruncationPolicy, energy, execute, run_program,
+)
+from mpsqvm.backends import BACKENDS
 from mpsqvm.bench import RoundCircuitSpec, emit_report, run_grid
 from mpsqvm.gates import gate_matrix
 from mpsqvm.hamiltonian import HamiltonianFormatError, PauliHamiltonian, parse_hamiltonian
@@ -85,3 +89,39 @@ def test_rejected_with_exact_message(call, kind, message):
         call()
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+_GATES = (Instruction(GateKind.H, (0,)), Instruction(GateKind.CNOT, (0, 1)),
+          Instruction(GateKind.CZ, (2, 0)))
+_ANSATZ = CompositeInstruction("a", ("t",), (*_GATES, Instruction(GateKind.RY, (1,), ("t",))))
+_MEASURE = Instruction(GateKind.MEASURE, (1,), (), classical_target=0)
+
+#: Every caller that samples, with its shot count as the last argument
+SAMPLED = {
+    "execute-no-measure": lambda backend, shots: execute(_GATES, backend=backend, shots=shots),
+    "execute": lambda backend, shots: execute(
+        (*_GATES, _MEASURE), backend=backend, shots=shots),
+    "energy-identity-only": lambda backend, shots: energy(
+        _ANSATZ, 0.3, PauliHamiltonian(((1.5, "III"),)), backend, shots=shots),
+    "energy": lambda backend, shots: energy(
+        _ANSATZ, 0.3, PauliHamiltonian(((1.5, "III"), (0.5, "ZXI"))), backend, shots=shots),
+    "sample": lambda backend, shots: BACKENDS[backend](3).sample(
+        shots, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("call", SAMPLED.values(), ids=SAMPLED.keys())
+def test_shots_rejected_before_any_gate(monkeypatch, call, backend):
+    applied = []
+    for cls in BACKENDS.values():
+        for name in ("apply_one_qubit", "apply_two_qubit_adjacent", "apply_two_qubit_routed"):
+            monkeypatch.setattr(cls, name, lambda self, *args, name=name: applied.append(name))
+    for shots in (0, -5):
+        with pytest.raises(ValueError) as info:
+            call(backend, shots)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "shots must be >= 1"
+        assert applied == []
+    call(backend, 1)  # the gate methods are watched: one shot runs them
+    assert applied or call is SAMPLED["sample"]
