@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 from collections.abc import Callable, Mapping, Sequence
 from math import cos, sin, sqrt
+from numbers import Integral
 from typing import TypeVar
 
 import numpy as np
@@ -145,27 +146,25 @@ _TABLE_IDS = frozenset(
 def check_gate(matrix: np.ndarray, qubits: tuple[int, ...], n: int) -> None:
     """Reject a gate that a state of ``n`` qubits cannot apply to ``qubits``.
 
-    Checked in this order: every qubit is in range, no qubit repeats, the
-    matrix is ``2^k x 2^k`` for ``k`` qubits, and it is unitary. The
-    unitarity test is skipped only for the frozen matrices of the gate table
-    themselves (``gate_matrix`` of a fixed gate, ``pauli_matrix``,
-    ``SWAP_MATRIX``, ``qubits_swapped`` of a fixed two-qubit gate); a copy or a
-    view of one is tested like any other matrix.
+    Checked in this order: the arity (a gate acts on one or two qubits), the
+    range of every qubit, the distinctness of a pair, the shape (2x2 for one
+    qubit, 4x4 for two) and unitarity. The unitarity test is skipped only
+    for the frozen matrices of the gate table themselves (``gate_matrix`` of a
+    fixed gate, ``pauli_matrix``, ``SWAP_MATRIX``, ``qubits_swapped`` of a
+    fixed two-qubit gate); a copy or a view of one is tested like any other
+    matrix.
     The test is ``max |U+ U - I| <= UNITARY_TOL``, which rejects any NaN or
     infinite entry; a 2x2 matrix that passes it in closed form skips the
     matrix product.
     """
-    if len(qubits) == 1:  # one range test; one qubit cannot repeat
-        d = 2
-        if not 0 <= qubits[0] < n:
-            raise ValueError(f"qubit {qubits[0]} out of range for {n} qubits")
-    else:
-        for q in qubits:
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range for {n} qubits")
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"gate needs distinct qubits, got {qubits}")
-        d = 2 ** len(qubits)
+    if len(qubits) not in (1, 2):
+        raise ValueError(f"a gate acts on 1 or 2 qubits, got {qubits}")
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n} qubits")
+    if len(qubits) == 2 and qubits[0] == qubits[1]:
+        raise ValueError(f"gate needs distinct qubits, got {qubits}")
+    d = 2 * len(qubits)
     if matrix.shape != (d, d):
         raise ValueError(
             f"expected a {d}x{d} matrix on qubits {qubits}, got shape {matrix.shape}"
@@ -205,7 +204,10 @@ def check_pauli(pauli: str, n: int) -> None:
 
 
 def check_shots(shots: int) -> None:
-    """Reject a shot count below 1; a sampled run calls this before its first gate."""
+    """Reject a shot count that is not an integer ``>= 1`` (a ``bool`` is not
+    one); a sampled run calls this before its first gate."""
+    if isinstance(shots, bool) or not isinstance(shots, Integral):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
 

@@ -75,7 +75,7 @@ def energy(
 ) -> float:
     """<psi(theta)|H|psi(theta)> with the state prepared by the ansatz at ``theta``.
 
-    ``theta`` must be finite, and ``shots``, if set, at least 1; both are
+    ``theta`` must be finite, and ``shots``, if set, an integer >= 1; both are
     checked before the state is prepared. With ``shots`` set, term ``idx`` is
     sampled from a generator seeded with ``[seed, idx]``, so equal arguments
     give equal energies.

@@ -88,6 +88,41 @@ def test_bad_input_rejected_alike(backend, case):
     np.testing.assert_array_equal(amplitudes(state), before)
 
 
+#: Dense calls on neither one nor two qubits: its gate methods take any qubit count
+OTHER_ARITY = {
+    "three-qubits": (lambda s: s.apply_one_qubit(np.eye(8), 0, 1, 2), (0, 1, 2)),
+    "no-qubits": (lambda s: s.apply_two_qubit_routed(np.eye(1)), ()),
+}
+
+
+@pytest.mark.parametrize("call, qubits", OTHER_ARITY.values(), ids=OTHER_ARITY.keys())
+def test_dense_gate_on_other_arity_rejected(call, qubits):
+    state = apply_program(DenseState(3), ghz3_program())
+    before = amplitudes(state)
+    with pytest.raises(ValueError) as info:
+        call(state)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"a gate acts on 1 or 2 qubits, got {qubits}"
+    np.testing.assert_array_equal(amplitudes(state), before)
+
+
+def test_check_gate_rejects_three_qubits():
+    with pytest.raises(ValueError) as info:
+        gates.check_gate(np.eye(8), (0, 1, 2), 3)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "a gate acts on 1 or 2 qubits, got (0, 1, 2)"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_range_checked_before_distinctness(backend):
+    """``(3, 3)`` on 3 qubits breaks both rules; the range is named."""
+    message = "qubit 3 out of range for 3 qubits"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gates.check_gate(CNOT, (3, 3), 3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BACKENDS[backend](3).apply_two_qubit_routed(CNOT, 3, 3)
+
+
 @pytest.mark.parametrize("matrix", [
     X, CNOT, gate_matrix(Instruction(GateKind.H, (0,))), pauli_matrix("X"), SWAP_MATRIX,
     qubits_swapped(CNOT),

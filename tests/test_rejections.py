@@ -125,3 +125,29 @@ def test_shots_rejected_before_any_gate(monkeypatch, call, backend):
         assert applied == []
     call(backend, 1)  # the gate methods are watched: one shot runs them
     assert applied or call is SAMPLED["sample"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("call", SAMPLED.values(), ids=SAMPLED.keys())
+def test_non_integer_shots_rejected_before_any_gate(monkeypatch, call, backend):
+    """A float or a bool is rejected before any gate runs; a numpy integer
+    draws its count."""
+    applied, drawn = [], []
+    for cls in BACKENDS.values():
+        for name in ("apply_one_qubit", "apply_two_qubit_adjacent", "apply_two_qubit_routed"):
+            monkeypatch.setattr(cls, name, lambda self, *args, name=name: applied.append(name))
+
+        def sample(self, *args, original=cls.sample):
+            counts = original(self, *args)
+            drawn.append(sum(counts.values()))
+            return counts
+        monkeypatch.setattr(cls, "sample", sample)
+    for shots in (2.5, True):
+        with pytest.raises(ValueError) as info:
+            call(backend, shots)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"shots must be an integer, got {shots!r}"
+        assert applied == [] and drawn == []
+    call(backend, np.int64(3))
+    assert drawn == [3] * len(drawn)
+    assert drawn or call in (SAMPLED["execute-no-measure"], SAMPLED["energy-identity-only"])
