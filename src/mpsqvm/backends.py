@@ -2,16 +2,16 @@
 
 A backend is a class in :data:`BACKENDS`, built as ``cls(n, policy)`` for
 ``n`` qubits in ``|0...0>`` (``dense`` ignores ``policy``). Its states have
-``apply_one_qubit(gate, q)``, ``apply_two_qubit_adjacent(gate, q)`` on the
-neighbour pair ``(q, q+1)``, ``apply_two_qubit_routed(gate, q1, q2)`` on any
-pair, ``expectation_pauli``, ``sample(shots, rng, upto=None)`` (the bits of
+two gate methods, ``apply_one_qubit(gate, q)`` and
+``apply_two_qubit_routed(gate, q1, q2)`` on any pair, and
+``expectation_pauli``, ``sample(shots, rng, upto=None)`` (the bits of
 qubits ``0..upto-1``, by default the whole register) and ``copy``, and the
 three reads of a :class:`RunRecord`: the attributes ``max_bond_seen`` and
 ``trunc_error_sq`` and the method ``memory_estimate_bytes()``. The gate loop
-sends a two-qubit gate on a forward neighbour pair ``(q, q+1)`` to
-``apply_two_qubit_adjacent`` and every other pair to
-``apply_two_qubit_routed``. Adding a backend takes one entry here and no
-other edit.
+sends every two-qubit gate to ``apply_two_qubit_routed``, and the state
+decides how to place the pair: the MPS sends a forward neighbour pair
+``(q, q+1)`` straight to its two-site update. Adding a backend takes one
+entry here and no other edit.
 
 ``run_program`` builds a fresh state of the named backend and applies a
 program to it with :func:`~mpsqvm.gates.apply_program`, which binds the

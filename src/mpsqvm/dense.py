@@ -4,9 +4,9 @@ Optimized for obviousness, not speed. The qubit count is capped (default 24,
 override with ``MPSQVM_ORACLE_QUBIT_CAP``) so the oracle stays desk-scale;
 :func:`check_register` is the one check against it, for the state and for
 the CLI, which runs it while it reads its inputs.
-:class:`DenseState` names its gate methods like :class:`~mpsqvm.mps.MpsState`
-(``apply_one_qubit`` and ``apply_two_qubit_routed`` name its one ``apply_gate``,
-and ``apply_two_qubit_adjacent`` calls it on ``(q, q+1)``), so
+:class:`DenseState` names the two gate methods of the backend contract like
+:class:`~mpsqvm.mps.MpsState` (``apply_one_qubit`` and ``apply_two_qubit_routed``
+name its one ``apply_gate``, which needs no routing), so
 :func:`~mpsqvm.gates.apply_program` drives both backends alike, and samples
 through the same :func:`~mpsqvm.mps.sample_sequential` with prefix marginals of
 ``|amps|^2`` as weights. Gates and the factors of a Pauli string all go through
@@ -28,10 +28,15 @@ from .mps import TruncationPolicy, sample_sequential
 DEFAULT_QUBIT_CAP = 24
 
 
-def oracle_qubit_cap() -> int:
-    """``MPSQVM_ORACLE_QUBIT_CAP`` if set, else :data:`DEFAULT_QUBIT_CAP`; a
-    value that is not an integer >= 1 is a ``ValueError`` naming the variable,
-    worded like the CLI's complaint about ``MPSQVM_CUTOFF`` or ``MPSQVM_MAX_BOND``."""
+def check_register(n: int) -> None:
+    """A ``ValueError`` unless ``n`` is in ``1..cap``, the registers that
+    :class:`DenseState` holds.
+
+    ``cap`` is ``MPSQVM_ORACLE_QUBIT_CAP`` if set, else
+    :data:`DEFAULT_QUBIT_CAP`; a value that is not an integer >= 1 is a
+    ``ValueError`` naming the variable, worded like the CLI's complaint about
+    ``MPSQVM_CUTOFF`` or ``MPSQVM_MAX_BOND``.
+    """
     text = os.environ.get("MPSQVM_ORACLE_QUBIT_CAP", str(DEFAULT_QUBIT_CAP))
     try:
         cap = int(text)
@@ -39,13 +44,6 @@ def oracle_qubit_cap() -> int:
         cap = 0
     if cap < 1:
         raise ValueError(f"MPSQVM_ORACLE_QUBIT_CAP: expected an integer >= 1, got {text!r}")
-    return cap
-
-
-def check_register(n: int) -> None:
-    """A ``ValueError`` unless ``n`` is in ``1..``:func:`oracle_qubit_cap`, the
-    registers that :class:`DenseState` holds."""
-    cap = oracle_qubit_cap()
     if not 1 <= n <= cap:
         raise ValueError(f"dense oracle supports 1..{cap} qubits, got {n}")
 
@@ -91,10 +89,6 @@ class DenseState:
         self.amps = self._apply(self.amps, gate, qubits)
 
     apply_one_qubit = apply_two_qubit_routed = apply_gate
-
-    def apply_two_qubit_adjacent(self, gate: np.ndarray, q: int) -> None:
-        """``apply_gate`` on the neighbour pair ``(q, q+1)``."""
-        self.apply_gate(gate, q, q + 1)
 
     def expectation_pauli(self, pauli: str) -> float:
         """<psi|P|psi>, applying ``P`` factor by factor to new arrays; ``amps`` is kept."""

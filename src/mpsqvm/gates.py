@@ -11,10 +11,9 @@ sampled run.
 
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
 qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
-drives either backend through the same three methods, so it never branches on
-which backend it runs: ``apply_one_qubit``, ``apply_two_qubit_adjacent`` for
-a forward neighbour pair ``(q, q+1)``, and ``apply_two_qubit_routed`` for
-every other pair. It binds a kernel's named angle slots as it goes, so a
+drives either backend through the same two methods, so it never branches on
+which backend it runs: ``apply_one_qubit`` and ``apply_two_qubit_routed``,
+which takes any pair. It binds a kernel's named angle slots as it goes, so a
 kernel runs at new parameter values without being rebuilt.
 """
 
@@ -259,9 +258,10 @@ def apply_program(
     """Apply the program's gates to ``state`` in order and return it.
 
     :func:`measured_qubits` checks the readout before the first gate, and
-    MEASUREs then apply nothing. A two-qubit gate on a forward neighbour pair
-    ``(q, q+1)`` goes straight to ``apply_two_qubit_adjacent(matrix, q)``;
-    a reversed or a long-range pair goes to ``apply_two_qubit_routed``.
+    MEASUREs then apply nothing. A one-qubit gate goes to
+    ``apply_one_qubit`` and a two-qubit gate, on any pair, to
+    ``apply_two_qubit_routed``: where a pair's qubits sit is the state's
+    concern, not the loop's.
     ``on_step(state)`` runs after every gate and may raise to abort the run.
 
     A gate whose angle slot is a formal-parameter name is bound here, from
@@ -272,9 +272,7 @@ def apply_program(
     ``ValueError``, from the rotation or from :func:`check_gate`.
     """
     measured_qubits(program)
-    one_qubit, adjacent, routed = (
-        state.apply_one_qubit, state.apply_two_qubit_adjacent, state.apply_two_qubit_routed
-    )
+    one_qubit, two_qubit = state.apply_one_qubit, state.apply_two_qubit_routed
     bound: dict[tuple[GateKind, str], np.ndarray] = {}
     for instr in program:
         if instr.kind is GateKind.MEASURE:
@@ -289,10 +287,8 @@ def apply_program(
         qubits = instr.qubits
         if len(qubits) == 1:
             one_qubit(matrix, qubits[0])
-        elif qubits[1] == qubits[0] + 1:
-            adjacent(matrix, qubits[0])
         else:
-            routed(matrix, *qubits)
+            two_qubit(matrix, *qubits)
         if on_step is not None:
             on_step(state)
     return state

@@ -39,8 +39,10 @@ singular values and ``V+`` of ``m``, which are padded with exact zeros up to
 ``side`` (the QR-based update of Unfried, Hauschild and Pollmann, PRB 107,
 155133 (2023)).
 Should the SVD not converge, ``s`` and ``V+`` come from ``eigh`` of the Gram
-matrix instead. A non-adjacent pair is brought together by a SWAP chain that
-moves the qubit with the smaller outer bond, and routed back afterwards.
+matrix instead. :meth:`MpsState.apply_two_qubit_routed` takes a gate on any
+pair: a forward neighbour pair ``(q, q+1)`` goes straight to that update, and
+a non-adjacent pair is brought together by a SWAP chain that moves the qubit
+with the smaller outer bond, and routed back afterwards.
 Apart from those QRs and the SWAP transpose, every contraction is a reshape
 plus a matrix product, and ``Lambda`` weights rows by one broadcast. A Pauli
 expectation weights the rows of its first site by ``Lambda^2`` and applies
@@ -99,8 +101,10 @@ class TruncationPolicy:
     relative: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 <= self.cutoff < np.inf:
+        if isinstance(self.cutoff, (bool, np.bool_)) or not 0 <= self.cutoff < np.inf:
             raise ValueError(f"cutoff must be a finite number >= 0, got {self.cutoff!r}")
+        if not isinstance(self.relative, (bool, np.bool_)):
+            raise ValueError(f"relative must be a bool, got {self.relative!r}")
         if self.max_bond is not None:
             if isinstance(self.max_bond, bool) or not isinstance(self.max_bond, Integral):
                 raise ValueError(f"max_bond must be an integer, got {self.max_bond!r}")
@@ -195,15 +199,22 @@ class MpsState:
         self.bond_vectors[q] = bond
 
     def apply_two_qubit_routed(self, gate: np.ndarray, q1: int, q2: int) -> None:
-        """Apply a 4x4 unitary to arbitrary sites, SWAP-routing if needed.
+        """Apply a 4x4 unitary to any pair of sites, SWAP-routing if needed.
 
-        At distance ``d > 1`` one qubit is SWAPped next to the other, the gate
-        is applied, and the same SWAPs in reverse restore the order: ``2d-1``
-        adjacent updates, the gate at index ``d-1``. The lower qubit moves up
-        if its left bond is strictly smaller than the upper qubit's right
-        bond, else the upper one moves down: a moving qubit drags its outer
-        correlations across the bonds it passes, so the smaller ones cost less.
+        This is the two-qubit gate method of the backend contract. A forward
+        neighbour pair ``(q, q+1)`` goes straight to
+        :meth:`apply_two_qubit_adjacent`, which checks it, before any routing
+        arithmetic; a reversed neighbour pair is one update of the
+        qubit-swapped gate. At distance ``d > 1`` one qubit is SWAPped next to
+        the other, the gate is applied, and the same SWAPs in reverse restore
+        the order: ``2d-1`` adjacent updates, the gate at index ``d-1``. The
+        lower qubit moves up if its left bond is strictly smaller than the
+        upper qubit's right bond, else the upper one moves down: a moving
+        qubit drags its outer correlations across the bonds it passes, so the
+        smaller ones cost less.
         """
+        if q2 == q1 + 1:
+            return self.apply_two_qubit_adjacent(gate, q1)
         check_gate(gate, (q1, q2), self.n)
         lo, hi = min(q1, q2), max(q1, q2)
         swaps, at = range(hi - 1, lo, -1), lo

@@ -21,7 +21,7 @@ from mpsqvm import (
     parse,
     run_program,
 )
-from mpsqvm import gates
+from mpsqvm import gates, mps
 from mpsqvm.backends import BACKENDS, readout
 from mpsqvm.gates import SWAP_MATRIX, apply_program, gate_matrix, pauli_matrix, qubits_swapped
 from mpsqvm.ir import IrError
@@ -38,7 +38,7 @@ BAD_INPUTS = {
         lambda s: s.apply_one_qubit(X, -1), "qubit -1 out of range for 3 qubits"
     ),
     "adjacent-past-the-end": (
-        lambda s: s.apply_two_qubit_adjacent(CNOT, 2), "qubit 3 out of range for 3 qubits"
+        lambda s: s.apply_two_qubit_routed(CNOT, 2, 3), "qubit 3 out of range for 3 qubits"
     ),
     "repeated-qubit": (
         lambda s: s.apply_two_qubit_routed(CNOT, 1, 1), "gate needs distinct qubits, got (1, 1)"
@@ -175,7 +175,7 @@ def test_imaginary_residue_boundary():
 GATE_CALLS = {
     "one-qubit": (gate_matrix(Instruction(GateKind.H, (0,))), lambda s, g: s.apply_one_qubit(g, 1)),
     "routed": (CNOT, lambda s, g: s.apply_two_qubit_routed(g, 2, 0)),
-    "adjacent": (CNOT, lambda s, g: s.apply_two_qubit_adjacent(g, 1)),
+    "adjacent": (CNOT, lambda s, g: s.apply_two_qubit_routed(g, 1, 2)),
 }
 
 
@@ -326,9 +326,10 @@ class TestBindingInTheGateLoop:
 
 
 class TestNeighbourDispatch:
-    """``apply_program`` sends a forward neighbour pair ``(q, q+1)`` straight
-    to ``apply_two_qubit_adjacent``; only reversed and long-range pairs reach
-    ``apply_two_qubit_routed``, and the state is the one the router gives."""
+    """``apply_program`` sends every two-qubit gate to
+    ``apply_two_qubit_routed``; the MPS sends a forward neighbour pair
+    ``(q, q+1)`` from there straight to ``apply_two_qubit_adjacent``, checked
+    once and updated once, and the state is the one the router gives."""
 
     PROGRAM = [
         Instruction(GateKind.H, (0,)), Instruction(GateKind.H, (1,)),
@@ -345,19 +346,43 @@ class TestNeighbourDispatch:
     @pytest.mark.parametrize("policy", [
         TruncationPolicy(cutoff=0.0), TruncationPolicy(cutoff=1e-2, max_bond=2),
     ], ids=["exact", "max_bond"])
-    def test_only_reversed_and_long_range_pairs_are_routed(self, monkeypatch, backend, policy):
+    def test_every_pair_reaches_the_routed_method(self, monkeypatch, backend, policy):
         state = BACKENDS[backend](4, policy)
-        routed, route = [], state.apply_two_qubit_routed
+        # one list per routed call: the call, then what ran inside it
+        calls, route = [], state.apply_two_qubit_routed
 
         def recording(gate, q1, q2):
-            routed.append((q1, q2))
+            calls.append([(id(gate), q1, q2)])
             route(gate, q1, q2)
+            calls[-1] = tuple(calls[-1])  # closed: nothing after it is recorded
+
+        def watched(name, summary, original):
+            def spy(*args):
+                if calls and isinstance(calls[-1], list):
+                    calls[-1].append((name, *summary(*args)))
+                return original(*args)
+            return spy
 
         monkeypatch.setattr(state, "apply_two_qubit_routed", recording)
+        if backend == "mps":
+            monkeypatch.setattr(state, "apply_two_qubit_adjacent", watched(
+                "adjacent", lambda g, q: (id(g), q), state.apply_two_qubit_adjacent))
+            monkeypatch.setattr(mps, "check_gate", watched(
+                "check_gate", lambda g, qubits, n: (qubits,), mps.check_gate))
+            monkeypatch.setattr(mps, "_two_site", watched(
+                "two_site", lambda g, *rest: (id(g), rest[-1]), mps._two_site))
         steps = []
         apply_program(state, self.PROGRAM, steps.append)
-        assert routed == [(2, 1), (3, 2), (1, 0), (3, 0), (0, 3)]
+        pairs = [instr.qubits for instr in self.PROGRAM if len(instr.qubits) == 2]
+        assert [call[0][1:] for call in calls] == pairs
         assert len(steps) == len(self.PROGRAM)
+        forward = [call for call in calls if call[0][2] == call[0][1] + 1]
+        assert len(forward) == 4
+        if backend == "mps":
+            for (gate, q, _), *inside in forward:
+                assert inside == [("adjacent", gate, q), ("check_gate", (q, q + 1)),
+                                  ("two_site", gate, q)]
+        monkeypatch.undo()
 
         reference = BACKENDS[backend](4, policy)
         for instr in self.PROGRAM:
@@ -394,7 +419,7 @@ class TestBackendTable:
     """A backend is an entry of ``BACKENDS``, built as ``cls(n, policy)``, and
     nothing outside its module and the table tells it apart by its class."""
 
-    CONTRACT = ("apply_one_qubit", "apply_two_qubit_adjacent", "apply_two_qubit_routed",
+    CONTRACT = ("apply_one_qubit", "apply_two_qubit_routed",
                 "expectation_pauli", "sample", "copy", "memory_estimate_bytes")
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -405,6 +430,8 @@ class TestBackendTable:
         ]
         state = run_program(program, n, backend, policy)
         assert all(callable(getattr(state, name)) for name in self.CONTRACT)
+        # the oracle needs no routing, so it has no neighbour-pair method
+        assert backend == "mps" or not hasattr(state, "apply_two_qubit_adjacent")
         record = execute(program, n, backend, policy, shots=50, seed=1)
         reads = (record.max_bond_seen, record.memory_estimate_bytes, record.trunc_error_sq)
         assert reads == (state.max_bond_seen, state.memory_estimate_bytes(),

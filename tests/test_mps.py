@@ -1064,9 +1064,10 @@ class TestInvariants:
         s = np.array([1.0, 0.5, 0.3, 1e-9])
         assert policy.keep_count(s) == 2
         assert TruncationPolicy(cutoff=1e-4).keep_count(s) == 3
-        # an exactly-zero value is kept at cutoff 0, in either mode
+        # an exactly-zero value is kept at cutoff 0, in either mode, and a
+        # numpy bool names the mode too
         zero = np.array([1.0, 0.5, 0.0])
-        for relative in (True, False):
+        for relative in (True, False, np.True_, np.False_):
             assert TruncationPolicy(cutoff=0.0, relative=relative).keep_count(zero) == 3
             assert TruncationPolicy(cutoff=1e-12, relative=relative).keep_count(zero) == 2
 

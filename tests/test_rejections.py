@@ -52,6 +52,18 @@ REJECTED = {
         lambda: TruncationPolicy(max_bond=True),
         ValueError, "max_bond must be an integer, got True",
     ),
+    "bool-cutoff": (
+        lambda: TruncationPolicy(cutoff=True),
+        ValueError, "cutoff must be a finite number >= 0, got True",
+    ),
+    "text-relative": (
+        lambda: TruncationPolicy(relative="absolute"),
+        ValueError, "relative must be a bool, got 'absolute'",
+    ),
+    "none-relative": (
+        lambda: TruncationPolicy(relative=None),
+        ValueError, "relative must be a bool, got None",
+    ),
     "empty-report": (
         lambda: emit_report([]),
         ValueError, "no records to report",
@@ -115,7 +127,7 @@ SAMPLED = {
 def test_shots_rejected_before_any_gate(monkeypatch, call, backend):
     applied = []
     for cls in BACKENDS.values():
-        for name in ("apply_one_qubit", "apply_two_qubit_adjacent", "apply_two_qubit_routed"):
+        for name in ("apply_one_qubit", "apply_two_qubit_routed"):
             monkeypatch.setattr(cls, name, lambda self, *args, name=name: applied.append(name))
     for shots in (0, -5):
         with pytest.raises(ValueError) as info:
@@ -134,7 +146,7 @@ def test_non_integer_shots_rejected_before_any_gate(monkeypatch, call, backend):
     draws its count."""
     applied, drawn = [], []
     for cls in BACKENDS.values():
-        for name in ("apply_one_qubit", "apply_two_qubit_adjacent", "apply_two_qubit_routed"):
+        for name in ("apply_one_qubit", "apply_two_qubit_routed"):
             monkeypatch.setattr(cls, name, lambda self, *args, name=name: applied.append(name))
 
         def sample(self, *args, original=cls.sample):
