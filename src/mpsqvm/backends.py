@@ -37,7 +37,7 @@ from operator import itemgetter
 import numpy as np
 
 from .dense import DenseState
-from .gates import apply_program, check_shots, measured_qubits
+from .gates import apply_program, check_count, measured_qubits
 from .ir import Instruction, num_qubits
 from .mps import MpsState, TruncationPolicy
 
@@ -102,8 +102,11 @@ def execute(
     seed: int | None = None,
 ) -> RunRecord:
     """Run the program, sample up to its last measured qubit, and collect run
-    statistics; ``shots`` is checked before any gate is applied."""
-    check_shots(shots)
+    statistics; ``shots`` and a ``seed`` that is not ``None`` are checked
+    before any gate is applied."""
+    check_count("shots", shots)
+    if seed is not None:
+        check_count("seed", seed, 0)
     targets = measured_qubits(program)
     state = run_program(program, n, backend, policy)
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import apply_program
+from .gates import apply_program, check_count
 from .ir import GateKind, Instruction
 from .mps import MpsState, TruncationPolicy
 
@@ -30,10 +30,9 @@ class RoundCircuitSpec:
     single_qubit_pool: tuple[str, ...] = DEFAULT_POOL
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("need at least 2 qubits")
-        if self.rounds < 1:
-            raise ValueError("need at least 1 round")
+        check_count("n", self.n, 2)
+        check_count("rounds", self.rounds)
+        check_count("seed", self.seed, 0)
         if not self.single_qubit_pool:
             raise ValueError("need at least 1 gate in the pool")
         for name in self.single_qubit_pool:  # a MEASURE needs a classical target
@@ -104,14 +103,15 @@ def run_grid(
     time budget, and the statistics of its earlier seeds are dropped; the
     grid goes on with the next cell. The time budget of a seed runs from the
     start of its simulation, after its circuit is generated;
-    ``time_budget=inf`` never fires. ``chi_budget`` must be at least 1 and
-    ``time_budget`` at least 0.
+    ``time_budget=inf`` never fires. ``seeds_per_cell`` must be an integer
+    >= 1 (:func:`~mpsqvm.gates.check_count`); ``chi_budget`` and
+    ``time_budget`` are thresholds on real values, at least 1 and at least 0.
     """
     if not qubits or not rounds:
         raise ValueError("qubit and round lists must be non-empty")
+    check_count("seeds_per_cell", seeds_per_cell)
     # "not >=" so that NaN, which fails every comparison, is rejected too
-    for name, value, low in (("seeds_per_cell", seeds_per_cell, 1),
-                             ("chi_budget", chi_budget, 1), ("time_budget", time_budget, 0)):
+    for name, value, low in (("chi_budget", chi_budget, 1), ("time_budget", time_budget, 0)):
         if not value >= low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 

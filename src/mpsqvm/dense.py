@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from .gates import apply_program, check_gate, check_pauli, pauli_matrix, real_expectation
+from .gates import apply_program, check_count, check_gate, check_pauli, pauli_matrix, real_expectation
 from .ir import Instruction
 from .mps import TruncationPolicy, sample_sequential
 
@@ -29,8 +29,9 @@ DEFAULT_QUBIT_CAP = 24
 
 
 def check_register(n: int) -> None:
-    """A ``ValueError`` unless ``n`` is in ``1..cap``, the registers that
-    :class:`DenseState` holds.
+    """A ``ValueError`` unless ``n`` is an integer in ``1..cap``, the
+    registers that :class:`DenseState` holds; the range is tested first, then
+    :func:`~mpsqvm.gates.check_count`.
 
     ``cap`` is ``MPSQVM_ORACLE_QUBIT_CAP`` if set, else
     :data:`DEFAULT_QUBIT_CAP`; a value that is not an integer >= 1 is a
@@ -46,6 +47,7 @@ def check_register(n: int) -> None:
         raise ValueError(f"MPSQVM_ORACLE_QUBIT_CAP: expected an integer >= 1, got {text!r}")
     if not 1 <= n <= cap:
         raise ValueError(f"dense oracle supports 1..{cap} qubits, got {n}")
+    check_count("n", n)
 
 
 class DenseState:

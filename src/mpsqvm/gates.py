@@ -6,8 +6,9 @@ Both backends call :func:`check_gate` from each public gate method,
 :func:`check_pauli` and :func:`real_expectation` from ``expectation_pauli``,
 and every executed program passes :func:`measured_qubits`, so the same
 input is rejected with the same message whichever backend runs it.
-:func:`check_shots` guards the sampler and, before the first gate, every
-sampled run.
+:func:`check_count` is the one rule for a count that enters the library
+(an integer, not a ``bool``, at least some bound); the states, the sampler,
+the runners and the drivers call it before the first gate.
 
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
 qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
@@ -202,13 +203,15 @@ def check_pauli(pauli: str, n: int) -> None:
             pauli_matrix(label)
 
 
-def check_shots(shots: int) -> None:
-    """Reject a shot count that is not an integer ``>= 1`` (a ``bool`` is not
-    one); a sampled run calls this before its first gate."""
-    if isinstance(shots, bool) or not isinstance(shots, Integral):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+def check_count(name: str, value: int, low: int = 1) -> None:
+    """Reject a count ``name`` that is not an integer ``>= low``: a ``bool``
+    is not one, a numpy integer is. Every count a caller passes in (qubits,
+    shots, rounds, seeds, grid points, a bond cap) is checked by this rule
+    where it enters, before any gate runs."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 def real_expectation(value: complex) -> float:

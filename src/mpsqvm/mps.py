@@ -70,13 +70,13 @@ import copy
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import sqrt
-from numbers import Integral
+from numbers import Real
 from typing import Any
 
 import numpy as np
 
 from .gates import (
-    CONTROLLED_TARGETS, SWAP_MATRIX, check_gate, check_pauli, check_shots, qubits_swapped,
+    CONTROLLED_TARGETS, SWAP_MATRIX, check_count, check_gate, check_pauli, qubits_swapped,
     real_expectation,
 )
 
@@ -101,22 +101,18 @@ class TruncationPolicy:
     relative: bool = True
 
     def __post_init__(self) -> None:
-        if isinstance(self.cutoff, (bool, np.bool_)) or not 0 <= self.cutoff < np.inf:
-            raise ValueError(f"cutoff must be a finite number >= 0, got {self.cutoff!r}")
+        cutoff = self.cutoff  # np.bool_ is not Real; a bool is, but is no cutoff
+        if isinstance(cutoff, bool) or not isinstance(cutoff, Real) or not 0 <= cutoff < np.inf:
+            raise ValueError(f"cutoff must be a finite number >= 0, got {cutoff!r}")
         if not isinstance(self.relative, (bool, np.bool_)):
             raise ValueError(f"relative must be a bool, got {self.relative!r}")
         if self.max_bond is not None:
-            if isinstance(self.max_bond, bool) or not isinstance(self.max_bond, Integral):
-                raise ValueError(f"max_bond must be an integer, got {self.max_bond!r}")
-            if self.max_bond < 1:
-                raise ValueError(f"max_bond must be >= 1, got {self.max_bond!r}")
+            check_count("max_bond", self.max_bond)
 
     def keep_count(self, singular_values: np.ndarray) -> int:
         threshold = self.cutoff * (singular_values[0] if self.relative else 1.0)
         keep = max(int(np.count_nonzero(singular_values >= threshold)), 1)
-        if self.max_bond is not None:
-            keep = min(keep, self.max_bond)
-        return keep
+        return keep if self.max_bond is None else min(keep, self.max_bond)
 
 
 #: ``P b`` for each Pauli label ``P``, by moving entries along the physical
@@ -142,8 +138,7 @@ class MpsState:
     """
 
     def __init__(self, n: int, policy: TruncationPolicy | None = None):
-        if n < 1:
-            raise ValueError("need at least one qubit")
+        check_count("n", n)
         self.n = n
         self.policy = policy or TruncationPolicy()
         self.site_tensors = [
@@ -452,10 +447,11 @@ def sample_sequential(
     bitstrings of length ``upto`` with position ``k`` for qubit ``k``; each
     block adds its keys in sorted order.
     """
-    check_shots(shots)
+    check_count("shots", shots)
     walk = n if upto is None else upto
     if not 1 <= walk <= n:
         raise ValueError(f"upto must be in 1..{n}, got {upto}")
+    check_count("upto", walk)
     counts: dict[str, int] = {}
     for done in range(0, shots, SHOT_BLOCK):
         # one row per qubit, so that each step reads and writes contiguous rows

@@ -21,7 +21,7 @@ from math import isfinite, pi, sqrt
 import numpy as np
 
 from .backends import readout, run_program
-from .gates import apply_program, check_shots
+from .gates import apply_program, check_count
 from .hamiltonian import PauliHamiltonian
 from .ir import CompositeInstruction, GateKind, Instruction, IrError
 from .mps import TruncationPolicy
@@ -75,16 +75,18 @@ def energy(
 ) -> float:
     """<psi(theta)|H|psi(theta)> with the state prepared by the ansatz at ``theta``.
 
-    ``theta`` must be finite, and ``shots``, if set, an integer >= 1; both are
-    checked before the state is prepared. With ``shots`` set, term ``idx`` is
-    sampled from a generator seeded with ``[seed, idx]``, so equal arguments
-    give equal energies.
+    ``theta`` must be finite. With ``shots`` set, ``shots`` must be an
+    integer >= 1 and ``seed`` an integer >= 0 (:func:`~mpsqvm.gates.check_count`),
+    and term ``idx`` is sampled from a generator seeded with ``[seed, idx]``,
+    so equal arguments give equal energies; without it ``seed`` is ignored.
+    ``theta``, ``shots`` and ``seed`` are checked before the state is prepared.
     """
     name, theta = formal_name(ansatz), float(theta)
     if not isfinite(theta):
         raise IrError(f"parameter '{name}' of kernel '{ansatz.name}' is {theta!r}, not finite")
     if shots is not None:
-        check_shots(shots)
+        check_count("shots", shots)
+        check_count("seed", seed, 0)
     state = run_program(ansatz.children, hamiltonian.n, backend, policy, {name: theta})
     if shots is None:
         return sum(c * state.expectation_pauli(p) for c, p in hamiltonian.terms)
@@ -110,8 +112,7 @@ def sweep(
     seed: int = 0,
 ) -> SweepResult:
     """Uniform inclusive grid scan; argmin ties break toward smaller theta."""
-    if count < 2:
-        raise ValueError("grid needs at least 2 points")
+    check_count("count", count, 2)
     thetas = np.linspace(start, stop, count)
     energies = [
         energy(ansatz, float(t), hamiltonian, backend, policy, shots, seed)

@@ -2,12 +2,14 @@
 exact exception type and the exact message."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from mpsqvm import (
-    CompositeInstruction, GateKind, Instruction, TruncationPolicy, energy, execute, run_program,
+    CompositeInstruction, DenseState, GateKind, Instruction, MpsState, TruncationPolicy, energy,
+    execute, run_program, sweep,
 )
 from mpsqvm.backends import BACKENDS
 from mpsqvm.bench import RoundCircuitSpec, emit_report, run_grid
@@ -56,6 +58,18 @@ REJECTED = {
         lambda: TruncationPolicy(cutoff=True),
         ValueError, "cutoff must be a finite number >= 0, got True",
     ),
+    "text-cutoff": (
+        lambda: TruncationPolicy(cutoff="0.1"),
+        ValueError, "cutoff must be a finite number >= 0, got '0.1'",
+    ),
+    "none-cutoff": (
+        lambda: TruncationPolicy(cutoff=None),
+        ValueError, "cutoff must be a finite number >= 0, got None",
+    ),
+    "complex-cutoff": (
+        lambda: TruncationPolicy(cutoff=1j),
+        ValueError, "cutoff must be a finite number >= 0, got 1j",
+    ),
     "text-relative": (
         lambda: TruncationPolicy(relative="absolute"),
         ValueError, "relative must be a bool, got 'absolute'",
@@ -94,6 +108,38 @@ REJECTED = {
     ),
 }
 
+#: Every count argument but ``shots`` (see ``SAMPLED``) where it enters:
+#: site -> (a call that passes the count ``v``, the count's name, the least
+#: value it takes). Each call returns a value that compares by content.
+COUNTS = {
+    "mps-n": (lambda v: MpsState(v).memory_estimate_bytes(), "n", 1),
+    "dense-n": (lambda v: DenseState(v).amps.tolist(), "n", 1),
+    "mps-upto": (lambda v: MpsState(3).sample(4, np.random.default_rng(0), v), "upto", 1),
+    "dense-upto": (lambda v: DenseState(3).sample(4, np.random.default_rng(0), v), "upto", 1),
+    "spec-n": (lambda v: RoundCircuitSpec(v, 2, 0), "n", 2),
+    "spec-rounds": (lambda v: RoundCircuitSpec(4, v, 0), "rounds", 1),
+    "spec-seed": (lambda v: RoundCircuitSpec(4, 2, v), "seed", 0),
+    "seeds-per-cell": (lambda v: run_grid([3], [1], v), "seeds_per_cell", 1),
+    "sweep-count": (lambda v: sweep(_ANSATZ, _HAMILTONIAN, count=v), "count", 2),
+    "execute-seed": (lambda v: execute((*_GATES, _MEASURE), seed=v), "seed", 0),
+    "energy-seed": (lambda v: energy(_ANSATZ, 0.3, _HAMILTONIAN, shots=4, seed=v), "seed", 0),
+    "max-bond": (lambda v: TruncationPolicy(max_bond=v), "max_bond", 1),
+}
+#: Rows pinned elsewhere: ``max_bond`` above and below 1 in test_cli,
+#: ``seeds_per_cell`` below 1 in test_bench, and the range tests that run
+#: first for the dense register and ``upto`` (test_cli and test_mps)
+_PINNED = {"max-bond-fraction", "max-bond-bool", "max-bond-below", "seeds-per-cell-below",
+           "dense-n-below", "mps-upto-below", "dense-upto-below"}
+
+for _site, (_call, _name, _low) in COUNTS.items():
+    for _label, _value, _message in (
+        ("fraction", _low + 0.5, f"{_name} must be an integer, got {_low + 0.5}"),
+        ("bool", True, f"{_name} must be an integer, got True"),
+        ("below", _low - 1, f"{_name} must be >= {_low}, got {_low - 1}"),
+    ):
+        if f"{_site}-{_label}" not in _PINNED:
+            REJECTED[f"{_site}-{_label}"] = (partial(_call, _value), ValueError, _message)
+
 
 @pytest.mark.parametrize("call, kind, message", REJECTED.values(), ids=REJECTED.keys())
 def test_rejected_with_exact_message(call, kind, message):
@@ -107,6 +153,7 @@ _GATES = (Instruction(GateKind.H, (0,)), Instruction(GateKind.CNOT, (0, 1)),
           Instruction(GateKind.CZ, (2, 0)))
 _ANSATZ = CompositeInstruction("a", ("t",), (*_GATES, Instruction(GateKind.RY, (1,), ("t",))))
 _MEASURE = Instruction(GateKind.MEASURE, (1,), (), classical_target=0)
+_HAMILTONIAN = PauliHamiltonian(((1.5, "III"), (0.5, "ZXI")))
 
 #: Every caller that samples, with its shot count as the last argument
 SAMPLED = {
@@ -133,7 +180,7 @@ def test_shots_rejected_before_any_gate(monkeypatch, call, backend):
         with pytest.raises(ValueError) as info:
             call(backend, shots)
         assert type(info.value) is ValueError
-        assert str(info.value) == "shots must be >= 1"
+        assert str(info.value) == f"shots must be >= 1, got {shots}"
         assert applied == []
     call(backend, 1)  # the gate methods are watched: one shot runs them
     assert applied or call is SAMPLED["sample"]
@@ -163,3 +210,36 @@ def test_non_integer_shots_rejected_before_any_gate(monkeypatch, call, backend):
     call(backend, np.int64(3))
     assert drawn == [3] * len(drawn)
     assert drawn or call in (SAMPLED["execute-no-measure"], SAMPLED["energy-identity-only"])
+
+
+@pytest.mark.parametrize("call, name, low", COUNTS.values(), ids=COUNTS.keys())
+def test_numpy_integer_count_accepted(call, name, low):
+    """A numpy integer passes the count rule and gives what the int gives."""
+    assert call(np.int64(low + 2)) == call(low + 2)
+
+
+#: Every caller that takes a sampling seed, with the seed as the last argument
+SEEDED = {
+    "execute": lambda backend, seed: execute((*_GATES, _MEASURE), backend=backend, seed=seed),
+    "energy": lambda backend, seed: energy(
+        _ANSATZ, 0.3, _HAMILTONIAN, backend, shots=4, seed=seed),
+}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+def test_seed_rejected_before_any_gate(monkeypatch, call, backend):
+    applied = []
+    for cls in BACKENDS.values():
+        for name in ("apply_one_qubit", "apply_two_qubit_routed"):
+            monkeypatch.setattr(cls, name, lambda self, *args, name=name: applied.append(name))
+    for seed, message in ((1.5, "seed must be an integer, got 1.5"),
+                          (True, "seed must be an integer, got True"),
+                          (-1, "seed must be >= 0, got -1")):
+        with pytest.raises(ValueError) as info:
+            call(backend, seed)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+        assert applied == []
+    call(backend, 0)  # the gate methods are watched: a valid seed runs them
+    assert applied
