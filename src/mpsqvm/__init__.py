@@ -2,9 +2,9 @@
 
 from .backends import RunRecord, execute, run_program
 from .bench import BenchRecord, RoundCircuitSpec, generate_round_circuit, run_grid
-from .dense import DenseState, dense_run
-from .hamiltonian import PauliHamiltonian, load_hamiltonian, parse_hamiltonian
-from .ir import CompositeInstruction, GateKind, Instruction, bind_parameters, flatten
+from .dense import DenseState
+from .hamiltonian import PauliHamiltonian, parse_hamiltonian
+from .ir import CompositeInstruction, GateKind, Instruction
 from .mps import MpsState, TruncationPolicy
 from .parser import ParseError, SourceUnit, parse, unparse
 from .vqe import SweepResult, energy, sweep
@@ -23,13 +23,9 @@ __all__ = [
     "SourceUnit",
     "SweepResult",
     "TruncationPolicy",
-    "bind_parameters",
-    "dense_run",
     "energy",
     "execute",
-    "flatten",
     "generate_round_circuit",
-    "load_hamiltonian",
     "parse",
     "parse_hamiltonian",
     "run_grid",

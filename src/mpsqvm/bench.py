@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -105,13 +106,15 @@ def run_grid(
     start of its simulation, after its circuit is generated;
     ``time_budget=inf`` never fires. ``seeds_per_cell`` must be an integer
     >= 1 (:func:`~mpsqvm.gates.check_count`); ``chi_budget`` and
-    ``time_budget`` are thresholds on real values, at least 1 and at least 0.
+    ``time_budget`` are real numbers, not ``bool``s, at least 1 and at least 0.
     """
     if not qubits or not rounds:
         raise ValueError("qubit and round lists must be non-empty")
     check_count("seeds_per_cell", seeds_per_cell)
     # "not >=" so that NaN, which fails every comparison, is rejected too
     for name, value, low in (("chi_budget", chi_budget, 1), ("time_budget", time_budget, 0)):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
         if not value >= low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 

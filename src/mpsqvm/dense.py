@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from .gates import apply_program, check_count, check_gate, check_pauli, pauli_matrix, real_expectation
+from .gates import apply_program, check_gate, check_integer, check_pauli, pauli_matrix, real_expectation
 from .ir import Instruction
 from .mps import TruncationPolicy, sample_sequential
 
@@ -30,8 +30,8 @@ DEFAULT_QUBIT_CAP = 24
 
 def check_register(n: int) -> None:
     """A ``ValueError`` unless ``n`` is an integer in ``1..cap``, the
-    registers that :class:`DenseState` holds; the range is tested first, then
-    :func:`~mpsqvm.gates.check_count`.
+    registers that :class:`DenseState` holds; the type is tested first
+    (:func:`~mpsqvm.gates.check_integer`), then the range.
 
     ``cap`` is ``MPSQVM_ORACLE_QUBIT_CAP`` if set, else
     :data:`DEFAULT_QUBIT_CAP`; a value that is not an integer >= 1 is a
@@ -45,9 +45,9 @@ def check_register(n: int) -> None:
         cap = 0
     if cap < 1:
         raise ValueError(f"MPSQVM_ORACLE_QUBIT_CAP: expected an integer >= 1, got {text!r}")
+    check_integer("n", n)
     if not 1 <= n <= cap:
         raise ValueError(f"dense oracle supports 1..{cap} qubits, got {n}")
-    check_count("n", n)
 
 
 class DenseState:
@@ -128,5 +128,7 @@ class DenseState:
 
 
 def dense_run(program: list[Instruction], n: int) -> DenseState:
-    """Apply every unitary gate of the program in order on a fresh state."""
+    """Apply every unitary gate of the program in order on a fresh state.
+    A test and benchmark helper, not exported by the package; it goes once
+    the benchmark harness stops calling it."""
     return apply_program(DenseState(n), program)

@@ -8,7 +8,9 @@ and every executed program passes :func:`measured_qubits`, so the same
 input is rejected with the same message whichever backend runs it.
 :func:`check_count` is the one rule for a count that enters the library
 (an integer, not a ``bool``, at least some bound); the states, the sampler,
-the runners and the drivers call it before the first gate.
+the runners and the drivers call it before the first gate. Where a count
+has a range with its own message, :func:`check_integer`, the rule's type
+test, runs before that range test.
 
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
 qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
@@ -203,13 +205,19 @@ def check_pauli(pauli: str, n: int) -> None:
             pauli_matrix(label)
 
 
-def check_count(name: str, value: int, low: int = 1) -> None:
-    """Reject a count ``name`` that is not an integer ``>= low``: a ``bool``
-    is not one, a numpy integer is. Every count a caller passes in (qubits,
-    shots, rounds, seeds, grid points, a bond cap) is checked by this rule
-    where it enters, before any gate runs."""
+def check_integer(name: str, value: int) -> None:
+    """Reject a count ``name`` that is not an integer: a ``bool`` is not
+    one, a numpy integer is."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(name: str, value: int, low: int = 1) -> None:
+    """Reject a count ``name`` that is not an integer ``>= low``
+    (:func:`check_integer`). Every count a caller passes in (qubits, shots,
+    rounds, seeds, grid points, a bond cap) is checked by this rule where it
+    enters, before any gate runs."""
+    check_integer(name, value)
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
 

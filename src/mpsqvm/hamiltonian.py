@@ -69,4 +69,7 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
 
 
 def load_hamiltonian(path: str | Path) -> PauliHamiltonian:
+    """The Hamiltonian in the file at ``path``. A test and benchmark helper,
+    not exported by the package; it goes once the benchmark harness stops
+    calling it."""
     return parse_hamiltonian(Path(path).read_text(encoding="utf-8"))

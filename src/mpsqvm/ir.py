@@ -9,8 +9,9 @@ expands a call into the callee's gates with the arguments filled in; a call
 in source and ``mpsqvm run --args`` both bind this way. At run time,
 :func:`~mpsqvm.gates.apply_program` fills named slots from the ``values`` it
 is given, as ``vqe`` does for each theta. :func:`bind_parameters` and
-:func:`flatten` are kept as the tests' reference for in-loop binding and for
-the benchmark harness.
+:func:`flatten` are test and benchmark helpers, the tests' reference for
+in-loop binding; the package does not export them, and they go once the
+benchmark harness stops calling them.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ def bind_parameters(root: CompositeInstruction, values: list[float]) -> Composit
     ``values`` is matched positionally against ``root.formal_params`` and
     must be finite. The result's children are :func:`inline`'s gates: every
     gate with a parameter slot is rebuilt, and every other gate is shared
-    with ``root``.
+    with ``root``. A test and benchmark helper, not exported by the package;
+    it goes once the benchmark harness stops calling it.
     """
     values = [float(v) for v in values]
     gates = inline(root, values)
@@ -147,7 +149,9 @@ def bind_parameters(root: CompositeInstruction, values: list[float]) -> Composit
 
 
 def flatten(root: CompositeInstruction) -> list[Instruction]:
-    """The gates of a fully bound kernel, in order."""
+    """The gates of a fully bound kernel, in order. A test and benchmark
+    helper, not exported by the package; it goes once the benchmark harness
+    stops calling it."""
     for gate in root.children:
         unresolved = [p for p in gate.params if isinstance(p, str)]
         if unresolved:

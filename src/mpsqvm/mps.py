@@ -76,8 +76,8 @@ from typing import Any
 import numpy as np
 
 from .gates import (
-    CONTROLLED_TARGETS, SWAP_MATRIX, check_count, check_gate, check_pauli, qubits_swapped,
-    real_expectation,
+    CONTROLLED_TARGETS, SWAP_MATRIX, check_count, check_gate, check_integer, check_pauli,
+    qubits_swapped, real_expectation,
 )
 
 #: Smallest ``side`` at which a CNOT or CZ update takes the SVD of its core,
@@ -449,9 +449,9 @@ def sample_sequential(
     """
     check_count("shots", shots)
     walk = n if upto is None else upto
+    check_integer("upto", walk)
     if not 1 <= walk <= n:
         raise ValueError(f"upto must be in 1..{n}, got {upto}")
-    check_count("upto", walk)
     counts: dict[str, int] = {}
     for done in range(0, shots, SHOT_BLOCK):
         # one row per qubit, so that each step reads and writes contiguous rows

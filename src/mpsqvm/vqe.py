@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, pi, sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -111,8 +112,18 @@ def sweep(
     shots: int | None = None,
     seed: int = 0,
 ) -> SweepResult:
-    """Uniform inclusive grid scan; argmin ties break toward smaller theta."""
+    """Uniform inclusive grid scan; argmin ties break toward smaller theta.
+
+    ``count`` is an integer >= 2, and ``start`` and ``stop`` are finite real
+    numbers, not ``bool``s, whose difference is finite: the rule the CLI
+    applies to ``--grid``, checked before any state is prepared.
+    """
     check_count("count", count, 2)
+    for name, value in (("start", start), ("stop", stop)):
+        if isinstance(value, bool) or not isinstance(value, Real) or not isfinite(value):
+            raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if not isfinite(float(stop) - float(start)):
+        raise ValueError(f"stop - start is not finite, got start={start!r}, stop={stop!r}")
     thetas = np.linspace(start, stop, count)
     energies = [
         energy(ansatz, float(t), hamiltonian, backend, policy, shots, seed)

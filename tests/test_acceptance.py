@@ -18,19 +18,17 @@ from mpsqvm import (
     MpsState,
     RoundCircuitSpec,
     TruncationPolicy,
-    bind_parameters,
-    dense_run,
     energy,
-    flatten,
     generate_round_circuit,
-    load_hamiltonian,
     parse,
     run_program,
     sweep,
     unparse,
 )
+from mpsqvm.dense import dense_run
 from mpsqvm.gates import apply_program
-from mpsqvm.ir import GateKind
+from mpsqvm.hamiltonian import load_hamiltonian
+from mpsqvm.ir import GateKind, bind_parameters, flatten
 from mpsqvm.parser import ParseError
 from mpsqvm.vqe import _basis_rotations, _sampled_term, binomial_sigma
 from tests.conftest import (

@@ -15,16 +15,14 @@ from mpsqvm import (
     Instruction,
     MpsState,
     TruncationPolicy,
-    bind_parameters,
     execute,
-    flatten,
     parse,
     run_program,
 )
 from mpsqvm import gates, mps
 from mpsqvm.backends import BACKENDS, readout
 from mpsqvm.gates import SWAP_MATRIX, apply_program, gate_matrix, pauli_matrix, qubits_swapped
-from mpsqvm.ir import IrError
+from mpsqvm.ir import IrError, bind_parameters, flatten
 from tests.conftest import REPO_ROOT, ghz3_program, mps_statevector, random_program
 
 X = gate_matrix(Instruction(GateKind.X, (0,)))

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from mpsqvm import (
@@ -100,6 +103,13 @@ class TestRunGrid:
     def test_time_budget_marks_skipped(self):
         [record] = run_grid([5], [2], seeds_per_cell=2, policy=EXACT, time_budget=0)
         assert record.skipped
+
+    def test_infinite_and_numpy_budgets_are_budgets(self):
+        """An infinite budget never fires, and a numpy number is a budget."""
+        [unlimited] = run_grid([5], [2], 1, EXACT, chi_budget=math.inf, time_budget=math.inf)
+        assert not unlimited.skipped and unlimited.max_chi == 4
+        [skipped] = run_grid([5], [2], 1, EXACT, chi_budget=np.int64(3), time_budget=np.float64(60))
+        assert skipped.skipped
 
     @pytest.mark.parametrize("seeds", [0, -1])
     def test_seeds_per_cell_below_one_rejected(self, seeds):

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import mpsqvm
-from mpsqvm import RunRecord, TruncationPolicy, bind_parameters, execute, flatten, parse
+from mpsqvm import RunRecord, TruncationPolicy, execute, parse
 from mpsqvm.backends import BACKENDS
+from mpsqvm.ir import bind_parameters, flatten
 from tests.conftest import ANSATZ_PATH, HAM_PATH, REPO_ROOT
 
 BELL_SRC = """\
@@ -710,6 +711,24 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_package_exports_only_the_library_api():
+    """The package exports the library's API; the four test and benchmark
+    helpers stay in their modules and are not package attributes."""
+    assert sorted(mpsqvm.__all__) == [
+        "BenchRecord", "CompositeInstruction", "DenseState", "GateKind", "Instruction",
+        "MpsState", "ParseError", "PauliHamiltonian", "RoundCircuitSpec", "RunRecord",
+        "SourceUnit", "SweepResult", "TruncationPolicy", "energy", "execute",
+        "generate_round_circuit", "parse", "parse_hamiltonian", "run_grid", "run_program",
+        "sweep", "unparse",
+    ]
+    assert all(hasattr(mpsqvm, name) for name in mpsqvm.__all__)
+    for module, name in (("ir", "bind_parameters"), ("ir", "flatten"), ("dense", "dense_run"),
+                         ("hamiltonian", "load_hamiltonian")):
+        assert not hasattr(mpsqvm, name)
+        helper = getattr(getattr(mpsqvm, module), name)
+        assert callable(helper) and helper.__module__ == f"mpsqvm.{module}"
 
 
 class TestRuntimeDependencies:

@@ -9,7 +9,8 @@ qubits, where the dense oracle cannot follow."""
 import numpy as np
 import pytest
 
-from mpsqvm import GateKind, Instruction, TruncationPolicy, dense_run, run_program
+from mpsqvm import GateKind, Instruction, TruncationPolicy, run_program
+from mpsqvm.dense import dense_run
 from tests.conftest import assert_right_canonical, clifford_expectation, conjugate_pauli
 
 NEAR_EXACT = TruncationPolicy(cutoff=1e-12)

@@ -5,8 +5,8 @@ from mpsqvm import (
     DenseState,
     GateKind,
     Instruction,
-    dense_run,
 )
+from mpsqvm.dense import dense_run
 from mpsqvm.gates import apply_program, gate_matrix, rz
 from mpsqvm.ir import IrError
 from tests.conftest import bell_program, ghz3_program, random_program

@@ -6,11 +6,9 @@ from mpsqvm import (
     CompositeInstruction,
     GateKind,
     Instruction,
-    bind_parameters,
-    flatten,
     parse,
 )
-from mpsqvm.ir import IrError
+from mpsqvm.ir import IrError, bind_parameters, flatten
 from mpsqvm.parser import ParseError
 from tests.conftest import CHAIN_SRC
 

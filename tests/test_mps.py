@@ -15,7 +15,6 @@ from mpsqvm import (
     MpsState,
     RoundCircuitSpec,
     TruncationPolicy,
-    dense_run,
     execute,
     generate_round_circuit,
     run_program,
@@ -23,6 +22,7 @@ from mpsqvm import (
 from mpsqvm import dense as dense_module
 from mpsqvm import mps as mps_module
 from mpsqvm.backends import BACKENDS, readout
+from mpsqvm.dense import dense_run
 from mpsqvm.gates import SWAP_MATRIX, apply_program, gate_matrix, pauli_matrix
 from mpsqvm.ir import IrError, num_qubits
 from mpsqvm.mps import SHOT_BLOCK, sample_sequential
@@ -177,8 +177,6 @@ class TestRouting:
         assert state.amplitude("101") == pytest.approx(1.0)
 
     def test_fidelity_vs_oracle_distance3(self, rng):
-        from mpsqvm import dense_run
-
         for _ in range(5):
             program = random_program(5, 25, rng)
             program.append(Instruction(GateKind.CNOT, (0, 3)))
@@ -189,8 +187,6 @@ class TestRouting:
 
     def test_routing_neutral_ordering_exhaustive(self, rng):
         from itertools import product
-
-        from mpsqvm import dense_run
 
         program = random_program(6, 12, rng, two_qubit_prob=0.0)
         program += [
@@ -979,8 +975,6 @@ class TestInvariants:
         apply_program(MpsState(6, EXACT), program, check_norm)
 
     def test_truncation_error_bounds_infidelity(self, rng):
-        from mpsqvm import dense_run
-
         checked = 0
         for _ in range(20):
             n = int(rng.integers(4, 9))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpsqvm import GateKind, Instruction, bind_parameters, flatten, parse, unparse
+from mpsqvm import GateKind, Instruction, parse, unparse
+from mpsqvm.ir import bind_parameters, flatten
 from mpsqvm.parser import ParseError
 from tests.conftest import CHAIN_SRC, REPO_ROOT
 

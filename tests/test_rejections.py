@@ -42,6 +42,46 @@ REJECTED = {
         lambda: run_grid([2], [1], 1, chi_budget=0),
         ValueError, "chi_budget must be >= 1, got 0",
     ),
+    "text-chi-budget": (
+        lambda: run_grid([2], [1], 1, chi_budget="8"),
+        ValueError, "chi_budget must be a real number, got '8'",
+    ),
+    "bool-chi-budget": (
+        lambda: run_grid([2], [1], 1, chi_budget=True),
+        ValueError, "chi_budget must be a real number, got True",
+    ),
+    "text-time-budget": (
+        lambda: run_grid([2], [1], 1, time_budget="1"),
+        ValueError, "time_budget must be a real number, got '1'",
+    ),
+    "text-dense-n": (
+        lambda: DenseState("3"),
+        ValueError, "n must be an integer, got '3'",
+    ),
+    "none-dense-n": (
+        lambda: DenseState(None),
+        ValueError, "n must be an integer, got None",
+    ),
+    "text-upto": (
+        lambda: MpsState(3).sample(5, np.random.default_rng(0), "2"),
+        ValueError, "upto must be an integer, got '2'",
+    ),
+    "infinite-sweep-start": (
+        lambda: sweep(_ANSATZ, _HAMILTONIAN, start=math.inf),
+        ValueError, "start must be a finite real number, got inf",
+    ),
+    "text-sweep-start": (
+        lambda: sweep(_ANSATZ, _HAMILTONIAN, start="a"),
+        ValueError, "start must be a finite real number, got 'a'",
+    ),
+    "nan-sweep-stop": (
+        lambda: sweep(_ANSATZ, _HAMILTONIAN, stop=math.nan),
+        ValueError, "stop must be a finite real number, got nan",
+    ),
+    "overflowing-sweep-range": (
+        lambda: sweep(_ANSATZ, _HAMILTONIAN, start=-1e308, stop=1e308),
+        ValueError, "stop - start is not finite, got start=-1e+308, stop=1e+308",
+    ),
     "nan-max-bond": (
         lambda: TruncationPolicy(max_bond=math.nan),
         ValueError, "max_bond must be an integer, got nan",
@@ -127,7 +167,8 @@ COUNTS = {
 }
 #: Rows pinned elsewhere: ``max_bond`` above and below 1 in test_cli,
 #: ``seeds_per_cell`` below 1 in test_bench, and the range tests that run
-#: first for the dense register and ``upto`` (test_cli and test_mps)
+#: after the type test for the dense register and ``upto`` (test_cli and
+#: test_mps)
 _PINNED = {"max-bond-fraction", "max-bond-bool", "max-bond-below", "seeds-per-cell-below",
            "dense-n-below", "mps-upto-below", "dense-upto-below"}
 

@@ -9,10 +9,7 @@ from mpsqvm import (
     Instruction,
     PauliHamiltonian,
     TruncationPolicy,
-    bind_parameters,
     energy,
-    flatten,
-    load_hamiltonian,
     parse,
     parse_hamiltonian,
     run_program,
@@ -21,8 +18,8 @@ from mpsqvm import (
 from mpsqvm import vqe
 from mpsqvm.backends import BACKENDS
 from mpsqvm.gates import check_pauli
-from mpsqvm.hamiltonian import HamiltonianFormatError
-from mpsqvm.ir import IrError
+from mpsqvm.hamiltonian import HamiltonianFormatError, load_hamiltonian
+from mpsqvm.ir import IrError, bind_parameters, flatten
 from tests.conftest import ANSATZ_PATH, HAM_PATH, exact_ground_energy
 
 EXACT = TruncationPolicy(cutoff=0.0)
