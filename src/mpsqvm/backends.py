@@ -13,8 +13,11 @@ decides how to place the pair: the MPS sends a forward neighbour pair
 ``(q, q+1)`` straight to its two-site update. Adding a backend takes one
 entry here and no other edit.
 
-``run_program`` builds a fresh state of the named backend and applies a
-program to it with :func:`~mpsqvm.gates.apply_program`, which binds the
+:func:`register_size` is the one register rule: the backend name, the
+register size (the dense oracle's cap on ``dense``) and the program's qubit
+span. ``run_program`` applies it first, and the CLI applies it while it reads
+its inputs. ``run_program`` then builds a fresh state of the named backend
+and applies the program to it with :func:`~mpsqvm.gates.apply_program`, which binds the
 program's named angle slots from the values it is given, so a kernel's gates
 run as they are at each new value, with nothing rebuilt. ``execute``
 additionally samples qubits ``0..t`` up to its last MEASURE target ``t``
@@ -36,7 +39,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .dense import DenseState
+from .dense import DenseState, check_register
 from .gates import apply_program, check_count, measured_qubits
 from .ir import Instruction, num_qubits
 from .mps import MpsState, TruncationPolicy
@@ -73,6 +76,26 @@ def readout(counts: Mapping[str, int], qubits: Sequence[int]) -> dict[str, int]:
     return cut
 
 
+def register_size(program: Sequence[Instruction], n: int | None, backend: str) -> int:
+    """The register that ``backend`` runs ``program`` on: ``n``, or the
+    program's span if ``n`` is None. A ``ValueError`` unless ``backend`` is
+    a name in :data:`BACKENDS`, ``n`` is a register that backend holds
+    (:func:`~mpsqvm.dense.check_register` on ``dense``, an integer >= 1
+    otherwise) and the register covers every qubit the program touches."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {tuple(BACKENDS)}")
+    span = num_qubits(program)
+    n = span if n is None else n
+    if backend == "dense":
+        check_register(n)
+    else:
+        check_count("n", n)
+    if n < span:
+        raise ValueError(f"register of {n} qubit(s) is smaller than the "
+                         f"program's qubit span {span}")
+    return n
+
+
 def run_program(
     program: Sequence[Instruction],
     n: int | None = None,
@@ -81,15 +104,9 @@ def run_program(
     values: Mapping[str, float] | None = None,
 ) -> MpsState | DenseState:
     """A fresh ``n``-qubit state (default: the program's span) with the
-    program applied, its named angle slots bound from ``values``."""
-    if n is None:
-        n = num_qubits(program)
-    elif n < num_qubits(program):
-        raise ValueError(
-            f"program touches qubit {num_qubits(program) - 1}, register has {n}"
-        )
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {tuple(BACKENDS)}")
+    program applied, its named angle slots bound from ``values``; the
+    register is checked by :func:`register_size` first."""
+    n = register_size(program, n, backend)
     return apply_program(BACKENDS[backend](n, policy), program, values=values)
 
 

@@ -4,7 +4,9 @@ A *round* is a layer of random single-qubit gates followed by a layer of
 nearest-neighbor CNOTs; the very first round is preceded by Hadamards on all
 qubits. The CNOT layer alternates brickwork parity between rounds, so
 entanglement spreads and the bond dimension doubles where layers of different
-parity meet.
+parity meet. :func:`check_cells` is the one rule for a grid's qubit and
+round lists: ``run_grid`` applies it before the first cell, and the CLI
+applies it to ``--qubits`` and ``--rounds``.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .gates import apply_program, check_count
+from .gates import apply_program, check_count, check_real
 from .ir import GateKind, Instruction
 from .mps import MpsState, TruncationPolicy
 
@@ -86,6 +87,16 @@ class BenchRecord:
         return int(max(self.max_bonds))
 
 
+def check_cells(qubits: list[int], rounds: list[int]) -> None:
+    """A ``ValueError`` unless both lists are non-empty and
+    :class:`RoundCircuitSpec` takes every ``(n, rounds)`` cell of the grid,
+    the rule the CLI applies to ``--qubits`` and ``--rounds`` too."""
+    if not qubits or not rounds:
+        raise ValueError("qubit and round lists must be non-empty")
+    for n, m in itertools.product(qubits, rounds):
+        RoundCircuitSpec(n, m, 0)
+
+
 class _OverBudget(Exception):
     """Raised between gates to abandon a run that blew its budget."""
 
@@ -104,18 +115,17 @@ def run_grid(
     time budget, and the statistics of its earlier seeds are dropped; the
     grid goes on with the next cell. The time budget of a seed runs from the
     start of its simulation, after its circuit is generated;
-    ``time_budget=inf`` never fires. ``seeds_per_cell`` must be an integer
-    >= 1 (:func:`~mpsqvm.gates.check_count`); ``chi_budget`` and
-    ``time_budget`` are real numbers, not ``bool``s, at least 1 and at least 0.
+    ``time_budget=inf`` never fires. Before the first cell, the cells are
+    checked by :func:`check_cells`, ``seeds_per_cell`` must be an integer
+    >= 1 (:func:`~mpsqvm.gates.check_count`), and ``chi_budget`` and
+    ``time_budget`` are real numbers (:func:`~mpsqvm.gates.check_real`), at
+    least 1 and at least 0.
     """
-    if not qubits or not rounds:
-        raise ValueError("qubit and round lists must be non-empty")
+    check_cells(qubits, rounds)
     check_count("seeds_per_cell", seeds_per_cell)
     # "not >=" so that NaN, which fails every comparison, is rejected too
     for name, value, low in (("chi_budget", chi_budget, 1), ("time_budget", time_budget, 0)):
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not value >= low:
+        if not check_real(name, value) >= low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
 
     def check_budgets(state: MpsState) -> None:

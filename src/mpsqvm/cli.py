@@ -27,10 +27,9 @@ from typing import TypeVar
 
 from . import bench as bench_mod
 from . import vqe as vqe_mod
-from .backends import BACKENDS, execute
-from .dense import check_register
+from .backends import BACKENDS, execute, register_size
 from .hamiltonian import parse_hamiltonian
-from .ir import inline, num_qubits
+from .ir import inline
 from .mps import TruncationPolicy
 from .parser import parse
 
@@ -169,6 +168,10 @@ def _get_kernel(source_text: str, name: str):
     return unit.kernels[name]
 
 
+# Each handler reads a command's inputs and returns its run as ``simulate``.
+# It only parses text; the rules on the register, the --grid and the bench
+# cells are the checks that the drivers apply too (backends.register_size,
+# vqe.check_grid, bench.check_cells), so each rule has one message.
 def _cmd_run(args: argparse.Namespace) -> Callable[[], None]:
     kernel = _get_kernel(_read_text(args.source), args.kernel)
     # no text passes no values; otherwise every field, empty or not, is one value
@@ -176,13 +179,7 @@ def _cmd_run(args: argparse.Namespace) -> Callable[[], None]:
     # --args x,y binds like the call kernel(b, x, y)
     program = inline(kernel, [_number(v, float, "a finite number", math.isfinite, "--args")
                               for v in fields])
-    n = args.qubits
-    if n is not None and n < num_qubits(program):
-        raise ValueError(
-            f"--qubits {n} is smaller than the program's qubit span {num_qubits(program)}"
-        )
-    if args.backend == "dense":
-        check_register(num_qubits(program) if n is None else n)
+    n = register_size(program, args.qubits, args.backend)
     policy = _policy_from(args)
 
     def simulate() -> None:
@@ -196,28 +193,27 @@ def _cmd_run(args: argparse.Namespace) -> Callable[[], None]:
 
 
 def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
+    """The values of a ``start:stop:count`` range, checked by the rule that
+    ``sweep`` applies, :func:`~mpsqvm.vqe.check_grid`."""
     fields = text.split(":")
     if len(fields) != 3:
         raise ValueError(f"bad {what} range {text!r}, expected start:stop:count")
     count = _number(fields[2], int, "an integer", source=what)
-    if count < 2:
-        raise ValueError(f"bad {what} range {text!r}, need a count of at least 2")
     start, stop = (_number(f, float, "a finite number", math.isfinite, what)
                    for f in fields[:2])
-    if not math.isfinite(stop - start):
-        raise ValueError(f"bad {what} range {text!r}, stop - start is not finite")
+    vqe_mod.check_grid(start, stop, count)
     return start, stop, count
 
 
-def _parse_steps(text: str, what: str, minimum: int) -> list[int]:
+def _parse_steps(text: str, what: str) -> list[int]:
+    """The values of a ``start:stop:step`` range; the cells they make are
+    checked by :func:`~mpsqvm.bench.check_cells` once both lists are read."""
     fields = text.split(":")
     if len(fields) != 3:
         raise ValueError(f"bad {what} range {text!r}, expected start:stop:step")
     start, stop, step = (_number(f, int, "an integer", source=what) for f in fields)
     if step < 1 or stop < start:
         raise ValueError(f"bad {what} range {text!r}")
-    if start < minimum:
-        raise ValueError(f"bad {what} range {text!r}, need a start of at least {minimum}")
     return list(range(start, stop + 1, step))
 
 
@@ -227,13 +223,7 @@ def _cmd_vqe(args: argparse.Namespace) -> Callable[[], None]:
     kernel = _get_kernel(_read_text(args.ansatz), args.kernel)
     hamiltonian = parse_hamiltonian(_read_text(args.ham))
     vqe_mod.formal_name(kernel)
-    span = num_qubits(kernel.children)
-    if span > hamiltonian.n:
-        raise ValueError(
-            f"kernel '{kernel.name}' spans {span} qubit(s), the Hamiltonian {hamiltonian.n}"
-        )
-    if args.backend == "dense":
-        check_register(hamiltonian.n)
+    register_size(kernel.children, hamiltonian.n, args.backend)
     start, stop, count = _parse_grid(args.grid, "--grid")
     policy = _policy_from(args)
 
@@ -249,8 +239,9 @@ def _cmd_vqe(args: argparse.Namespace) -> Callable[[], None]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> Callable[[], None]:
-    qubits = _parse_steps(args.qubits, "--qubits", 2)
-    rounds = _parse_steps(args.rounds, "--rounds", 1)
+    qubits = _parse_steps(args.qubits, "--qubits")
+    rounds = _parse_steps(args.rounds, "--rounds")
+    bench_mod.check_cells(qubits, rounds)
     policy = _policy_from(args)
 
     def simulate() -> None:

@@ -10,7 +10,8 @@ input is rejected with the same message whichever backend runs it.
 (an integer, not a ``bool``, at least some bound); the states, the sampler,
 the runners and the drivers call it before the first gate. Where a count
 has a range with its own message, :func:`check_integer`, the rule's type
-test, runs before that range test.
+test, runs before that range test. :func:`check_real` is the one rule for a
+real number that enters the library: an angle, a grid end or a budget.
 
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
 qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
@@ -24,8 +25,9 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Callable, Mapping, Sequence
-from math import cos, sin, sqrt
-from numbers import Integral
+from contextlib import suppress
+from math import cos, isfinite, sin, sqrt
+from numbers import Integral, Real
 from typing import TypeVar
 
 import numpy as np
@@ -210,6 +212,20 @@ def check_integer(name: str, value: int) -> None:
     one, a numpy integer is."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name: str, value: float, finite: bool = False) -> float:
+    """``value`` as a float; a ``ValueError`` naming ``name`` unless it is a
+    real number (a ``bool`` is not one, a numpy float is) within the float
+    range and, with ``finite``, neither infinite nor NaN."""
+    number = None
+    if not isinstance(value, bool) and isinstance(value, Real):
+        with suppress(OverflowError):  # an integer beyond the float range
+            number = float(value)
+    if number is None or finite and not isfinite(number):
+        kind = "a finite real number" if finite else "a real number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return number
 
 
 def check_count(name: str, value: int, low: int = 1) -> None:

@@ -10,19 +10,20 @@ the term's last support qubit, and :func:`~mpsqvm.backends.readout`, the
 projection behind ``execute``'s counts, cuts each key to the term's support;
 the key's parity is its count of 1s. A qubit after the last support qubit
 cannot change the bits before it, so the short walk gives the counts that a
-walk over the whole register gives.
+walk over the whole register gives. :func:`check_grid` is the one rule for
+a sweep's grid: ``sweep`` applies it first, and the CLI applies it to
+``--grid``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite, pi, sqrt
-from numbers import Real
 
 import numpy as np
 
 from .backends import readout, run_program
-from .gates import apply_program, check_count
+from .gates import apply_program, check_count, check_real
 from .hamiltonian import PauliHamiltonian
 from .ir import CompositeInstruction, GateKind, Instruction, IrError
 from .mps import TruncationPolicy
@@ -76,13 +77,14 @@ def energy(
 ) -> float:
     """<psi(theta)|H|psi(theta)> with the state prepared by the ansatz at ``theta``.
 
-    ``theta`` must be finite. With ``shots`` set, ``shots`` must be an
-    integer >= 1 and ``seed`` an integer >= 0 (:func:`~mpsqvm.gates.check_count`),
-    and term ``idx`` is sampled from a generator seeded with ``[seed, idx]``,
-    so equal arguments give equal energies; without it ``seed`` is ignored.
+    ``theta`` must be a finite real number (:func:`~mpsqvm.gates.check_real`).
+    With ``shots`` set, ``shots`` must be an integer >= 1 and ``seed`` an
+    integer >= 0 (:func:`~mpsqvm.gates.check_count`), and term ``idx`` is
+    sampled from a generator seeded with ``[seed, idx]``, so equal arguments
+    give equal energies; without it ``seed`` is ignored.
     ``theta``, ``shots`` and ``seed`` are checked before the state is prepared.
     """
-    name, theta = formal_name(ansatz), float(theta)
+    name, theta = formal_name(ansatz), check_real("theta", theta)
     if not isfinite(theta):
         raise IrError(f"parameter '{name}' of kernel '{ansatz.name}' is {theta!r}, not finite")
     if shots is not None:
@@ -101,6 +103,17 @@ def energy(
     return value
 
 
+def check_grid(start: float, stop: float, count: int) -> None:
+    """The rule of a sweep's grid, which the CLI applies to ``--grid`` too:
+    ``count`` is an integer >= 2 (:func:`~mpsqvm.gates.check_count`), and
+    ``start`` and ``stop`` are finite real numbers
+    (:func:`~mpsqvm.gates.check_real`) whose difference is finite."""
+    check_count("count", count, 2)
+    low = check_real("start", start, finite=True)
+    if not isfinite(check_real("stop", stop, finite=True) - low):
+        raise ValueError(f"stop - start is not finite, got start={start!r}, stop={stop!r}")
+
+
 def sweep(
     ansatz: CompositeInstruction,
     hamiltonian: PauliHamiltonian,
@@ -114,16 +127,9 @@ def sweep(
 ) -> SweepResult:
     """Uniform inclusive grid scan; argmin ties break toward smaller theta.
 
-    ``count`` is an integer >= 2, and ``start`` and ``stop`` are finite real
-    numbers, not ``bool``s, whose difference is finite: the rule the CLI
-    applies to ``--grid``, checked before any state is prepared.
+    The grid is checked by :func:`check_grid` before any state is prepared.
     """
-    check_count("count", count, 2)
-    for name, value in (("start", start), ("stop", stop)):
-        if isinstance(value, bool) or not isinstance(value, Real) or not isfinite(value):
-            raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    if not isfinite(float(stop) - float(start)):
-        raise ValueError(f"stop - start is not finite, got start={start!r}, stop={stop!r}")
+    check_grid(start, stop, count)
     thetas = np.linspace(start, stop, count)
     energies = [
         energy(ansatz, float(t), hamiltonian, backend, policy, shots, seed)

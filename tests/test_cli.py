@@ -11,8 +11,10 @@ import pytest
 
 import mpsqvm
 from mpsqvm import RunRecord, TruncationPolicy, execute, parse
-from mpsqvm.backends import BACKENDS
-from mpsqvm.ir import bind_parameters, flatten
+from mpsqvm.backends import BACKENDS, register_size
+from mpsqvm.bench import check_cells
+from mpsqvm.ir import bind_parameters, flatten, inline
+from mpsqvm.vqe import check_grid
 from tests.conftest import ANSATZ_PATH, HAM_PATH, REPO_ROOT
 
 BELL_SRC = """\
@@ -183,8 +185,9 @@ class TestUsageErrors:
         proc = run_cli("vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH),
                        "--grid", "-1e308:1e308:3")
         assert proc.returncode == 1, proc.stderr
-        assert proc.stderr.startswith("mpsqvm: error: bad --grid range '-1e308:1e308:3'")
-        assert proc.stderr.count("\n") == 1
+        assert proc.stderr == (
+            "mpsqvm: error: stop - start is not finite, got start=-1e+308, stop=1e+308\n"
+        )
 
     def test_max_bond_zero(self, bell_file):
         proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell",
@@ -228,8 +231,8 @@ class TestUsageErrors:
         assert "argument --seed: expected an integer >= 0, got '-1'" in proc.stderr
 
     @pytest.mark.parametrize("flags, message", [
-        (["--qubits", "1:2:1"], "bad --qubits range '1:2:1', need a start of at least 2"),
-        (["--rounds", "0:2:2"], "bad --rounds range '0:2:2', need a start of at least 1"),
+        (["--qubits", "1:2:1"], "mpsqvm: error: n must be >= 2, got 1\n"),
+        (["--rounds", "0:2:2"], "mpsqvm: error: rounds must be >= 1, got 0\n"),
         (["--time-budget", "-1"],
          "argument --time-budget: expected a number of seconds > 0, got '-1'"),
         (["--time-budget", "nan"],
@@ -301,7 +304,9 @@ class TestUsageErrors:
     def test_register_smaller_than_program(self, bell_file):
         proc = run_cli("run", "--source", str(bell_file), "--kernel", "bell", "--qubits", "1")
         assert proc.returncode == 1, proc.stderr
-        assert "--qubits 1 is smaller than the program's qubit span 2" in proc.stderr
+        assert proc.stderr == (
+            "mpsqvm: error: register of 1 qubit(s) is smaller than the program's qubit span 2\n"
+        )
 
     @pytest.mark.parametrize("case", [
         "run-source-dir", "run-out-dir", "vqe-ham-dir", "run-source-not-utf8",
@@ -393,7 +398,49 @@ class TestUsageErrors:
         ham.write_text("1.0 Z\n")
         proc = run_cli("vqe", "--ansatz", str(source), "--ham", str(ham), "--grid", "0:1:2")
         assert proc.returncode == 1, proc.stderr
-        assert "kernel 'ansatz' spans 4 qubit(s), the Hamiltonian 1" in proc.stderr
+        assert proc.stderr == (
+            "mpsqvm: error: register of 1 qubit(s) is smaller than the program's qubit span 4\n"
+        )
+
+    @pytest.mark.parametrize("case", [
+        "run-span", "run-dense-cap", "vqe-span", "vqe-dense-cap", "grid-count",
+        "grid-overflow", "bench-qubits", "bench-rounds",
+    ])
+    def test_one_rule_one_message(self, tmp_path, bell_file, case):
+        """The read phase applies each rule by calling the library's own check,
+        so the usage error is that check's message for the same values."""
+        wide = tmp_path / "wide.qk"
+        wide.write_text("__qpu__ ansatz(AcceleratorBuffer b, double t0) {\n  RY(t0) 3\n}\n")
+        z1, z25 = tmp_path / "z1.ham", tmp_path / "z25.ham"
+        z1.write_text("1.0 Z\n")
+        z25.write_text("1.0 " + "Z" * 25 + "\n")
+        bell = inline(parse(BELL_SRC).kernels["bell"], [])
+        ansatz = parse(wide.read_text()).kernels["ansatz"].children
+        run = ("run", "--source", str(bell_file), "--kernel", "bell")
+        vqe = ("vqe", "--ansatz", str(ANSATZ_PATH), "--ham", str(HAM_PATH))
+        bench = ("bench", "--seeds", "1")
+        argv, check = {
+            "run-span": ((*run, "--qubits", "1"), lambda: register_size(bell, 1, "mps")),
+            "run-dense-cap": ((*run, "--qubits", "30", "--backend", "dense"),
+                              lambda: register_size(bell, 30, "dense")),
+            "vqe-span": (("vqe", "--ansatz", str(wide), "--ham", str(z1), "--grid", "0:1:2"),
+                         lambda: register_size(ansatz, 1, "mps")),
+            "vqe-dense-cap": (("vqe", "--ansatz", str(wide), "--ham", str(z25), "--grid",
+                               "0:1:2", "--backend", "dense"),
+                              lambda: register_size(ansatz, 25, "dense")),
+            "grid-count": ((*vqe, "--grid", "0:1:1"), lambda: check_grid(0.0, 1.0, 1)),
+            "grid-overflow": ((*vqe, "--grid", "-1e308:1e308:3"),
+                              lambda: check_grid(-1e308, 1e308, 3)),
+            "bench-qubits": ((*bench, "--qubits", "1:2:1", "--rounds", "2:2:2"),
+                             lambda: check_cells([1, 2], [2])),
+            "bench-rounds": ((*bench, "--qubits", "5:5:5", "--rounds", "0:2:2"),
+                             lambda: check_cells([5], [0, 2])),
+        }[case]
+        with pytest.raises(ValueError) as info:
+            check()
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"mpsqvm: error: {info.value}\n"
 
     def test_nan_coefficient(self, tmp_path):
         ham = tmp_path / "nan.ham"

@@ -12,6 +12,7 @@ from mpsqvm import (
     execute, run_program, sweep,
 )
 from mpsqvm.backends import BACKENDS
+from mpsqvm import bench
 from mpsqvm.bench import RoundCircuitSpec, emit_report, run_grid
 from mpsqvm.gates import gate_matrix
 from mpsqvm.hamiltonian import HamiltonianFormatError, PauliHamiltonian, parse_hamiltonian
@@ -82,6 +83,18 @@ REJECTED = {
         lambda: sweep(_ANSATZ, _HAMILTONIAN, start=-1e308, stop=1e308),
         ValueError, "stop - start is not finite, got start=-1e+308, stop=1e+308",
     ),
+    "huge-sweep-start": (
+        lambda: sweep(_ANSATZ, _HAMILTONIAN, start=10**400),
+        ValueError, f"start must be a finite real number, got {10**400!r}",
+    ),
+    "huge-sweep-stop": (
+        lambda: sweep(_ANSATZ, _HAMILTONIAN, stop=-10**400),
+        ValueError, f"stop must be a finite real number, got {-10**400!r}",
+    ),
+    "huge-time-budget": (
+        lambda: run_grid([2], [1], 1, time_budget=10**400),
+        ValueError, f"time_budget must be a real number, got {10**400!r}",
+    ),
     "nan-max-bond": (
         lambda: TruncationPolicy(max_bond=math.nan),
         ValueError, "max_bond must be an integer, got nan",
@@ -147,6 +160,28 @@ REJECTED = {
         HamiltonianFormatError, "line 2: expected '<coeff> <pauli-string>', got '1.0 Z Z'",
     ),
 }
+
+#: ``theta`` of ``energy``: a real number within the float range, not a ``bool``
+for _label, _value in (("text", "0.3"), ("bool", True), ("none", None), ("complex", 1j),
+                       ("huge", 10**400)):
+    REJECTED[f"{_label}-theta"] = (
+        lambda v=_value: energy(_ANSATZ, v, _HAMILTONIAN),
+        ValueError, f"theta must be a real number, got {_value!r}",
+    )
+
+#: The register ``n`` of ``execute`` and ``run_program`` on each backend;
+#: ``n=None`` is not a rejection: it runs on the program's span
+for _backend in BACKENDS:
+    for _driver, _run in (("execute", execute), ("run-program", run_program)):
+        for _label, _value, _message in (
+            ("text", "3", "n must be an integer, got '3'"),
+            ("bool", True, "n must be an integer, got True"),
+            ("below-span", 2, "register of 2 qubit(s) is smaller than the program's qubit span 3"),
+        ):
+            REJECTED[f"{_driver}-{_backend}-{_label}-n"] = (
+                lambda run=_run, v=_value, b=_backend: run(_GATES, v, b),
+                ValueError, _message,
+            )
 
 #: Every count argument but ``shots`` (see ``SAMPLED``) where it enters:
 #: site -> (a call that passes the count ``v``, the count's name, the least
@@ -284,3 +319,19 @@ def test_seed_rejected_before_any_gate(monkeypatch, call, backend):
         assert applied == []
     call(backend, 0)  # the gate methods are watched: a valid seed runs them
     assert applied
+
+
+def test_grid_cells_rejected_before_any_gate(monkeypatch):
+    """A cell that ``RoundCircuitSpec`` rejects, anywhere in the grid, is
+    rejected before the first cell runs."""
+    entered = []
+    original = bench.apply_program
+    monkeypatch.setattr(bench, "apply_program",
+                        lambda *args: entered.append(args[0].n) or original(*args))
+    with pytest.raises(ValueError) as info:
+        run_grid([5, 1], [2], 1)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "n must be >= 2, got 1"
+    assert entered == []
+    run_grid([2], [1], 1)  # the gate loop is watched: a valid grid enters it
+    assert entered == [2]
