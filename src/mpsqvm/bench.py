@@ -4,9 +4,10 @@ A *round* is a layer of random single-qubit gates followed by a layer of
 nearest-neighbor CNOTs; the very first round is preceded by Hadamards on all
 qubits. The CNOT layer alternates brickwork parity between rounds, so
 entanglement spreads and the bond dimension doubles where layers of different
-parity meet. :func:`check_cells` is the one rule for a grid's qubit and
-round lists: ``run_grid`` applies it before the first cell, and the CLI
-applies it to ``--qubits`` and ``--rounds``.
+parity meet. :func:`check_cells` is the one rule for a grid's cells, seed
+count and budgets: ``run_grid`` applies it before the first cell, and the
+CLI applies it to ``--qubits``, ``--rounds``, ``--seeds``, ``--chi-cap`` and
+``--time-budget``.
 """
 
 from __future__ import annotations
@@ -87,14 +88,25 @@ class BenchRecord:
         return int(max(self.max_bonds))
 
 
-def check_cells(qubits: list[int], rounds: list[int]) -> None:
-    """A ``ValueError`` unless both lists are non-empty and
+def check_cells(qubits: list[int], rounds: list[int], seeds_per_cell: int,
+                chi_budget: float, time_budget: float) -> None:
+    """The rule of :func:`run_grid`'s arguments, which the CLI applies to its
+    bench flags too. A ``ValueError`` unless both lists are non-empty,
     :class:`RoundCircuitSpec` takes every ``(n, rounds)`` cell of the grid,
-    the rule the CLI applies to ``--qubits`` and ``--rounds`` too."""
+    ``seeds_per_cell`` is an integer >= 1 (:func:`~mpsqvm.gates.check_count`),
+    and the budgets are real numbers (:func:`~mpsqvm.gates.check_real`):
+    ``chi_budget`` at least 1 and ``time_budget`` a positive number of
+    seconds, ``inf`` for no limit."""
     if not qubits or not rounds:
         raise ValueError("qubit and round lists must be non-empty")
     for n, m in itertools.product(qubits, rounds):
         RoundCircuitSpec(n, m, 0)
+    check_count("seeds_per_cell", seeds_per_cell)
+    # "not >=" and "not >" so that NaN, which fails every comparison, is rejected too
+    if not check_real("chi_budget", chi_budget) >= 1:
+        raise ValueError(f"chi_budget must be >= 1, got {chi_budget}")
+    if not check_real("time_budget", time_budget) > 0:
+        raise ValueError(f"time_budget must be > 0, got {time_budget}")
 
 
 class _OverBudget(Exception):
@@ -115,18 +127,10 @@ def run_grid(
     time budget, and the statistics of its earlier seeds are dropped; the
     grid goes on with the next cell. The time budget of a seed runs from the
     start of its simulation, after its circuit is generated;
-    ``time_budget=inf`` never fires. Before the first cell, the cells are
-    checked by :func:`check_cells`, ``seeds_per_cell`` must be an integer
-    >= 1 (:func:`~mpsqvm.gates.check_count`), and ``chi_budget`` and
-    ``time_budget`` are real numbers (:func:`~mpsqvm.gates.check_real`), at
-    least 1 and at least 0.
+    ``time_budget=inf`` never fires. The cells, the seed count and the
+    budgets are checked by :func:`check_cells` before the first cell.
     """
-    check_cells(qubits, rounds)
-    check_count("seeds_per_cell", seeds_per_cell)
-    # "not >=" so that NaN, which fails every comparison, is rejected too
-    for name, value, low in (("chi_budget", chi_budget, 1), ("time_budget", time_budget, 0)):
-        if not check_real(name, value) >= low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+    check_cells(qubits, rounds, seeds_per_cell, chi_budget, time_budget)
 
     def check_budgets(state: MpsState) -> None:
         if state.max_bond_seen > chi_budget or time.perf_counter() > deadline:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import re
 import sys
@@ -28,6 +27,7 @@ from typing import TypeVar
 from . import bench as bench_mod
 from . import vqe as vqe_mod
 from .backends import BACKENDS, execute, register_size
+from .gates import check_count
 from .hamiltonian import parse_hamiltonian
 from .ir import inline
 from .mps import TruncationPolicy
@@ -37,20 +37,17 @@ from .parser import parse
 _T = TypeVar("_T")
 
 
-def _number(text: str, kind: Callable[[str], _T], expected: str,
-            accept: Callable[[_T], bool] = lambda _: True, source: str = "") -> _T:
-    """``kind(text)`` if ``accept`` holds for it, else the one complaint about
-    a number, ``expected <expected>, got '<text>'``, as an
+def _number(text: str, kind: Callable[[str], _T], expected: str, source: str = "") -> _T:
+    """``kind(text)``, else the one complaint about text that is not a
+    number, ``expected <expected>, got '<text>'``, as an
     ``ArgumentTypeError``: argparse shows that type's message after the flag's
-    name. Every other caller names its flag or variable as ``source``."""
+    name. Every other caller names its flag or variable as ``source``. The
+    range of the number is the library's rule, not this function's."""
     try:
-        value = kind(text)
-        if accept(value):
-            return value
+        return kind(text)
     except ValueError:
-        pass
-    prefix = f"{source}: " if source else ""
-    raise argparse.ArgumentTypeError(f"{prefix}expected {expected}, got {text!r}")
+        prefix = f"{source}: " if source else ""
+        raise argparse.ArgumentTypeError(f"{prefix}expected {expected}, got {text!r}") from None
 
 
 def _flag_or_env(value: _T | None, name: str, read: Callable[..., _T]) -> _T | None:
@@ -61,14 +58,10 @@ def _flag_or_env(value: _T | None, name: str, read: Callable[..., _T]) -> _T | N
     return value
 
 
-# --cutoff and --max-bond; TruncationPolicy checks their ranges
+# every numeric flag; the library checks its range (TruncationPolicy,
+# register_size, check_count, check_grid, check_cells)
 _real = partial(_number, kind=float, expected="a number")
 _integer = partial(_number, kind=int, expected="an integer")
-# shots, seeds per cell, chi cap
-_count = partial(_number, kind=int, expected="an integer >= 1", accept=lambda v: v >= 1)
-_seed = partial(_number, kind=int, expected="an integer >= 0", accept=lambda v: v >= 0)
-# a positive duration; inf means no limit, and NaN fails the comparison
-_seconds = partial(_number, kind=float, expected="a number of seconds > 0", accept=lambda v: v > 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,10 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--kernel", required=True, help="kernel name to execute")
     run.add_argument("--args", default="",
                      help="comma-separated values for the kernel's parameters")
-    run.add_argument("--qubits", type=_count, default=None,
+    run.add_argument("--qubits", type=_integer, default=None,
                      help="register size (default: smallest covering the program)")
-    run.add_argument("--shots", type=_count, default=1024)
-    run.add_argument("--seed", type=_seed, default=None,
+    run.add_argument("--shots", type=_integer, default=1024)
+    run.add_argument("--seed", type=_integer, default=None,
                      help="seed of the shot sampler (default: fresh entropy)")
     add_backend_flags(run)
     run.set_defaults(handler=_cmd_run)
@@ -108,9 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     vqe.add_argument("--ham", required=True, help="Pauli Hamiltonian file")
     vqe.add_argument("--grid", default="-3.141592653589793:3.141592653589793:100",
                      help="theta grid start:stop:count")
-    vqe.add_argument("--shots", type=_count, default=None,
+    vqe.add_argument("--shots", type=_integer, default=None,
                      help="estimate terms by basis rotation + sampling")
-    vqe.add_argument("--seed", type=_seed, default=0,
+    vqe.add_argument("--seed", type=_integer, default=0,
                      help="seed of the --shots samplers (default 0, so reruns repeat)")
     add_backend_flags(vqe)
     vqe.set_defaults(handler=_cmd_vqe)
@@ -122,10 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
                            allow_abbrev=False)
     bench.add_argument("--qubits", default="5:85:5", help="qubit range start:stop:step")
     bench.add_argument("--rounds", default="2:10:2", help="round range start:stop:step")
-    bench.add_argument("--seeds", type=_count, default=10, help="random circuits per cell")
-    bench.add_argument("--chi-cap", type=_count, default=4096,
+    bench.add_argument("--seeds", type=_integer, default=10, help="random circuits per cell")
+    bench.add_argument("--chi-cap", type=_integer, default=4096,
                        help="skip a cell once its bond dimension exceeds this")
-    bench.add_argument("--time-budget", type=_seconds, default=60.0,
+    bench.add_argument("--time-budget", type=_real, default=60.0,
                        help="per-seed wall-clock budget in seconds (inf: no limit)")
     bench.add_argument("--plot-out", type=Path, default=None,
                        help="also write a gnuplot-style surface data file")
@@ -169,17 +162,19 @@ def _get_kernel(source_text: str, name: str):
 
 
 # Each handler reads a command's inputs and returns its run as ``simulate``.
-# It only parses text; the rules on the register, the --grid and the bench
-# cells are the checks that the drivers apply too (backends.register_size,
+# It only turns text into values; every rule on a value is a check that the
+# drivers apply too (backends.register_size, gates.check_count, ir.inline,
 # vqe.check_grid, bench.check_cells), so each rule has one message.
 def _cmd_run(args: argparse.Namespace) -> Callable[[], None]:
     kernel = _get_kernel(_read_text(args.source), args.kernel)
     # no text passes no values; otherwise every field, empty or not, is one value
     fields = args.args.split(",") if args.args.strip() else []
     # --args x,y binds like the call kernel(b, x, y)
-    program = inline(kernel, [_number(v, float, "a finite number", math.isfinite, "--args")
-                              for v in fields])
+    program = inline(kernel, [_real(v, source="--args") for v in fields])
     n = register_size(program, args.qubits, args.backend)
+    check_count("shots", args.shots)
+    if args.seed is not None:
+        check_count("seed", args.seed, 0)
     policy = _policy_from(args)
 
     def simulate() -> None:
@@ -198,9 +193,8 @@ def _parse_grid(text: str, what: str) -> tuple[float, float, int]:
     fields = text.split(":")
     if len(fields) != 3:
         raise ValueError(f"bad {what} range {text!r}, expected start:stop:count")
-    count = _number(fields[2], int, "an integer", source=what)
-    start, stop = (_number(f, float, "a finite number", math.isfinite, what)
-                   for f in fields[:2])
+    count = _integer(fields[2], source=what)
+    start, stop = (_real(f, source=what) for f in fields[:2])
     vqe_mod.check_grid(start, stop, count)
     return start, stop, count
 
@@ -211,7 +205,7 @@ def _parse_steps(text: str, what: str) -> list[int]:
     fields = text.split(":")
     if len(fields) != 3:
         raise ValueError(f"bad {what} range {text!r}, expected start:stop:step")
-    start, stop, step = (_number(f, int, "an integer", source=what) for f in fields)
+    start, stop, step = (_integer(f, source=what) for f in fields)
     if step < 1 or stop < start:
         raise ValueError(f"bad {what} range {text!r}")
     return list(range(start, stop + 1, step))
@@ -224,6 +218,9 @@ def _cmd_vqe(args: argparse.Namespace) -> Callable[[], None]:
     hamiltonian = parse_hamiltonian(_read_text(args.ham))
     vqe_mod.formal_name(kernel)
     register_size(kernel.children, hamiltonian.n, args.backend)
+    if args.shots is not None:
+        check_count("shots", args.shots)
+    check_count("seed", args.seed, 0)
     start, stop, count = _parse_grid(args.grid, "--grid")
     policy = _policy_from(args)
 
@@ -241,7 +238,7 @@ def _cmd_vqe(args: argparse.Namespace) -> Callable[[], None]:
 def _cmd_bench(args: argparse.Namespace) -> Callable[[], None]:
     qubits = _parse_steps(args.qubits, "--qubits")
     rounds = _parse_steps(args.rounds, "--rounds")
-    bench_mod.check_cells(qubits, rounds)
+    bench_mod.check_cells(qubits, rounds, args.seeds, args.chi_cap, args.time_budget)
     policy = _policy_from(args)
 
     def simulate() -> None:

@@ -11,7 +11,8 @@ input is rejected with the same message whichever backend runs it.
 the runners and the drivers call it before the first gate. Where a count
 has a range with its own message, :func:`check_integer`, the rule's type
 test, runs before that range test. :func:`check_real` is the one rule for a
-real number that enters the library: an angle, a grid end or a budget.
+real number that enters the library: an angle, a bound value, a grid end, a
+budget or a Hamiltonian coefficient.
 
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
 qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Callable, Mapping, Sequence
-from contextlib import suppress
 from math import cos, isfinite, sin, sqrt
 from numbers import Integral, Real
 from typing import TypeVar
@@ -103,11 +103,14 @@ CONTROLLED_TARGETS = {
 
 
 def gate_matrix(instr: Instruction) -> np.ndarray:
-    """Unitary matrix of a (bound, non-MEASURE) instruction."""
+    """Unitary matrix of a (bound, non-MEASURE) instruction; its angle, if it
+    has one, must be a finite real number (:func:`check_real`)."""
     entry = _MATRICES.get(instr.kind)
     if entry is None:
         raise ValueError(f"{instr.kind.value} has no unitary matrix")
-    return entry(float(instr.params[0])) if instr.params else entry
+    if not instr.params:
+        return entry
+    return entry(check_real(f"{instr.kind.value} angle", instr.params[0], finite=True))
 
 
 def qubits_swapped(gate: np.ndarray) -> np.ndarray:
@@ -218,10 +221,12 @@ def check_real(name: str, value: float, finite: bool = False) -> float:
     """``value`` as a float; a ``ValueError`` naming ``name`` unless it is a
     real number (a ``bool`` is not one, a numpy float is) within the float
     range and, with ``finite``, neither infinite nor NaN."""
-    number = None
-    if not isinstance(value, bool) and isinstance(value, Real):
-        with suppress(OverflowError):  # an integer beyond the float range
-            number = float(value)
+    # a float skips the ABC test, which costs more than the rest of the check
+    real = type(value) is float or not isinstance(value, bool) and isinstance(value, Real)
+    try:
+        number = float(value) if real else None
+    except OverflowError:  # an integer beyond the float range
+        number = None
     if number is None or finite and not isfinite(number):
         kind = "a finite real number" if finite else "a real number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
@@ -294,11 +299,13 @@ def apply_program(
     A gate whose angle slot is a formal-parameter name is bound here, from
     ``values`` (name to angle): its matrix is built once per run for each
     gate kind and name, and shared, read-only, by every gate with that slot.
-    A name that ``values`` lacks is an :class:`IrError`, raised when the
-    first gate with that slot is reached; a NaN or infinite angle is a
-    ``ValueError``, from the rotation or from :func:`check_gate`.
+    Every entry of ``values`` must be a finite real number
+    (:func:`check_real`), checked before the first gate. A name that
+    ``values`` lacks is an :class:`IrError`, raised when the first gate with
+    that slot is reached.
     """
     measured_qubits(program)
+    values = {name: check_real(name, v, finite=True) for name, v in (values or {}).items()}
     one_qubit, two_qubit = state.apply_one_qubit, state.apply_two_qubit_routed
     bound: dict[tuple[GateKind, str], np.ndarray] = {}
     for instr in program:
@@ -308,7 +315,7 @@ def apply_program(
         if isinstance(slot, str):
             matrix = bound.get((instr.kind, slot))
             if matrix is None:
-                matrix = bound[instr.kind, slot] = _bind(instr, slot, values or {})
+                matrix = bound[instr.kind, slot] = _bind(instr, slot, values)
         else:
             matrix = gate_matrix(instr)
         qubits = instr.qubits
@@ -325,6 +332,6 @@ def _bind(instr: Instruction, slot: str, values: Mapping[str, float]) -> np.ndar
     """The read-only matrix of ``instr`` with its slot named ``slot`` bound."""
     if slot not in values:
         raise IrError(f"unbound parameter(s) {[slot]} in {instr.kind.value} {instr.qubits}")
-    matrix = _MATRICES[instr.kind](float(values[slot]))
+    matrix = _MATRICES[instr.kind](values[slot])
     matrix.setflags(write=False)
     return matrix

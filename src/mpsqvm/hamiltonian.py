@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gates import check_pauli
+from .gates import check_pauli, check_real
 
 
 class HamiltonianFormatError(ValueError):
@@ -29,8 +29,7 @@ class PauliHamiltonian:
         if not self.terms:
             raise ValueError("Hamiltonian needs at least one term")
         for coeff, pauli in self.terms:
-            if not math.isfinite(coeff):
-                raise ValueError(f"non-finite coefficient {coeff}")
+            check_real("coefficient", coeff, finite=True)
             check_pauli(pauli, self.n)
 
     @property

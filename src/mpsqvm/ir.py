@@ -113,8 +113,8 @@ def inline(kernel: CompositeInstruction, args: list[ParamSlot]) -> tuple[Instruc
     """The gates of the call ``kernel(b, *args)``, in order.
 
     ``args`` is matched positionally against ``kernel.formal_params``; each
-    is an angle or a formal-parameter name of the caller. A gate with a
-    named slot is rebuilt with the slot filled (and so validated again); a
+    is a finite angle or a formal-parameter name of the caller. A gate with
+    a named slot is rebuilt with the slot filled (and so validated again); a
     gate without one is shared with ``kernel``, which is never mutated.
     """
     if len(args) != len(kernel.formal_params):
@@ -123,6 +123,9 @@ def inline(kernel: CompositeInstruction, args: list[ParamSlot]) -> tuple[Instruc
             f"got {len(args)}"
         )
     mapping = dict(zip(kernel.formal_params, args))
+    for name, v in mapping.items():
+        if not isinstance(v, str) and not math.isfinite(v):
+            raise IrError(f"parameter '{name}' of kernel '{kernel.name}' is {v!r}, not finite")
     out = list(kernel.children)
     for i, gate in enumerate(out):
         if any(isinstance(p, str) for p in gate.params):
@@ -134,17 +137,14 @@ def inline(kernel: CompositeInstruction, args: list[ParamSlot]) -> tuple[Instruc
 def bind_parameters(root: CompositeInstruction, values: list[float]) -> CompositeInstruction:
     """Return ``root`` bound to ``values``, as a kernel with no parameters.
 
-    ``values`` is matched positionally against ``root.formal_params`` and
-    must be finite. The result's children are :func:`inline`'s gates: every
-    gate with a parameter slot is rebuilt, and every other gate is shared
-    with ``root``. A test and benchmark helper, not exported by the package;
-    it goes once the benchmark harness stops calling it.
+    ``values`` is matched positionally against ``root.formal_params``, and
+    each must be finite (:func:`inline`'s rule). The result's children are
+    :func:`inline`'s gates: every gate with a parameter slot is rebuilt, and
+    every other gate is shared with ``root``. A test and benchmark helper,
+    not exported by the package; it goes once the benchmark harness stops
+    calling it.
     """
-    values = [float(v) for v in values]
-    gates = inline(root, values)
-    for name, v in zip(root.formal_params, values):
-        if not math.isfinite(v):
-            raise IrError(f"parameter '{name}' of kernel '{root.name}' is {v!r}, not finite")
+    gates = inline(root, [float(v) for v in values])
     return CompositeInstruction(root.name, (), gates)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .backends import readout, run_program
 from .gates import apply_program, check_count, check_real
 from .hamiltonian import PauliHamiltonian
-from .ir import CompositeInstruction, GateKind, Instruction, IrError
+from .ir import CompositeInstruction, GateKind, Instruction
 from .mps import TruncationPolicy
 
 
@@ -84,9 +84,7 @@ def energy(
     give equal energies; without it ``seed`` is ignored.
     ``theta``, ``shots`` and ``seed`` are checked before the state is prepared.
     """
-    name, theta = formal_name(ansatz), check_real("theta", theta)
-    if not isfinite(theta):
-        raise IrError(f"parameter '{name}' of kernel '{ansatz.name}' is {theta!r}, not finite")
+    name, theta = formal_name(ansatz), check_real("theta", theta, finite=True)
     if shots is not None:
         check_count("shots", shots)
         check_count("seed", seed, 0)

@@ -101,7 +101,8 @@ class TestRunGrid:
         assert skipped.skipped
 
     def test_time_budget_marks_skipped(self):
-        [record] = run_grid([5], [2], seeds_per_cell=2, policy=EXACT, time_budget=0)
+        """A budget must be positive; a tiny one fires at the first gate."""
+        [record] = run_grid([5], [2], seeds_per_cell=2, policy=EXACT, time_budget=1e-9)
         assert record.skipped
 
     def test_infinite_and_numpy_budgets_are_budgets(self):

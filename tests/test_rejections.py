@@ -16,7 +16,7 @@ from mpsqvm import bench
 from mpsqvm.bench import RoundCircuitSpec, emit_report, run_grid
 from mpsqvm.gates import gate_matrix
 from mpsqvm.hamiltonian import HamiltonianFormatError, PauliHamiltonian, parse_hamiltonian
-from mpsqvm.ir import IrError
+from mpsqvm.ir import IrError, inline
 
 REJECTED = {
     "unknown-backend": (
@@ -33,7 +33,15 @@ REJECTED = {
     ),
     "nan-time-budget": (
         lambda: run_grid([2], [1], 1, time_budget=math.nan),
-        ValueError, "time_budget must be >= 0, got nan",
+        ValueError, "time_budget must be > 0, got nan",
+    ),
+    "zero-time-budget": (
+        lambda: run_grid([2], [1], 1, time_budget=0),
+        ValueError, "time_budget must be > 0, got 0",
+    ),
+    "negative-time-budget": (
+        lambda: run_grid([2], [1], 1, time_budget=-1.5),
+        ValueError, "time_budget must be > 0, got -1.5",
     ),
     "nan-chi-budget": (
         lambda: run_grid([2], [1], 1, chi_budget=math.nan),
@@ -145,7 +153,23 @@ REJECTED = {
     ),
     "nan-coefficient": (
         lambda: PauliHamiltonian(((math.nan, "Z"),)),
-        ValueError, "non-finite coefficient nan",
+        ValueError, "coefficient must be a finite real number, got nan",
+    ),
+    "complex-coefficient": (
+        lambda: PauliHamiltonian(((1j, "Z"),)),
+        ValueError, "coefficient must be a finite real number, got 1j",
+    ),
+    "bool-coefficient": (
+        lambda: PauliHamiltonian(((True, "Z"),)),
+        ValueError, "coefficient must be a finite real number, got True",
+    ),
+    "text-coefficient": (
+        lambda: PauliHamiltonian((("0.5", "Z"),)),
+        ValueError, "coefficient must be a finite real number, got '0.5'",
+    ),
+    "infinite-args": (
+        lambda: inline(_ANSATZ, [math.inf]),
+        IrError, "parameter 't' of kernel 'a' is inf, not finite",
     ),
     "negative-qubit": (
         lambda: Instruction(GateKind.X, (-1,)),
@@ -161,12 +185,25 @@ REJECTED = {
     ),
 }
 
-#: ``theta`` of ``energy``: a real number within the float range, not a ``bool``
-for _label, _value in (("text", "0.3"), ("bool", True), ("none", None), ("complex", 1j),
-                       ("huge", 10**400)):
+#: ``theta`` of ``energy``, a bound value of ``run_program`` and a literal
+#: angle: a finite real number within the float range, not a ``bool`` (a
+#: literal angle that is text is a named slot, not a number)
+_BAD_ANGLES = (("text", "0.3"), ("bool", True), ("none", None), ("complex", 1j),
+               ("huge", 10**400), ("nan", math.nan), ("infinite", -math.inf))
+for _label, _value in _BAD_ANGLES:
     REJECTED[f"{_label}-theta"] = (
         lambda v=_value: energy(_ANSATZ, v, _HAMILTONIAN),
-        ValueError, f"theta must be a real number, got {_value!r}",
+        ValueError, f"theta must be a finite real number, got {_value!r}",
+    )
+    REJECTED[f"{_label}-value"] = (
+        lambda v=_value: run_program(_ANSATZ.children, values={"t": v}),
+        ValueError, f"t must be a finite real number, got {_value!r}",
+    )
+    if _label == "text":
+        continue
+    REJECTED[f"{_label}-angle"] = (
+        lambda v=_value: execute([Instruction(GateKind.RX, (0,), (v,))]),
+        ValueError, f"RX angle must be a finite real number, got {_value!r}",
     )
 
 #: The register ``n`` of ``execute`` and ``run_program`` on each backend;
@@ -335,3 +372,22 @@ def test_grid_cells_rejected_before_any_gate(monkeypatch):
     assert entered == []
     run_grid([2], [1], 1)  # the gate loop is watched: a valid grid enters it
     assert entered == [2]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bad_value_rejected_before_any_gate(monkeypatch, backend):
+    """A bound value that is not a finite real number is rejected before the
+    first gate, even when the gates before its slot need no value."""
+    applied = []
+    for cls in BACKENDS.values():
+        for name in ("apply_one_qubit", "apply_two_qubit_routed"):
+            monkeypatch.setattr(cls, name, lambda self, *args, name=name: applied.append(name))
+    for value, message in (("0.3", "t must be a finite real number, got '0.3'"),
+                           (math.nan, "t must be a finite real number, got nan")):
+        with pytest.raises(ValueError) as info:
+            run_program(_ANSATZ.children, 3, backend, values={"t": value})
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+        assert applied == []
+    run_program(_ANSATZ.children, 3, backend, values={"t": 0.3})
+    assert applied  # the gate methods are watched: a valid value runs them

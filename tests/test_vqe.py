@@ -122,13 +122,11 @@ class TestEnergy:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_theta_rejected(self, backend, theta):
-        """The message is the one ``bind_parameters`` gives for the value."""
-        with pytest.raises(IrError) as bound:
-            bind_parameters(RX_ANSATZ, [theta])
-        with pytest.raises(IrError) as info:
+        """``theta`` meets the one real-number rule, ``check_real``."""
+        with pytest.raises(ValueError) as info:
             energy(RX_ANSATZ, theta, ZI, backend)
-        assert str(info.value) == str(bound.value)
-        assert str(info.value) == f"parameter 't0' of kernel 'rx' is {theta!r}, not finite"
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"theta must be a finite real number, got {theta!r}"
 
     @pytest.mark.parametrize("shots", [None, 100])
     def test_kernel_is_never_rebuilt(self, monkeypatch, shots):
