@@ -39,8 +39,9 @@ from operator import itemgetter
 
 import numpy as np
 
+from .checks import check_count
 from .dense import DenseState, check_register
-from .gates import apply_program, check_count, measured_qubits
+from .gates import apply_program, measured_qubits
 from .ir import Instruction, num_qubits
 from .mps import MpsState, TruncationPolicy
 

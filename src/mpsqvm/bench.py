@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import apply_program, check_count, check_real
+from .checks import check_count, check_real
+from .gates import apply_program
 from .ir import GateKind, Instruction
 from .mps import MpsState, TruncationPolicy
 
@@ -93,8 +94,8 @@ def check_cells(qubits: list[int], rounds: list[int], seeds_per_cell: int,
     """The rule of :func:`run_grid`'s arguments, which the CLI applies to its
     bench flags too. A ``ValueError`` unless both lists are non-empty,
     :class:`RoundCircuitSpec` takes every ``(n, rounds)`` cell of the grid,
-    ``seeds_per_cell`` is an integer >= 1 (:func:`~mpsqvm.gates.check_count`),
-    and the budgets are real numbers (:func:`~mpsqvm.gates.check_real`):
+    ``seeds_per_cell`` is an integer >= 1 (:func:`~mpsqvm.checks.check_count`),
+    and the budgets are real numbers (:func:`~mpsqvm.checks.check_real`):
     ``chi_budget`` at least 1 and ``time_budget`` a positive number of
     seconds, ``inf`` for no limit."""
     if not qubits or not rounds:

@@ -27,7 +27,7 @@ from typing import TypeVar
 from . import bench as bench_mod
 from . import vqe as vqe_mod
 from .backends import BACKENDS, execute, register_size
-from .gates import check_count
+from .checks import check_count
 from .hamiltonian import parse_hamiltonian
 from .ir import inline
 from .mps import TruncationPolicy
@@ -163,7 +163,7 @@ def _get_kernel(source_text: str, name: str):
 
 # Each handler reads a command's inputs and returns its run as ``simulate``.
 # It only turns text into values; every rule on a value is a check that the
-# drivers apply too (backends.register_size, gates.check_count, ir.inline,
+# drivers apply too (backends.register_size, checks.check_count, ir.inline,
 # vqe.check_grid, bench.check_cells), so each rule has one message.
 def _cmd_run(args: argparse.Namespace) -> Callable[[], None]:
     kernel = _get_kernel(_read_text(args.source), args.kernel)

@@ -21,7 +21,8 @@ import os
 
 import numpy as np
 
-from .gates import apply_program, check_gate, check_integer, check_pauli, pauli_matrix, real_expectation
+from .checks import check_integer
+from .gates import apply_program, check_gate, check_pauli, pauli_matrix, real_expectation
 from .ir import Instruction
 from .mps import TruncationPolicy, sample_sequential
 
@@ -31,7 +32,7 @@ DEFAULT_QUBIT_CAP = 24
 def check_register(n: int) -> None:
     """A ``ValueError`` unless ``n`` is an integer in ``1..cap``, the
     registers that :class:`DenseState` holds; the type is tested first
-    (:func:`~mpsqvm.gates.check_integer`), then the range.
+    (:func:`~mpsqvm.checks.check_integer`), then the range.
 
     ``cap`` is ``MPSQVM_ORACLE_QUBIT_CAP`` if set, else
     :data:`DEFAULT_QUBIT_CAP`; a value that is not an integer >= 1 is a

@@ -5,14 +5,13 @@ to a state.
 Both backends call :func:`check_gate` from each public gate method,
 :func:`check_pauli` and :func:`real_expectation` from ``expectation_pauli``,
 and every executed program passes :func:`measured_qubits`, so the same
-input is rejected with the same message whichever backend runs it.
-:func:`check_count` is the one rule for a count that enters the library
-(an integer, not a ``bool``, at least some bound); the states, the sampler,
-the runners and the drivers call it before the first gate. Where a count
-has a range with its own message, :func:`check_integer`, the rule's type
-test, runs before that range test. :func:`check_real` is the one rule for a
-real number that enters the library: an angle, a bound value, a grid end, a
-budget or a Hamiltonian coefficient.
+input is rejected with the same message whichever backend runs it. The
+number rules live in :mod:`mpsqvm.checks`: the states, the sampler, the
+runners and the drivers apply them to every count and real number before
+the first gate. An :class:`~mpsqvm.ir.Instruction` checks its qubits,
+classical bit and literal angle when it is built, so :func:`gate_matrix`
+checks none of them again; :func:`apply_program` checks each bound value
+once per run, before the first gate.
 
 Two-qubit matrices are indexed in the basis ``|q1 q2>`` with the first listed
 qubit as the most significant bit (index = 2*s1 + s2). :func:`apply_program`
@@ -26,12 +25,12 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Callable, Mapping, Sequence
-from math import cos, isfinite, sin, sqrt
-from numbers import Integral, Real
+from math import cos, sin, sqrt
 from typing import TypeVar
 
 import numpy as np
 
+from .checks import check_real
 from .ir import GateKind, Instruction, IrError
 
 _State = TypeVar("_State")
@@ -103,14 +102,15 @@ CONTROLLED_TARGETS = {
 
 
 def gate_matrix(instr: Instruction) -> np.ndarray:
-    """Unitary matrix of a (bound, non-MEASURE) instruction; its angle, if it
-    has one, must be a finite real number (:func:`check_real`)."""
+    """Unitary matrix of a (bound, non-MEASURE) instruction. Its angle, if
+    it has one, is the finite float that the instruction checked when it
+    was built."""
     entry = _MATRICES.get(instr.kind)
     if entry is None:
         raise ValueError(f"{instr.kind.value} has no unitary matrix")
     if not instr.params:
         return entry
-    return entry(check_real(f"{instr.kind.value} angle", instr.params[0], finite=True))
+    return entry(instr.params[0])
 
 
 def qubits_swapped(gate: np.ndarray) -> np.ndarray:
@@ -210,39 +210,6 @@ def check_pauli(pauli: str, n: int) -> None:
             pauli_matrix(label)
 
 
-def check_integer(name: str, value: int) -> None:
-    """Reject a count ``name`` that is not an integer: a ``bool`` is not
-    one, a numpy integer is."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def check_real(name: str, value: float, finite: bool = False) -> float:
-    """``value`` as a float; a ``ValueError`` naming ``name`` unless it is a
-    real number (a ``bool`` is not one, a numpy float is) within the float
-    range and, with ``finite``, neither infinite nor NaN."""
-    # a float skips the ABC test, which costs more than the rest of the check
-    real = type(value) is float or not isinstance(value, bool) and isinstance(value, Real)
-    try:
-        number = float(value) if real else None
-    except OverflowError:  # an integer beyond the float range
-        number = None
-    if number is None or finite and not isfinite(number):
-        kind = "a finite real number" if finite else "a real number"
-        raise ValueError(f"{name} must be {kind}, got {value!r}")
-    return number
-
-
-def check_count(name: str, value: int, low: int = 1) -> None:
-    """Reject a count ``name`` that is not an integer ``>= low``
-    (:func:`check_integer`). Every count a caller passes in (qubits, shots,
-    rounds, seeds, grid points, a bond cap) is checked by this rule where it
-    enters, before any gate runs."""
-    check_integer(name, value)
-    if value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
-
-
 def real_expectation(value: complex) -> float:
     """The real part of a Pauli expectation; an imaginary part above 1e-10
     (or a NaN) means the state or the contraction is broken."""
@@ -300,9 +267,9 @@ def apply_program(
     ``values`` (name to angle): its matrix is built once per run for each
     gate kind and name, and shared, read-only, by every gate with that slot.
     Every entry of ``values`` must be a finite real number
-    (:func:`check_real`), checked before the first gate. A name that
-    ``values`` lacks is an :class:`IrError`, raised when the first gate with
-    that slot is reached.
+    (:func:`~mpsqvm.checks.check_real`), checked before the first gate. A
+    name that ``values`` lacks is an :class:`IrError`, raised when the first
+    gate with that slot is reached.
     """
     measured_qubits(program)
     values = {name: check_real(name, v, finite=True) for name, v in (values or {}).items()}

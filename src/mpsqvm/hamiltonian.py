@@ -7,11 +7,11 @@ be finite, and all strings in a file must have the same length.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .gates import check_pauli, check_real
+from .checks import check_real
+from .gates import check_pauli
 
 
 class HamiltonianFormatError(ValueError):
@@ -49,9 +49,7 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
                 f"line {lineno}: expected '<coeff> <pauli-string>', got {raw!r}"
             )
         try:
-            coeff = float(fields[0])
-            if not math.isfinite(coeff):
-                raise ValueError
+            coeff = check_real("coefficient", float(fields[0]), finite=True)
         except ValueError:
             raise HamiltonianFormatError(
                 f"line {lineno}: bad coefficient {fields[0]!r}, need a finite number"

@@ -2,7 +2,10 @@
 
 A kernel is a :class:`CompositeInstruction`: a name, formal parameters and a
 flat tuple of :class:`Instruction` gates, run in order. All IR values are
-immutable after construction and safe to share.
+immutable after construction and safe to share. Each value is checked once,
+where it enters: an :class:`Instruction` checks its qubits, classical bit
+and literal angle when it is built, by the rules of :mod:`mpsqvm.checks`,
+and :func:`inline` checks each call argument, so no run checks them again.
 
 Parameters are bound in one of two places. At parse time, :func:`inline`
 expands a call into the callee's gates with the arguments filled in; a call
@@ -17,9 +20,10 @@ benchmark harness stops calling them.
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+
+from .checks import check_count, check_real
 
 
 class GateKind(enum.Enum):
@@ -57,7 +61,14 @@ ParamSlot = float | str
 
 @dataclass(frozen=True)
 class Instruction:
-    """A single gate acting on explicit qubit indices."""
+    """A single gate acting on explicit qubit indices.
+
+    Every value is checked here, when the instruction is built: each qubit
+    and a MEASURE's ``classical_target`` is an integer >= 0
+    (:func:`~mpsqvm.checks.check_count`), and each literal angle is a finite
+    real number (:func:`~mpsqvm.checks.check_real`), stored as its float. A
+    ``str`` angle slot is a formal-parameter name, bound later.
+    """
 
     kind: GateKind
     qubits: tuple[int, ...]
@@ -72,17 +83,22 @@ class Instruction:
                 f"{self.kind.value} acts on {self.kind.num_qubits} qubit(s), "
                 f"got {len(self.qubits)}"
             )
+        for q in self.qubits:
+            check_count("qubit", q, 0)
         if len(set(self.qubits)) != len(self.qubits):
             raise IrError(f"{self.kind.value} qubit indices must be distinct: {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise IrError(f"negative qubit index in {self.qubits}")
         if len(self.params) != self.kind.num_params:
             raise IrError(
                 f"{self.kind.value} takes {self.kind.num_params} parameter(s), "
                 f"got {len(self.params)}"
             )
+        if self.params and not isinstance(self.params[0], str):
+            angle = check_real(f"{self.kind.value} angle", self.params[0], finite=True)
+            object.__setattr__(self, "params", (angle,))
         if (self.classical_target is None) == (self.kind is GateKind.MEASURE):
             raise IrError("MEASURE needs a classical_target, and no other gate takes one")
+        if self.classical_target is not None:
+            check_count("classical_target", self.classical_target, 0)
 
 
 @dataclass(frozen=True)
@@ -113,7 +129,8 @@ def inline(kernel: CompositeInstruction, args: list[ParamSlot]) -> tuple[Instruc
     """The gates of the call ``kernel(b, *args)``, in order.
 
     ``args`` is matched positionally against ``kernel.formal_params``; each
-    is a finite angle or a formal-parameter name of the caller. A gate with
+    is a formal-parameter name of the caller or a finite real number
+    (:func:`~mpsqvm.checks.check_real`, naming the parameter). A gate with
     a named slot is rebuilt with the slot filled (and so validated again); a
     gate without one is shared with ``kernel``, which is never mutated.
     """
@@ -124,8 +141,8 @@ def inline(kernel: CompositeInstruction, args: list[ParamSlot]) -> tuple[Instruc
         )
     mapping = dict(zip(kernel.formal_params, args))
     for name, v in mapping.items():
-        if not isinstance(v, str) and not math.isfinite(v):
-            raise IrError(f"parameter '{name}' of kernel '{kernel.name}' is {v!r}, not finite")
+        if not isinstance(v, str):
+            check_real(f"parameter '{name}' of kernel '{kernel.name}'", v, finite=True)
     out = list(kernel.children)
     for i, gate in enumerate(out):
         if any(isinstance(p, str) for p in gate.params):

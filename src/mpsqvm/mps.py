@@ -70,14 +70,13 @@ import copy
 from collections.abc import Callable
 from dataclasses import dataclass
 from math import sqrt
-from numbers import Real
 from typing import Any
 
 import numpy as np
 
+from .checks import check_count, check_integer, check_real
 from .gates import (
-    CONTROLLED_TARGETS, SWAP_MATRIX, check_count, check_gate, check_integer, check_pauli,
-    qubits_swapped, real_expectation,
+    CONTROLLED_TARGETS, SWAP_MATRIX, check_gate, check_pauli, qubits_swapped, real_expectation,
 )
 
 #: Smallest ``side`` at which a CNOT or CZ update takes the SVD of its core,
@@ -101,9 +100,8 @@ class TruncationPolicy:
     relative: bool = True
 
     def __post_init__(self) -> None:
-        cutoff = self.cutoff  # np.bool_ is not Real; a bool is, but is no cutoff
-        if isinstance(cutoff, bool) or not isinstance(cutoff, Real) or not 0 <= cutoff < np.inf:
-            raise ValueError(f"cutoff must be a finite number >= 0, got {cutoff!r}")
+        if check_real("cutoff", self.cutoff, finite=True) < 0:
+            raise ValueError(f"cutoff must be >= 0, got {self.cutoff!r}")
         if not isinstance(self.relative, (bool, np.bool_)):
             raise ValueError(f"relative must be a bool, got {self.relative!r}")
         if self.max_bond is not None:

@@ -23,7 +23,8 @@ from math import isfinite, pi, sqrt
 import numpy as np
 
 from .backends import readout, run_program
-from .gates import apply_program, check_count, check_real
+from .checks import check_count, check_real
+from .gates import apply_program
 from .hamiltonian import PauliHamiltonian
 from .ir import CompositeInstruction, GateKind, Instruction
 from .mps import TruncationPolicy
@@ -77,9 +78,9 @@ def energy(
 ) -> float:
     """<psi(theta)|H|psi(theta)> with the state prepared by the ansatz at ``theta``.
 
-    ``theta`` must be a finite real number (:func:`~mpsqvm.gates.check_real`).
+    ``theta`` must be a finite real number (:func:`~mpsqvm.checks.check_real`).
     With ``shots`` set, ``shots`` must be an integer >= 1 and ``seed`` an
-    integer >= 0 (:func:`~mpsqvm.gates.check_count`), and term ``idx`` is
+    integer >= 0 (:func:`~mpsqvm.checks.check_count`), and term ``idx`` is
     sampled from a generator seeded with ``[seed, idx]``, so equal arguments
     give equal energies; without it ``seed`` is ignored.
     ``theta``, ``shots`` and ``seed`` are checked before the state is prepared.
@@ -103,9 +104,9 @@ def energy(
 
 def check_grid(start: float, stop: float, count: int) -> None:
     """The rule of a sweep's grid, which the CLI applies to ``--grid`` too:
-    ``count`` is an integer >= 2 (:func:`~mpsqvm.gates.check_count`), and
+    ``count`` is an integer >= 2 (:func:`~mpsqvm.checks.check_count`), and
     ``start`` and ``stop`` are finite real numbers
-    (:func:`~mpsqvm.gates.check_real`) whose difference is finite."""
+    (:func:`~mpsqvm.checks.check_real`) whose difference is finite."""
     check_count("count", count, 2)
     low = check_real("start", start, finite=True)
     if not isfinite(check_real("stop", stop, finite=True) - low):

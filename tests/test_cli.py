@@ -153,7 +153,8 @@ class TestUsageErrors:
         )
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr == (
-            "mpsqvm: error: parameter 't0' of kernel 'term0' is inf, not finite\n"
+            "mpsqvm: error: parameter 't0' of kernel 'term0' must be a finite real number, "
+            "got inf\n"
         )
 
     def test_arg_count_mismatch(self):

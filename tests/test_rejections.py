@@ -12,11 +12,11 @@ from mpsqvm import (
     execute, run_program, sweep,
 )
 from mpsqvm.backends import BACKENDS
-from mpsqvm import bench
+from mpsqvm import bench, gates
 from mpsqvm.bench import RoundCircuitSpec, emit_report, run_grid
 from mpsqvm.gates import gate_matrix
 from mpsqvm.hamiltonian import HamiltonianFormatError, PauliHamiltonian, parse_hamiltonian
-from mpsqvm.ir import IrError, inline
+from mpsqvm.ir import inline
 
 REJECTED = {
     "unknown-backend": (
@@ -117,19 +117,23 @@ REJECTED = {
     ),
     "bool-cutoff": (
         lambda: TruncationPolicy(cutoff=True),
-        ValueError, "cutoff must be a finite number >= 0, got True",
+        ValueError, "cutoff must be a finite real number, got True",
     ),
     "text-cutoff": (
         lambda: TruncationPolicy(cutoff="0.1"),
-        ValueError, "cutoff must be a finite number >= 0, got '0.1'",
+        ValueError, "cutoff must be a finite real number, got '0.1'",
     ),
     "none-cutoff": (
         lambda: TruncationPolicy(cutoff=None),
-        ValueError, "cutoff must be a finite number >= 0, got None",
+        ValueError, "cutoff must be a finite real number, got None",
     ),
     "complex-cutoff": (
         lambda: TruncationPolicy(cutoff=1j),
-        ValueError, "cutoff must be a finite number >= 0, got 1j",
+        ValueError, "cutoff must be a finite real number, got 1j",
+    ),
+    "negative-cutoff": (
+        lambda: TruncationPolicy(cutoff=-0.5),
+        ValueError, "cutoff must be >= 0, got -0.5",
     ),
     "text-relative": (
         lambda: TruncationPolicy(relative="absolute"),
@@ -169,11 +173,11 @@ REJECTED = {
     ),
     "infinite-args": (
         lambda: inline(_ANSATZ, [math.inf]),
-        IrError, "parameter 't' of kernel 'a' is inf, not finite",
+        ValueError, "parameter 't' of kernel 'a' must be a finite real number, got inf",
     ),
     "negative-qubit": (
         lambda: Instruction(GateKind.X, (-1,)),
-        IrError, "negative qubit index in (-1,)",
+        ValueError, "qubit must be >= 0, got -1",
     ),
     "comment-only-file": (
         lambda: parse_hamiltonian("# no terms here\n\n   # nor here\n"),
@@ -203,6 +207,30 @@ for _label, _value in _BAD_ANGLES:
         continue
     REJECTED[f"{_label}-angle"] = (
         lambda v=_value: execute([Instruction(GateKind.RX, (0,), (v,))]),
+        ValueError, f"RX angle must be a finite real number, got {_value!r}",
+    )
+
+#: An ``Instruction`` checks each value when it is built, before any program
+#: or run holds it: a qubit and a classical bit are integers >= 0 (a ``bool``
+#: is not one) and a literal angle is a finite real number
+for _label, _value in (("bool", True), ("fraction", 0.5), ("text", "1"),
+                       ("numpy-float", np.float64(1))):
+    REJECTED[f"{_label}-qubit"] = (
+        lambda v=_value: Instruction(GateKind.X, (v,)),
+        ValueError, f"qubit must be an integer, got {_value!r}",
+    )
+for _label, _value, _message in (
+    ("fraction", 1.5, "classical_target must be an integer, got 1.5"),
+    ("bool", True, "classical_target must be an integer, got True"),
+    ("negative", -1, "classical_target must be >= 0, got -1"),
+):
+    REJECTED[f"{_label}-classical-target"] = (
+        lambda v=_value: Instruction(GateKind.MEASURE, (0,), classical_target=v),
+        ValueError, _message,
+    )
+for _label, _value in (("none", None), ("bool", True), ("nan", math.nan), ("huge", 10**400)):
+    REJECTED[f"{_label}-instruction-angle"] = (
+        lambda v=_value: Instruction(GateKind.RX, (0,), (v,)),
         ValueError, f"RX angle must be a finite real number, got {_value!r}",
     )
 
@@ -391,3 +419,18 @@ def test_bad_value_rejected_before_any_gate(monkeypatch, backend):
         assert applied == []
     run_program(_ANSATZ.children, 3, backend, values={"t": 0.3})
     assert applied  # the gate methods are watched: a valid value runs them
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_literal_angle_checked_once_when_built(monkeypatch, backend):
+    """A run checks the entries of ``values`` and no literal angle: each was
+    checked when its ``Instruction`` was built, not once per gate."""
+    literal = [Instruction(kind, (q,), (angle,)) for kind, q, angle in (
+        (GateKind.RX, 0, 0.1), (GateKind.RY, 1, 0.2), (GateKind.RZ, 0, 0.3))]
+    program = [*literal * 4, Instruction(GateKind.RY, (1,), ("t",))]
+    checked = []
+    original = gates.check_real
+    monkeypatch.setattr(gates, "check_real",
+                        lambda name, *args, **kw: checked.append(name) or original(name, *args, **kw))
+    run_program(program, 2, backend, values={"t": 0.4})
+    assert checked == ["t"]  # the spy is live: it sees the one bound value
