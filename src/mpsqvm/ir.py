@@ -151,18 +151,19 @@ def inline(kernel: CompositeInstruction, args: list[ParamSlot]) -> tuple[Instruc
     return tuple(out)
 
 
-def bind_parameters(root: CompositeInstruction, values: list[float]) -> CompositeInstruction:
+def bind_parameters(root: CompositeInstruction, values: list[ParamSlot]) -> CompositeInstruction:
     """Return ``root`` bound to ``values``, as a kernel with no parameters.
 
-    ``values`` is matched positionally against ``root.formal_params``, and
-    each must be finite (:func:`inline`'s rule). The result's children are
+    ``values`` is matched positionally against ``root.formal_params`` and
+    passed to :func:`inline` as given, so each meets :func:`inline`'s rule: a
+    ``str`` is a slot name, which :func:`flatten` rejects as unbound, and
+    anything else must be a finite real number. The result's children are
     :func:`inline`'s gates: every gate with a parameter slot is rebuilt, and
     every other gate is shared with ``root``. A test and benchmark helper,
     not exported by the package; it goes once the benchmark harness stops
     calling it.
     """
-    gates = inline(root, [float(v) for v in values])
-    return CompositeInstruction(root.name, (), gates)
+    return CompositeInstruction(root.name, (), inline(root, values))
 
 
 def flatten(root: CompositeInstruction) -> list[Instruction]:

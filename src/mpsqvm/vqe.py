@@ -10,7 +10,11 @@ the term's last support qubit, and :func:`~mpsqvm.backends.readout`, the
 projection behind ``execute``'s counts, cuts each key to the term's support;
 the key's parity is its count of 1s. A qubit after the last support qubit
 cannot change the bits before it, so the short walk gives the counts that a
-walk over the whole register gives. :func:`check_grid` is the one rule for
+walk over the whole register gives. Either way, the energy is the
+left-to-right sum of ``coeff * term`` over the terms in file order, in one
+loop, so it has the same bits on every supported Python: the builtin
+``sum()`` adds floats with compensation from Python 3.12 on.
+:func:`check_grid` is the one rule for
 a sweep's grid: ``sweep`` applies it first, and the CLI applies it to
 ``--grid``.
 """
@@ -84,21 +88,23 @@ def energy(
     sampled from a generator seeded with ``[seed, idx]``, so equal arguments
     give equal energies; without it ``seed`` is ignored.
     ``theta``, ``shots`` and ``seed`` are checked before the state is prepared.
+    The energy is ``coeff * term`` added left to right over the terms in file
+    order, the same bits on every supported Python; an all-``I`` term is 1.0.
     """
     name, theta = formal_name(ansatz), check_real("theta", theta, finite=True)
     if shots is not None:
         check_count("shots", shots)
         check_count("seed", seed, 0)
     state = run_program(ansatz.children, hamiltonian.n, backend, policy, {name: theta})
-    if shots is None:
-        return sum(c * state.expectation_pauli(p) for c, p in hamiltonian.terms)
     value = 0.0
     for idx, (coeff, pauli) in enumerate(hamiltonian.terms):
-        if set(pauli) == {"I"}:
-            value += coeff
-            continue
-        rng = np.random.default_rng([seed, idx])
-        value += coeff * _sampled_term(state, pauli, shots, rng)
+        if shots is None:
+            term = state.expectation_pauli(pauli)
+        elif set(pauli) == {"I"}:
+            term = 1.0
+        else:
+            term = _sampled_term(state, pauli, shots, np.random.default_rng([seed, idx]))
+        value += coeff * term
     return value
 
 

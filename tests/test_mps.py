@@ -33,6 +33,7 @@ from tests.conftest import (
     bell_program,
     ghz3_program,
     max_bond,
+    mps_overlap,
     mps_statevector,
     random_program,
     reference_expectation,
@@ -1255,6 +1256,47 @@ class TestCanonicalProperties:
                 gap = abs(state.expectation_pauli(pauli) - _full_expectation(state, pauli))
                 assert gap <= 2 * state.trunc_error_sq, pauli
         assert truncated == 3
+
+
+class TestGlobalFidelity:
+    """The whole state, not only local values, checked by overlaps of MPS: a
+    run at ``max_bond`` chi against one at 4 chi, at cutoff 0. Where the 4 chi
+    run discards nothing, it is the exact state, so the normalised overlap is
+    the fidelity of the chi run; above the dense cap that reference is the
+    only one there is."""
+
+    @pytest.mark.parametrize("n, rounds, chi, seed", [
+        (12, 6, 4, 0), (12, 8, 8, 1), (16, 6, 4, 1), (16, 8, 8, 0), (16, 10, 16, 1),
+        (18, 8, 8, 1), (20, 3, 2, 1),
+    ])
+    def test_ladder_equals_the_dense_fidelity(self, n, rounds, chi, seed):
+        program = generate_round_circuit(RoundCircuitSpec(n, rounds, seed))
+        state = run_program(program, n, "mps", TruncationPolicy(cutoff=0.0, max_bond=chi))
+        reference = run_program(program, n, "mps", TruncationPolicy(cutoff=0.0, max_bond=4 * chi))
+        assert reference.trunc_error_sq < 1e-20  # the 4 chi run discards nothing
+        assert state.trunc_error_sq > 1e-3  # the chi run does
+        norm = mps_overlap(state, state).real
+        ladder = abs(mps_overlap(reference, state)) ** 2 / (
+            mps_overlap(reference, reference).real * norm)
+        exact = abs(np.vdot(dense_run(program, n).amps, mps_statevector(state))) ** 2 / norm
+        assert ladder == pytest.approx(exact, abs=1e-5)
+        assert exact < 1 - 1e-3  # a fidelity the truncation lowered
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_norm_within_twice_the_discarded_weight(self, seed):
+        """At 40 qubits, where no dense state can be built, a truncated state
+        keeps its stored norm within 1 +- 2 sum(w), and its 4 chi reference,
+        which discards nothing, has norm 1. A wrong row weight in the two-site
+        update (sqrt(Lambda), or none) leaves a norm of 1e-10 or less."""
+        program = generate_round_circuit(RoundCircuitSpec(40, 10, seed))
+        state = run_program(program, 40, "mps", TruncationPolicy(cutoff=0.0, max_bond=16))
+        reference = run_program(program, 40, "mps", TruncationPolicy(cutoff=0.0, max_bond=64))
+        assert state.trunc_error_sq > 0.05
+        assert reference.trunc_error_sq < 1e-20
+        norm = mps_overlap(state, state)
+        assert abs(norm.imag) < 1e-12
+        assert abs(norm.real - 1) <= 2 * state.trunc_error_sq
+        assert mps_overlap(reference, reference) == pytest.approx(1, abs=1e-12)
 
 
 class TestSvdFallback:

@@ -16,7 +16,7 @@ from mpsqvm import bench, gates
 from mpsqvm.bench import RoundCircuitSpec, emit_report, run_grid
 from mpsqvm.gates import gate_matrix
 from mpsqvm.hamiltonian import HamiltonianFormatError, PauliHamiltonian, parse_hamiltonian
-from mpsqvm.ir import inline
+from mpsqvm.ir import IrError, bind_parameters, flatten, inline
 
 REJECTED = {
     "unknown-backend": (
@@ -174,6 +174,18 @@ REJECTED = {
     "infinite-args": (
         lambda: inline(_ANSATZ, [math.inf]),
         ValueError, "parameter 't' of kernel 'a' must be a finite real number, got inf",
+    ),
+    "none-bound-parameter": (
+        lambda: bind_parameters(_ANSATZ, [None]),
+        ValueError, "parameter 't' of kernel 'a' must be a finite real number, got None",
+    ),
+    "bool-bound-parameter": (
+        lambda: bind_parameters(_ANSATZ, [True]),
+        ValueError, "parameter 't' of kernel 'a' must be a finite real number, got True",
+    ),
+    "text-bound-parameter": (  # text is a slot name, left unbound
+        lambda: flatten(bind_parameters(_ANSATZ, ["0.3"])),
+        IrError, "unbound parameter(s) ['0.3'] in RY (1,)",
     ),
     "negative-qubit": (
         lambda: Instruction(GateKind.X, (-1,)),

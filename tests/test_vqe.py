@@ -20,7 +20,7 @@ from mpsqvm.backends import BACKENDS
 from mpsqvm.gates import check_pauli
 from mpsqvm.hamiltonian import HamiltonianFormatError, load_hamiltonian
 from mpsqvm.ir import IrError, bind_parameters, flatten
-from tests.conftest import ANSATZ_PATH, HAM_PATH, exact_ground_energy
+from tests.conftest import ANSATZ_PATH, HAM_PATH, compensated_sum, exact_ground_energy
 
 EXACT = TruncationPolicy(cutoff=0.0)
 
@@ -151,6 +151,38 @@ class TestEnergy:
         [args] = calls
         assert args[0] is ansatz.children
         assert not hasattr(vqe, "bind_parameters") and not hasattr(vqe, "flatten")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("shots", [None, 500])
+    def test_left_to_right_sum_of_terms(self, monkeypatch, backend, shots):
+        """On the shipped H2 grid (the CLI's default ``--grid``) an energy is
+        ``coeff * term`` added left to right in file order, whichever ``sum``
+        the interpreter has: Python 3.12's compensated ``sum`` leaves it the
+        same, though it changes the last bits of some rows of that sum."""
+        ansatz, h, seed = fig_ansatz(), load_hamiltonian(HAM_PATH), 3
+        result = sweep(ansatz, h, backend=backend, shots=shots, seed=seed)
+        compensated_rows = 0
+        for theta, value in zip(result.thetas, result.energies):
+            state = run_program(ansatz.children, h.n, backend, values={"t0": theta})
+            products = []
+            for idx, (coeff, pauli) in enumerate(h.terms):
+                if shots is None:
+                    term = state.expectation_pauli(pauli)
+                elif set(pauli) == {"I"}:
+                    term = 1.0
+                else:
+                    rng = np.random.default_rng([seed, idx])
+                    term = vqe._sampled_term(state, pauli, shots, rng)
+                products.append(coeff * term)
+            expected = 0.0
+            for product in products:
+                expected += product
+            assert value == expected, theta
+            compensated_rows += compensated_sum(products) != expected
+        assert compensated_rows > 0
+        monkeypatch.setattr(vqe, "sum", compensated_sum, raising=False)
+        again = sweep(ansatz, h, backend=backend, shots=shots, seed=seed)
+        assert again.energies == result.energies
 
     def test_width_mismatch_rejected(self):
         wide = CompositeInstruction(
